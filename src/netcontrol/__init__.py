@@ -9,7 +9,8 @@ from .alteration import (AlterationPlan, EdgeAddition, alteration_report,
                          apply_plan, ic_to_smc, plan_attains_goal,
                          smc_to_ic_full, smc_to_ic_single, umc_to_smc)
 from .components import (ComponentKind, ComponentReport, ControlComponent,
-                         classify_kind, component_report, find_components)
+                         component_report, find_components,
+                         largest_component)
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, InsufficientInputNodesError,
                      InternalInvariantError, NetcontrolError,
@@ -21,11 +22,10 @@ from .input_graph import (ControlAdjacencyEdge, InputGraph, NodeClass,
 from .matching import (ExchangeResult, InputNodeSet, Matching, exchange,
                        input_nodes, is_maximum, maximum_matching,
                        unsaturated_nodes)
-from .network import (BipartiteView, DirectedNetwork, NetworkStats,
-                      basic_stats, bipartite_split, load_edge_list,
-                      write_edge_list)
+from .network import (DirectedNetwork, NetworkStats, basic_stats,
+                      load_edge_list, write_edge_list)
 from .oracle import (EnumerationResult, OracleGuard, classify_exhaustive,
-                     enumerate_maximum_matchings)
+                     enumerate_maximum_matchings, exhaustive_classes)
 from .pipeline import NetworkAnalysis, analyze
 
 __version__ = "0.1.0"

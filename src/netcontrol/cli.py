@@ -1,7 +1,8 @@
 """Batch command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input,
-3 infeasible alteration or exchange, 4 oracle guard exceeded.
+3 infeasible alteration or exchange, 4 oracle guard exceeded, 5 internal
+error (a violated invariant or a non-maximum matching, never bad input).
 Data goes to stdout (or ``-o``); timing notes go to stderr so repeated runs
 with the same seed stay byte-identical.
 """
@@ -17,13 +18,13 @@ from . import reports
 from .alteration import (alteration_report, apply_plan, ic_to_smc,
                          plan_attains_goal, smc_to_ic_full, smc_to_ic_single,
                          umc_to_smc)
-from .components import ComponentKind
+from .components import ComponentKind, largest_component
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, NetcontrolError, OracleInfeasibleError)
 from .generators import GenSpec, generate
 from .matching import exchange, maximum_matching
 from .network import DirectedNetwork, load_edge_list, write_edge_list
-from .oracle import OracleGuard, classify_exhaustive, enumerate_maximum_matchings
+from .oracle import OracleGuard, enumerate_maximum_matchings, exhaustive_classes
 from .pipeline import NetworkAnalysis, analyze
 
 EXIT_OK = 0
@@ -31,6 +32,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +142,7 @@ def _select_component(analysis: NetworkAnalysis, selector: str):
     pool = pools[selector]
     if not pool:
         raise AlterationError(f"no component matches {selector!r}")
-    return min(pool, key=lambda c: (-c.size, c.id))
+    return largest_component(pool)
 
 
 def _cmd_generate(args) -> int:
@@ -291,22 +293,21 @@ def _cmd_exchange(args) -> int:
 def _cmd_oracle_check(args) -> int:
     net = _load(args.path)
     guard = OracleGuard(max_nodes=args.max_nodes, max_count=args.max_count)
-    truth = classify_exhaustive(net, guard)
     enum = enumerate_maximum_matchings(net, guard)
+    truth = exhaustive_classes(net, enum)
     analysis = analyze(net, args.seed)
     diffs = [
         {"node": net.labels[v], "oracle": truth[v].value,
          "pipeline": analysis.classes[v].value}
         for v in range(net.n) if truth[v] is not analysis.classes[v]
     ]
-    union = frozenset().union(*enum.input_sets) if enum.input_sets else frozenset()
     payload = {
         "agree": not diffs,
         "diffs": diffs,
         "matching_count": enum.matching_count,
         "distinct_input_sets": len(enum.input_sets),
         "possible_inputs_match_union":
-            union == analysis.input_graph.possible_inputs,
+            enum.in_some_set == analysis.input_graph.possible_inputs,
     }
     _emit(reports.to_json(payload), args.output)
     return EXIT_OK
@@ -359,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ORACLE
     except NetcontrolError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INPUT
+        return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - started) * 1000
     sys.stderr.write(f"# {args.command} completed in {elapsed_ms:.1f} ms\n")
     return code

@@ -30,7 +30,7 @@ class ComponentKind(Enum):
         return {"IC": "I", "UMC": "U", "SMC": "S"}[self.value]
 
 
-# Tie-break priority for reporting the largest component.
+# Tie-break priority for picking the largest component.
 _KIND_PRIORITY = {ComponentKind.IC: 0, ComponentKind.UMC: 1, ComponentKind.SMC: 2}
 
 
@@ -75,14 +75,6 @@ def find_components(ig: InputGraph) -> list[ControlComponent]:
         groups.setdefault(find(v), []).append(v)
     return [ControlComponent(id=i, members=frozenset(members))
             for i, (_, members) in enumerate(sorted(groups.items()))]
-
-
-def classify_kind(net: DirectedNetwork, m: Matching,
-                  comp: ControlComponent) -> ControlComponent:
-    """Return a copy of ``comp`` with its IC/UMC/SMC kind filled in."""
-    inputs = input_nodes(net, m).nodes
-    linked = _unsaturated_targets(net, m)
-    return _classify(comp, inputs, linked)
 
 
 def _unsaturated_targets(net: DirectedNetwork,
@@ -137,13 +129,6 @@ class ComponentReport:
             counts[comp.kind.value] += 1
         return counts
 
-    def largest_of_kind(self, kind: ComponentKind) -> ControlComponent | None:
-        best = None
-        for comp in self.components:
-            if comp.kind is kind and (best is None or comp.size > best.size):
-                best = comp
-        return best
-
 
 def component_report(net: DirectedNetwork, m: Matching,
                      ig: InputGraph) -> ComponentReport:
@@ -171,7 +156,6 @@ def component_report(net: DirectedNetwork, m: Matching,
             raise InternalInvariantError(
                 f"{comp.kind.value} {comp.id} contains a possible input node")
 
-    cc_max = min(comps, key=lambda c: (-c.size, _KIND_PRIORITY[c.kind], c.id))
     return ComponentReport(
         n=stats.n,
         edge_count=stats.edge_count,
@@ -179,5 +163,10 @@ def component_report(net: DirectedNetwork, m: Matching,
         mis_size=len(inputs),
         perfectly_matched=inputs.perfectly_matched,
         components=tuple(comps),
-        cc_max=cc_max,
+        cc_max=largest_component(comps),
     )
+
+
+def largest_component(comps) -> ControlComponent:
+    """The largest classified component; ties go to IC, UMC, SMC, then id."""
+    return min(comps, key=lambda c: (-c.size, _KIND_PRIORITY[c.kind], c.id))

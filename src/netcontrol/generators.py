@@ -42,10 +42,17 @@ class GenSpec:
             raise GenerationError(f"unknown model {self.model!r}")
         if self.n < 1:
             raise GenerationError("n must be at least 1")
+        if not all(map(math.isfinite,
+                       (self.avg_degree, self.gamma_in, self.gamma_out))):
+            raise GenerationError("avg_degree and exponents must be finite")
         if self.avg_degree < 0:
             raise GenerationError("avg_degree must be non-negative")
         if self.model == "sf" and (self.gamma_in <= 2 or self.gamma_out <= 2):
             raise GenerationError("degree exponents must exceed 2")
+        capacity = self.n * (self.n - 1)
+        if self.edge_target > capacity:
+            raise GenerationError(f"{self.edge_target} edges requested but "
+                                  f"only {capacity} possible")
 
     @property
     def edge_target(self) -> int:
@@ -58,11 +65,8 @@ def er_directed(spec: GenSpec) -> DirectedNetwork:
     if spec.model != "er":
         raise GenerationError("spec.model must be 'er'")
     target = spec.edge_target
-    capacity = spec.n * (spec.n - 1)
-    if target > capacity:
-        raise GenerationError(
-            f"{target} edges requested but only {capacity} possible")
     rng = np.random.default_rng(spec.seed)
+    capacity = spec.n * (spec.n - 1)
     edges = _rejection_sample(rng, target, capacity * max(spec.n, 10),
                               lambda size: (rng.integers(0, spec.n, size),
                                             rng.integers(0, spec.n, size)))
@@ -74,10 +78,6 @@ def scale_free_directed(spec: GenSpec) -> DirectedNetwork:
     if spec.model != "sf":
         raise GenerationError("spec.model must be 'sf'")
     target = spec.edge_target
-    capacity = spec.n * (spec.n - 1)
-    if target > capacity:
-        raise GenerationError(
-            f"{target} edges requested but only {capacity} possible")
     rng = np.random.default_rng(spec.seed)
     ranks = np.arange(1, spec.n + 1, dtype=np.float64) + RANK_SMOOTHING
     p_out = ranks ** (-1.0 / (spec.gamma_out - 1.0))

@@ -20,12 +20,12 @@ and such pairs belong to neither pass.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, NotMaximumMatchingError
-from .matching import Matching, is_maximum
+from .matching import Matching
 from .network import DirectedNetwork, NodeId
 
 
@@ -61,8 +61,6 @@ class InputGraph:
     possible_edges: tuple[ControlAdjacencyEdge, ...]
     redundant_edges: tuple[ControlAdjacencyEdge, ...]
     possible_inputs: frozenset[NodeId]
-    _out_lists: dict[NodeId, list[NodeId]] = field(
-        default_factory=dict, repr=False, compare=False)
 
     def all_edges(self) -> tuple[ControlAdjacencyEdge, ...]:
         return self.possible_edges + self.redundant_edges
@@ -70,16 +68,6 @@ class InputGraph:
     @property
     def edge_count(self) -> int:
         return len(self.possible_edges) + len(self.redundant_edges)
-
-    def out_neighbors(self, node: NodeId) -> list[NodeId]:
-        if not self._out_lists:
-            lists: dict[NodeId, list[NodeId]] = {}
-            for e in self.all_edges():
-                lists.setdefault(e.src, []).append(e.dst)
-            for lst in lists.values():
-                lst.sort()
-            self._out_lists.update(lists)
-        return self._out_lists.get(node, [])
 
 
 def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
@@ -89,16 +77,15 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     O(N + L): each node is expanded once and each original edge is inspected
     a constant number of times.
     """
-    if not is_maximum(net, m):
-        raise NotMaximumMatchingError("input graph requires a maximum matching")
-
     matched_out = m.matched_out
     matched_in = m.matched_in
 
     # Pass 1: closure from the input set. Expanding node x adds, for each
     # in-edge (c, x) whose witness c has a matched out-edge (c, b) with
     # b != x, the edge x -> b. A self-target means (c, x) is itself the
-    # matched edge, so no replacement arises from it.
+    # matched edge, so no replacement arises from it. This is also Berge's
+    # alternating search: an unsaturated witness ends an augmenting path, and
+    # when none is met the matching is maximum.
     possible: set[NodeId] = set(v for v in range(net.n) if v not in matched_in)
     queue: deque[NodeId] = deque(sorted(possible))
     possible_edges: list[ControlAdjacencyEdge] = []
@@ -107,8 +94,9 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
         for c in net.in_adj[x]:
             b = matched_out.get(c)
             if b is None:
-                raise InternalInvariantError(
-                    f"unsaturated witness {c} reaches possible input {x}")
+                raise NotMaximumMatchingError(
+                    f"unsaturated witness {c} reaches possible input {x}; "
+                    f"the matching is not maximum")
             if b == x:
                 continue
             possible_edges.append(ControlAdjacencyEdge(x, b, c))
@@ -124,10 +112,7 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     for x in range(net.n):
         if x in possible:
             continue
-        w = matched_in.get(x)
-        if w is None:
-            raise InternalInvariantError(
-                f"node {x} is unmatched but outside the input-set closure")
+        w = matched_in[x]  # every unmatched node seeded the closure
         for c in net.out_adj[w]:
             if c == x:
                 continue
@@ -169,23 +154,16 @@ def control_reachable_from(ig: InputGraph, node: NodeId) -> frozenset[NodeId]:
     """Forward closure of ``node`` over control-adjacency edges, incl. itself."""
     if not (0 <= node < ig.network.n):
         raise ValueError(f"node {node} out of range")
+    out: dict[NodeId, list[NodeId]] = {}
+    for e in ig.all_edges():
+        out.setdefault(e.src, []).append(e.dst)
     seen = {node}
     queue = deque([node])
     while queue:
         x = queue.popleft()
-        for y in ig.out_neighbors(x):
+        for y in out.get(x, ()):
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
 
-
-def verify_class_separation(ig: InputGraph) -> None:
-    """Raise if any control-adjacency edge joins the two node classes."""
-    poss = ig.possible_inputs
-    for e in ig.possible_edges:
-        if e.src not in poss or e.dst not in poss:
-            raise InternalInvariantError(f"possible-side edge {e} leaves class")
-    for e in ig.redundant_edges:
-        if e.src in poss or e.dst in poss:
-            raise InternalInvariantError(f"redundant-side edge {e} leaves class")

@@ -95,11 +95,12 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     never its size.
     """
     n = net.n
-    adj: list[list[int]] = [list(net.out_adj[u]) for u in range(n)]
+    adj = net.out_adj
     order = list(range(n))
     if order_seed:
         rng = random.Random(order_seed)
         rng.shuffle(order)
+        adj = [list(t) for t in adj]
         for lst in adj:
             rng.shuffle(lst)
 

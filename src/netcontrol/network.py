@@ -24,6 +24,7 @@ NodeId = int
 # cannot. Only recognized before the first edge line, and only with integer
 # labels in [0, N).
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*(\d+)\s*$")
+MAX_DECLARED_NODES = 10 ** 7  # bounds the labels interned before any edge
 
 
 class DirectedNetwork:
@@ -40,19 +41,18 @@ class DirectedNetwork:
     out_adj, in_adj : tuple[tuple[int, ...]]
         Sorted adjacency indexes, consistent with ``edges``.
     duplicates_collapsed : int
-        Number of repeated input edges dropped while building.
+        Repeated input edges dropped here, the one place that deduplicates.
     """
 
     __slots__ = ("n", "edges", "labels", "out_adj", "in_adj",
                  "duplicates_collapsed", "_edge_set", "_label_to_id")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 labels: Iterable[str] | None = None,
-                 duplicates_collapsed: int = 0):
+                 labels: Iterable[str] | None = None):
         self.n = n
         seen: set[tuple[int, int]] = set()
         kept: list[tuple[int, int]] = []
-        dups = duplicates_collapsed
+        dups = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -62,7 +62,7 @@ class DirectedNetwork:
             seen.add((u, v))
             kept.append((u, v))
         self.edges = tuple(kept)
-        self._edge_set = frozenset(seen)
+        self._edge_set = seen
         self.labels = tuple(str(x) for x in labels) if labels is not None \
             else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
@@ -98,9 +98,6 @@ class DirectedNetwork:
     def id_of(self, label: str) -> NodeId:
         return self._label_to_id[label]
 
-    def label_of(self, node: NodeId) -> str:
-        return self.labels[node]
-
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
         """Return a new network with the given edges appended."""
         extra = list(additions)
@@ -116,7 +113,7 @@ class DirectedNetwork:
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self._edge_set, self.labels))
+        return hash((self.n, len(self._edge_set), self.labels))
 
     def __repr__(self) -> str:
         return f"DirectedNetwork(n={self.n}, edges={self.edge_count})"
@@ -139,8 +136,6 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     labels: list[str] = []
     label_to_id: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    dups = 0
-    edge_set: set[tuple[int, int]] = set()
 
     def intern(label: str) -> int:
         i = label_to_id.get(label)
@@ -161,6 +156,10 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
                     raise EdgeListParseError(
                         "'# nodes:' directive must precede edges", lineno)
                 declared_n = int(m.group(1))
+                if declared_n > MAX_DECLARED_NODES:
+                    raise EdgeListParseError(
+                        f"declared {declared_n} nodes, more than the limit "
+                        f"of {MAX_DECLARED_NODES}", lineno)
                 for i in range(declared_n):
                     intern(str(i))
             continue
@@ -174,18 +173,15 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
                     raise EdgeListParseError(
                         f"label {tok!r} outside declared node range "
                         f"0..{declared_n - 1}", lineno)
-        u, v = intern(tokens[0]), intern(tokens[1])
-        if (u, v) in edge_set:
-            dups += 1
-            continue
-        edge_set.add((u, v))
-        edges.append((u, v))
+        edges.append((intern(tokens[0]), intern(tokens[1])))
 
     if not labels:
         raise EdgeListParseError("no nodes found in input")
-    if dups:
-        warnings.warn(f"collapsed {dups} duplicate edge(s)", stacklevel=2)
-    return DirectedNetwork(len(labels), edges, labels, duplicates_collapsed=dups)
+    net = DirectedNetwork(len(labels), edges, labels)
+    if net.duplicates_collapsed:
+        warnings.warn(f"collapsed {net.duplicates_collapsed} duplicate "
+                      f"edge(s)", stacklevel=2)
+    return net
 
 
 def write_edge_list(net: DirectedNetwork) -> str:
@@ -198,32 +194,6 @@ def write_edge_list(net: DirectedNetwork) -> str:
     lines = [f"{net.labels[u]}\t{net.labels[v]}"
              for u, v in sorted(net.edges)]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass(frozen=True)
-class BipartiteView:
-    """The out/in split: every node contributes an out-copy and an in-copy.
-
-    Zero-degree copies are kept (isolated) so both sides always hold ``n``
-    vertices; this keeps the unmatched counts of the two sides equal under
-    any maximum matching. ``edges[i]`` pairs the out-copy of ``src`` with
-    the in-copy of ``dst`` for the i-th network edge.
-    """
-
-    n: int
-    edges: tuple[tuple[NodeId, NodeId], ...]
-
-    @property
-    def out_copies(self) -> range:
-        return range(self.n)
-
-    @property
-    def in_copies(self) -> range:
-        return range(self.n)
-
-
-def bipartite_split(net: DirectedNetwork) -> BipartiteView:
-    return BipartiteView(n=net.n, edges=net.edges)
 
 
 @dataclass(frozen=True)

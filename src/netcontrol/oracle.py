@@ -91,7 +91,12 @@ def classify_exhaustive(net: DirectedNetwork,
                         guard: OracleGuard = OracleGuard()
                         ) -> dict[NodeId, NodeClass]:
     """Node classes straight from the enumeration, no adjacency reasoning."""
-    result = enumerate_maximum_matchings(net, guard)
+    return exhaustive_classes(net, enumerate_maximum_matchings(net, guard))
+
+
+def exhaustive_classes(net: DirectedNetwork, result: EnumerationResult
+                       ) -> dict[NodeId, NodeClass]:
+    """Node classes from an enumeration of ``net``'s maximum matchings."""
     classes: dict[NodeId, NodeClass] = {}
     for v in range(net.n):
         if v in result.in_all_sets:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .components import ComponentReport, component_report
 from .input_graph import (InputGraph, NodeClass, build_input_graph,
-                          classify_nodes, verify_class_separation)
+                          classify_nodes)
 from .matching import (InputNodeSet, Matching, input_nodes, maximum_matching,
                        unsaturated_nodes)
 from .network import DirectedNetwork, NodeId
@@ -28,7 +28,6 @@ def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
     """Run the whole pipeline on ``net`` with a seed-determined matching."""
     m = maximum_matching(net, seed)
     ig = build_input_graph(net, m)
-    verify_class_separation(ig)
     return NetworkAnalysis(
         network=net,
         seed=seed,

@@ -270,3 +270,67 @@ def test_member_lists_suppressed_on_large_networks(tmp_path, capsys):
     assert "node_classes" not in record
     assert "members" not in record["mis"]
     assert "members" not in record["components"]["components"][0]
+
+
+def test_internal_error_exits_5(dilation_file, capsys, monkeypatch):
+    from netcontrol import InternalInvariantError
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("component sizes disagree")
+
+    monkeypatch.setattr("netcontrol.cli.analyze", broken)
+    assert main(["analyze", dilation_file]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: component sizes disagree" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "er", "-n", "10", "-k", "inf"),
+    ("generate", "--model", "er", "-n", "10", "-k", "nan"),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", "inf",
+     "--replicates", "1"),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", "nan",
+     "--replicates", "1"),
+])
+def test_non_finite_generator_parameters_exit_2(argv, capsys):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err and "Traceback" not in captured.err
+
+
+def test_largest_selector_uses_cc_max_tie_break(tmp_path, capsys):
+    # two singletons: 0 is SMC, 1 is IC; cc_max prefers the IC on a size tie
+    path = tmp_path / "tie.txt"
+    path.write_text("# nodes: 2\n1\t0\n", encoding="utf-8")
+    code, out = run_cli(capsys, "components", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["cc_max"]["id"] == 1
+    code, out = run_cli(capsys, "alter", str(path), "--component", "largest",
+                        "--to", "smc")
+    assert code == 0
+    assert json.loads(out)["plan"]["target_component_id"] == 1
+
+
+def test_oracle_check_enumerates_once(dilation_file, capsys, monkeypatch):
+    import netcontrol.cli
+    import netcontrol.oracle
+    calls = []
+    original = netcontrol.oracle.enumerate_maximum_matchings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (netcontrol.oracle, netcontrol.cli):
+        monkeypatch.setattr(module, "enumerate_maximum_matchings", counted)
+    code, out = run_cli(capsys, "oracle-check", dilation_file)
+    assert code == 0 and json.loads(out)["agree"] is True
+    assert len(calls) == 1
+
+
+def test_nodes_directive_above_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("# nodes: 10000001\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "limit" in capsys.readouterr().err

@@ -1,5 +1,5 @@
-from netcontrol import (ComponentKind, build_input_graph, classify_kind,
-                        component_report, find_components, maximum_matching)
+from netcontrol import (ComponentKind, build_input_graph, component_report,
+                        find_components, maximum_matching)
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import round_percent
 
@@ -14,8 +14,9 @@ def test_dilation_components(dilation_net, dilation_matching):
     ig = build_input_graph(dilation_net, dilation_matching)
     comps = find_components(ig)
     assert members_by_labels(dilation_net, comps) == [("a", "b"), ("c",)]
-    kinds = {tuple(sorted(dilation_net.labels[v] for v in c.members)):
-             classify_kind(dilation_net, dilation_matching, c).kind for c in comps}
+    report = component_report(dilation_net, dilation_matching, ig)
+    kinds = {tuple(sorted(dilation_net.labels[v] for v in c.members)): c.kind
+             for c in report.components}
     assert kinds == {("a", "b"): ComponentKind.IC, ("c",): ComponentKind.IC}
 
 

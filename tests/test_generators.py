@@ -65,6 +65,14 @@ def test_spec_validation():
         GenSpec(model="er", n=10, avg_degree=-1)
 
 
+@pytest.mark.parametrize("field", ["avg_degree", "gamma_in", "gamma_out"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_spec_rejects_non_finite_parameters(field, value):
+    params = {"model": "sf", "n": 10, "avg_degree": 2.0, field: value}
+    with pytest.raises(GenerationError, match="finite"):
+        GenSpec(**params)
+
+
 def hill_exponent(degrees, d_min):
     tail = degrees[degrees >= d_min]
     return 1 + len(tail) / np.log(tail / (d_min - 0.5)).sum()

@@ -3,8 +3,7 @@ import pytest
 from netcontrol import (Matching, NodeClass, NotMaximumMatchingError,
                         build_input_graph, classify_nodes,
                         control_reachable_from, exchange, input_nodes,
-                        maximum_matching)
-from netcontrol.input_graph import verify_class_separation
+                        is_maximum, maximum_matching)
 from netcontrol.oracle import enumerate_maximum_matchings
 
 from conftest import brute_input_sets, random_digraph, worked_networks
@@ -69,8 +68,25 @@ def test_redundant_side_edges():
 
 
 def test_rejects_non_maximum_matching(dilation_net):
+    """The closure pass is the Berge check: it must raise exactly when the
+    independent ``is_maximum`` search finds an augmenting path."""
     with pytest.raises(NotMaximumMatchingError):
         build_input_graph(dilation_net, Matching({}))
+    rejected = 0
+    for seed in range(25):
+        net = random_digraph(9, 0.2, seed)
+        full = maximum_matching(net, seed).matched_out
+        candidates = [full, {}] + [
+            {u: v for u, v in full.items() if u != drop} for drop in full]
+        for pairs in candidates:
+            m = Matching(pairs)
+            if is_maximum(net, m):
+                build_input_graph(net, m)
+            else:
+                rejected += 1
+                with pytest.raises(NotMaximumMatchingError):
+                    build_input_graph(net, m)
+    assert rejected > 25
 
 
 def test_classify_dilation(dilation_net, dilation_matching):
@@ -112,7 +128,10 @@ def test_class_separation_and_edge_bound_random():
     for seed in range(25):
         net = random_digraph(12, 0.25, seed)
         ig = build_input_graph(net, maximum_matching(net, 0))
-        verify_class_separation(ig)
+        poss = ig.possible_inputs
+        assert all(e.src in poss and e.dst in poss for e in ig.possible_edges)
+        assert not any(e.src in poss or e.dst in poss
+                       for e in ig.redundant_edges)
         assert ig.edge_count <= net.edge_count
 
 

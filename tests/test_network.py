@@ -151,10 +151,22 @@ def test_avg_degree_matches_published_two_decimals(n, l, expected):
     assert rounded == pytest.approx(expected)
 
 
-def test_bipartite_split_mirrors_edges(dilation_net):
-    from netcontrol import bipartite_split
-    view = bipartite_split(dilation_net)
-    assert len(view.edges) == dilation_net.edge_count
-    assert len(view.out_copies) == len(view.in_copies) == dilation_net.n
-    assert all(0 <= u < dilation_net.n and 0 <= v < dilation_net.n
-               for u, v in view.edges)
+def test_constructor_counts_duplicates():
+    net = DirectedNetwork(3, [(0, 1), (0, 1), (1, 2), (0, 1)])
+    assert net.edges == ((0, 1), (1, 2))
+    assert net.duplicates_collapsed == 2
+
+
+def test_nodes_directive_above_limit_fails_before_interning():
+    import tracemalloc
+
+    from netcontrol.network import MAX_DECLARED_NODES
+    assert MAX_DECLARED_NODES == 10 ** 7
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListParseError, match="line 1.*limit"):
+            load_edge_list(f"# nodes: {MAX_DECLARED_NODES + 1}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

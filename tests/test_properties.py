@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from netcontrol import (build_input_graph, classify_exhaustive, classify_nodes,
                         component_report, exchange, input_nodes, is_maximum,
                         maximum_matching, unsaturated_nodes)
-from netcontrol.input_graph import verify_class_separation
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
 
@@ -67,7 +66,9 @@ def test_pipeline_matches_oracle(net):
 def test_structural_invariants(net):
     m = maximum_matching(net, 0)
     ig = build_input_graph(net, m)
-    verify_class_separation(ig)
+    poss = ig.possible_inputs
+    assert all(e.src in poss and e.dst in poss for e in ig.possible_edges)
+    assert not any(e.src in poss or e.dst in poss for e in ig.redundant_edges)
     assert ig.edge_count <= net.edge_count
     report = component_report(net, m, ig)  # raises on impurity internally
     assert sum(c.size for c in report.components) == net.n
