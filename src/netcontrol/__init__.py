@@ -19,11 +19,9 @@ from .generators import GenSpec, er_directed, generate, scale_free_directed
 from .input_graph import (ControlAdjacencyEdge, InputGraph, NodeClass,
                           build_input_graph, classify_nodes,
                           control_reachable_from)
-from .matching import (ExchangeResult, InputNodeSet, Matching, exchange,
-                       input_nodes, is_maximum, maximum_matching,
-                       unsaturated_nodes)
-from .network import (DirectedNetwork, NetworkStats, basic_stats,
-                      load_edge_list, write_edge_list)
+from .matching import (ExchangeResult, Matching, exchange, input_nodes,
+                       is_maximum, maximum_matching, unsaturated_nodes)
+from .network import DirectedNetwork, load_edge_list, write_edge_list
 from .oracle import (EnumerationResult, OracleGuard, classify_exhaustive,
                      enumerate_maximum_matchings, exhaustive_classes)
 from .pipeline import NetworkAnalysis, analyze

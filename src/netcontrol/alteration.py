@@ -83,8 +83,7 @@ def ic_to_smc(net: DirectedNetwork, m: Matching,
     unsaturated node points at them.
     """
     _require_kind(comp, ComponentKind.IC)
-    inputs = input_nodes(net, m)
-    targets = sorted(comp.members & inputs.nodes)
+    targets = sorted(comp.members & input_nodes(net, m))
     if not targets:
         raise AlterationError(f"IC {comp.id} has no input node")
     # Donors with out-edges go first: every unsaturated node left over is
@@ -137,7 +136,7 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
     if not linkers:
         raise InternalInvariantError(
             f"UMC {comp.id} has no linking unsaturated node")
-    receivers = sorted(input_nodes(net, m).nodes)
+    receivers = sorted(input_nodes(net, m))
 
     additions: list[EdgeAddition] = []
     added: set[tuple[int, int]] = set()
@@ -220,7 +219,7 @@ def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
                 chosen: list[NodeId], closures: dict[NodeId, int],
                 members: list[NodeId]):
     """One adjacency-link edge per chosen member, all to input nodes."""
-    receivers = sorted(input_nodes(net, m).nodes)
+    receivers = sorted(input_nodes(net, m))
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
     additions: list[EdgeAddition] = []
@@ -336,6 +335,8 @@ def alteration_report(before, after, plan: AlterationPlan) -> AlterationPlan:
     ``before``/``after`` are :class:`~netcontrol.pipeline.NetworkAnalysis`
     values for the original and augmented network. A node counts toward
     ``delta_n_d`` when it moved between possible-input and redundant.
+    ``p``, the additions per original edge, stays unset when there were no
+    original edges.
     """
     n = before.network.n
     if after.network.n != n:
@@ -349,8 +350,9 @@ def alteration_report(before, after, plan: AlterationPlan) -> AlterationPlan:
         raise InternalInvariantError(
             f"re-analysis found {mis_after} input nodes, plan expected "
             f"{plan.mis_after}")
+    edge_count = before.report.edge_count
     return replace(plan,
-                   p=len(plan.additions) / before.report.edge_count,
+                   p=len(plan.additions) / edge_count if edge_count else None,
                    delta_n_d=changed / n,
                    mis_before=mis_before,
                    mis_after=mis_after)
@@ -367,7 +369,7 @@ def plan_attains_goal(plan: AlterationPlan, after) -> bool:
         if any(after.classes[v].possible_input for v in plan.affected):
             return False
         net = after.network
-        for u in unsaturated_nodes(net, after.matching):
+        for u in after.unsaturated:
             if any(x in plan.affected for x in net.out_adj[u]):
                 return False
         return True

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input,
 3 infeasible alteration or exchange, 4 oracle guard exceeded, 5 internal
-error (a violated invariant or a non-maximum matching, never bad input).
+error (a violated invariant, a non-maximum matching or a stray
+``ValueError``, never bad input).
 Data goes to stdout (or ``-o``); timing notes go to stderr so repeated runs
 with the same seed stay byte-identical.
 """
@@ -22,7 +23,7 @@ from .components import ComponentKind, largest_component
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, NetcontrolError, OracleInfeasibleError)
 from .generators import GenSpec, generate
-from .matching import exchange, maximum_matching
+from .matching import exchange, input_nodes, maximum_matching
 from .network import DirectedNetwork, load_edge_list, write_edge_list
 from .oracle import OracleGuard, enumerate_maximum_matchings, exhaustive_classes
 from .pipeline import NetworkAnalysis, analyze
@@ -118,13 +119,13 @@ def _load(path: str) -> DirectedNetwork:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_edge_list(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _select_component(analysis: NetworkAnalysis, selector: str):
     comps = analysis.report.components
-    if selector.isdigit():
+    if selector.isdecimal():
         ident = int(selector)
         for comp in comps:
             if comp.id == ident:
@@ -275,15 +276,13 @@ def _cmd_exchange(args) -> int:
         via = candidates[0]
     result = exchange(net, m, node, via)
     labels = net.labels
-    before = sorted(v for v in range(net.n) if v not in m.matched_in)
-    after = sorted(v for v in range(net.n)
-                   if v not in result.matching.matched_in)
     payload = {
         "node": labels[node],
         "via": labels[via],
         "replaced": labels[result.replaced],
-        "mis_before": [labels[v] for v in before],
-        "mis_after": [labels[v] for v in after],
+        "mis_before": [labels[v] for v in sorted(input_nodes(net, m))],
+        "mis_after": [labels[v]
+                      for v in sorted(input_nodes(net, result.matching))],
         "matching_size": result.matching.size,
     }
     _emit(reports.to_json(payload), args.output)
@@ -349,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-    except (EdgeListParseError, GenerationError, ValueError) as exc:
+    except (EdgeListParseError, GenerationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (AlterationError, ExchangeError) as exc:
@@ -358,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleInfeasibleError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ORACLE
-    except NetcontrolError as exc:
+    except (NetcontrolError, ValueError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - started) * 1000

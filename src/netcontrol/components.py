@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalInvariantError
 from .input_graph import InputGraph
-from .matching import Matching, input_nodes, unsaturated_nodes
-from .network import DirectedNetwork, NodeId, basic_stats
+from .network import DirectedNetwork, NodeId
 
 
 class ComponentKind(Enum):
@@ -77,26 +75,11 @@ def find_components(ig: InputGraph) -> list[ControlComponent]:
             for i, (_, members) in enumerate(sorted(groups.items()))]
 
 
-def _unsaturated_targets(net: DirectedNetwork,
-                         m: Matching) -> frozenset[NodeId]:
-    """Nodes receiving an original edge from some unsaturated node."""
-    targets: set[NodeId] = set()
-    for u in unsaturated_nodes(net, m):
-        targets.update(net.out_adj[u])
-    return frozenset(targets)
-
-
 def _classify(comp: ControlComponent, inputs: frozenset[NodeId],
-              linked_targets: frozenset[NodeId]) -> ControlComponent:
-    has_input = not comp.members.isdisjoint(inputs)
-    is_linked = not comp.members.isdisjoint(linked_targets)
-    if has_input and is_linked:
-        raise InternalInvariantError(
-            f"component {comp.id} holds an input node and is linked by an "
-            f"unsaturated node; the matching cannot be maximum")
-    if has_input:
+              linked_targets: set[NodeId]) -> ControlComponent:
+    if not comp.members.isdisjoint(inputs):
         kind = ComponentKind.IC
-    elif is_linked:
+    elif not comp.members.isdisjoint(linked_targets):
         kind = ComponentKind.UMC
     else:
         kind = ComponentKind.SMC
@@ -130,38 +113,28 @@ class ComponentReport:
         return counts
 
 
-def component_report(net: DirectedNetwork, m: Matching,
-                     ig: InputGraph) -> ComponentReport:
+def component_report(net: DirectedNetwork, ig: InputGraph,
+                     inputs: frozenset[NodeId],
+                     unsaturated: frozenset[NodeId]) -> ComponentReport:
     """Classify every component and assemble the summary report.
 
-    Also asserts the class-purity of components: every IC member must be a
-    possible input, every MC member redundant.
+    ``inputs`` and ``unsaturated`` are the input and unsaturated nodes of the
+    maximum matching ``ig`` was built from. Class purity and the exclusion of
+    unsaturated-linked ICs hold by construction of ``ig``.
     """
-    stats = basic_stats(net)
-    inputs = input_nodes(net, m)
-    linked = _unsaturated_targets(net, m)
-    comps = [_classify(c, inputs.nodes, linked) for c in find_components(ig)]
-
-    total = sum(c.size for c in comps)
-    if total != net.n:
-        raise InternalInvariantError(
-            f"component sizes sum to {total}, expected {net.n}")
-    for comp in comps:
-        in_closure = not comp.members.isdisjoint(ig.possible_inputs)
-        if comp.kind is ComponentKind.IC:
-            if not comp.members <= ig.possible_inputs:
-                raise InternalInvariantError(
-                    f"IC {comp.id} contains a redundant node")
-        elif in_closure:
-            raise InternalInvariantError(
-                f"{comp.kind.value} {comp.id} contains a possible input node")
-
+    if net.n == 0:
+        raise ValueError("network has no nodes")
+    linked: set[NodeId] = set()  # targets of an unsaturated node's edge
+    for u in unsaturated:
+        linked.update(net.out_adj[u])
+    comps = [_classify(c, inputs, linked) for c in find_components(ig)]
+    edge_count = net.edge_count
     return ComponentReport(
-        n=stats.n,
-        edge_count=stats.edge_count,
-        avg_degree=stats.avg_degree,
+        n=net.n,
+        edge_count=edge_count,
+        avg_degree=2.0 * edge_count / net.n,
         mis_size=len(inputs),
-        perfectly_matched=inputs.perfectly_matched,
+        perfectly_matched=not inputs,
         components=tuple(comps),
         cc_max=largest_component(comps),
     )

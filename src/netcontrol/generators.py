@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .network import DirectedNetwork
+from .network import MAX_DECLARED_NODES, DirectedNetwork
 
 RANK_SMOOTHING = 5.0  # tau: rank shift applied to the static weights
 
@@ -40,8 +40,12 @@ class GenSpec:
     def __post_init__(self):
         if self.model not in ("er", "sf"):
             raise GenerationError(f"unknown model {self.model!r}")
-        if self.n < 1:
-            raise GenerationError("n must be at least 1")
+        if not 1 <= self.n <= MAX_DECLARED_NODES:
+            # a larger n could not be written under a loadable "# nodes:"
+            raise GenerationError(
+                f"n must be between 1 and {MAX_DECLARED_NODES}")
+        if self.seed < 0:
+            raise GenerationError("seed must be non-negative")
         if not all(map(math.isfinite,
                        (self.avg_degree, self.gamma_in, self.gamma_out))):
             raise GenerationError("avg_degree and exponents must be finite")

@@ -64,23 +64,6 @@ class Matching:
 
 
 @dataclass(frozen=True)
-class InputNodeSet:
-    """Nodes whose in-copy is unmatched: a minimum input set for the network."""
-
-    nodes: frozenset[NodeId]
-    perfectly_matched: bool
-
-    def __iter__(self):
-        return iter(sorted(self.nodes))
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __contains__(self, node):
-        return node in self.nodes
-
-
-@dataclass(frozen=True)
 class ExchangeResult:
     matching: Matching
     replaced: NodeId
@@ -167,10 +150,9 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     return Matching({u: v for u, v in enumerate(match_out) if v != _INF})
 
 
-def input_nodes(net: DirectedNetwork, m: Matching) -> InputNodeSet:
-    """Nodes with no matched in-edge; their size is ``N - |M|``."""
-    nodes = frozenset(v for v in range(net.n) if v not in m.matched_in)
-    return InputNodeSet(nodes=nodes, perfectly_matched=not nodes)
+def input_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
+    """Nodes with no matched in-edge: a minimum input set of ``N - |M|``."""
+    return frozenset(v for v in range(net.n) if v not in m.matched_in)
 
 
 def unsaturated_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
@@ -209,16 +191,19 @@ def exchange(net: DirectedNetwork, m: Matching, node: NodeId,
     ``via`` to ``node``, so ``b`` replaces ``node`` in the input set. The new
     matching has the same size and is again maximum.
     """
+    labels = net.labels
     if node in m.matched_in:
-        raise ExchangeError(f"node {node} is not an input node")
+        raise ExchangeError(f"node {labels[node]} is not an input node")
     if not net.has_edge(via, node):
-        raise ExchangeError(f"({via}, {node}) is not an edge of the network")
+        raise ExchangeError(f"({labels[via]}, {labels[node]}) is not an edge "
+                            f"of the network")
     replaced = m.matched_out.get(via)
     if replaced is None:
         # For a maximum matching the witness of an input node's in-edge is
         # always saturated, else the edge itself would augment the matching.
         raise InternalInvariantError(
-            f"witness {via} has no matched out-edge; matching is not maximum")
+            f"witness {labels[via]} has no matched out-edge; matching is not "
+            f"maximum")
     new_out = dict(m.matched_out)
     new_out[via] = node
     return ExchangeResult(matching=Matching(new_out), replaced=replaced)

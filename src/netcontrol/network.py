@@ -1,10 +1,10 @@
-"""Directed-network storage, edge-list I/O, and basic statistics.
+"""Directed-network storage and edge-list I/O.
 
 Networks are simple digraphs over dense integer node ids ``0..N-1``. Ids are
 assigned in first-appearance order when parsing, so a given edge list always
 produces the same id assignment. The original string labels are kept for
 output. Duplicate edges are collapsed (and counted); self-loops are stored
-but flagged in :func:`basic_stats`.
+and counted by :meth:`DirectedNetwork.self_loop_count`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Iterable, TextIO
 
 from .errors import EdgeListParseError
@@ -23,46 +23,48 @@ NodeId = int
 # It lets files express isolated nodes, which a bare pair-per-line edge list
 # cannot. Only recognized before the first edge line, and only with integer
 # labels in [0, N).
-_NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*(\d+)\s*$")
+_NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*0*(\d+)\s*$")
 MAX_DECLARED_NODES = 10 ** 7  # bounds the labels interned before any edge
 
 
 class DirectedNetwork:
     """Immutable simple directed graph with a label table.
 
+    The edge set is stored once, as sorted out-adjacency; the in-adjacency
+    is built from it.
+
     Attributes
     ----------
     n : int
         Number of nodes.
-    edges : tuple[tuple[int, int]]
-        Distinct (src, dst) pairs, in insertion order.
     labels : tuple[str]
         Original label of each node, indexed by id.
     out_adj, in_adj : tuple[tuple[int, ...]]
-        Sorted adjacency indexes, consistent with ``edges``.
+        Sorted, duplicate-free adjacency indexes.
     duplicates_collapsed : int
         Repeated input edges dropped here, the one place that deduplicates.
     """
 
-    __slots__ = ("n", "edges", "labels", "out_adj", "in_adj",
-                 "duplicates_collapsed", "_edge_set", "_label_to_id")
+    __slots__ = ("n", "labels", "out_adj", "in_adj", "duplicates_collapsed",
+                 "_label_to_id")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Iterable[str] | None = None):
         self.n = n
-        seen: set[tuple[int, int]] = set()
-        kept: list[tuple[int, int]] = []
-        dups = 0
+        out: list[list[int]] = [[] for _ in range(n)]
+        given = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if (u, v) in seen:
-                dups += 1
-                continue
-            seen.add((u, v))
-            kept.append((u, v))
-        self.edges = tuple(kept)
-        self._edge_set = seen
+            out[u].append(v)
+            given += 1
+        self.out_adj = tuple(tuple(sorted(set(t))) for t in out)
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, targets in enumerate(self.out_adj):
+            for v in targets:
+                inn[v].append(u)  # ascending u keeps each list sorted
+        self.in_adj = tuple(map(tuple, inn))
+        self.duplicates_collapsed = given - self.edge_count
         self.labels = tuple(str(x) for x in labels) if labels is not None \
             else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
@@ -70,21 +72,23 @@ class DirectedNetwork:
         self._label_to_id = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_to_id) != n:
             raise ValueError("duplicate labels in label table")
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in kept:
-            out[u].append(v)
-            inn[v].append(u)
-        self.out_adj = tuple(tuple(sorted(t)) for t in out)
-        self.in_adj = tuple(tuple(sorted(t)) for t in inn)
-        self.duplicates_collapsed = dups
+
+    @property
+    def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Distinct (src, dst) pairs in (src, dst) order."""
+        return tuple((u, v) for u, targets in enumerate(self.out_adj)
+                     for v in targets)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.out_adj))
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) in self._edge_set
+        if not 0 <= u < self.n:
+            return False
+        targets = self.out_adj[u]
+        i = bisect_left(targets, v)
+        return i < len(targets) and targets[i] == v
 
     def in_degree(self, v: NodeId) -> int:
         return len(self.in_adj[v])
@@ -93,27 +97,27 @@ class DirectedNetwork:
         return len(self.out_adj[v])
 
     def self_loop_count(self) -> int:
-        return sum(1 for u, v in self.edges if u == v)
+        return sum(self.has_edge(u, u) for u in range(self.n))
 
     def id_of(self, label: str) -> NodeId:
         return self._label_to_id[label]
 
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
-        """Return a new network with the given edges appended."""
-        extra = list(additions)
+        """Return a new network with the given edges added."""
+        extra = tuple(additions)
         for u, v in extra:
-            if (u, v) in self._edge_set:
+            if self.has_edge(u, v):
                 raise ValueError(f"edge ({u}, {v}) already present")
-        return DirectedNetwork(self.n, list(self.edges) + extra, self.labels)
+        return DirectedNetwork(self.n, self.edges + extra, self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedNetwork):
             return NotImplemented
-        return (self.n == other.n and self._edge_set == other._edge_set
+        return (self.n == other.n and self.out_adj == other.out_adj
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, len(self._edge_set), self.labels))
+        return hash((self.n, self.edge_count, self.labels))
 
     def __repr__(self) -> str:
         return f"DirectedNetwork(n={self.n}, edges={self.edge_count})"
@@ -124,12 +128,13 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
 
     Each non-comment line holds exactly two node labels (source, target).
     Lines starting with ``#`` are comments; a leading ``# nodes: N``
-    directive pre-registers nodes ``0..N-1``. Duplicate edges are collapsed
-    with a warning. Raises :class:`EdgeListParseError` on malformed lines or
-    empty input.
+    directive pre-registers nodes ``0..N-1``. One leading byte-order mark is
+    dropped. Duplicate edges are collapsed with a warning. Raises
+    :class:`EdgeListParseError` on malformed lines or empty input.
     """
     text = source.read() if hasattr(source, "read") else source
-    if text is None or text.strip() == "":
+    text = (text or "").removeprefix("\ufeff")
+    if text.strip() == "":
         raise EdgeListParseError("empty input")
 
     declared_n: int | None = None
@@ -155,11 +160,13 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
                 if edges or labels:
                     raise EdgeListParseError(
                         "'# nodes:' directive must precede edges", lineno)
-                declared_n = int(m.group(1))
-                if declared_n > MAX_DECLARED_NODES:
+                digits = m.group(1)  # leading zeros stay outside
+                if (len(digits) > len(str(MAX_DECLARED_NODES))
+                        or int(digits) > MAX_DECLARED_NODES):
                     raise EdgeListParseError(
-                        f"declared {declared_n} nodes, more than the limit "
+                        f"declared {digits} nodes, more than the limit "
                         f"of {MAX_DECLARED_NODES}", lineno)
+                declared_n = int(digits)
                 for i in range(declared_n):
                     intern(str(i))
             continue
@@ -191,27 +198,7 @@ def write_edge_list(net: DirectedNetwork) -> str:
     nodes; pair the output with a ``# nodes: N`` directive to preserve
     isolated nodes as well.
     """
-    lines = [f"{net.labels[u]}\t{net.labels[v]}"
-             for u, v in sorted(net.edges)]
+    labels = net.labels
+    lines = [f"{labels[u]}\t{labels[v]}"
+             for u, targets in enumerate(net.out_adj) for v in targets]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-@dataclass(frozen=True)
-class NetworkStats:
-    """Node/edge counts plus the total-degree average ``2L/N``."""
-
-    n: int
-    edge_count: int
-    avg_degree: float
-    self_loops: int
-
-
-def basic_stats(net: DirectedNetwork) -> NetworkStats:
-    if net.n == 0:
-        raise ValueError("network has no nodes")
-    return NetworkStats(
-        n=net.n,
-        edge_count=net.edge_count,
-        avg_degree=2.0 * net.edge_count / net.n,
-        self_loops=net.self_loop_count(),
-    )

@@ -75,7 +75,7 @@ def analysis_record(analysis: NetworkAnalysis,
         "mis": {
             "size": analysis.report.mis_size,
             "n_mis_percent": round_percent(analysis.report.n_mis_fraction),
-            "perfectly_matched": analysis.input_set.perfectly_matched,
+            "perfectly_matched": analysis.report.perfectly_matched,
         },
         "input_graph_edges": analysis.input_graph.edge_count,
         "possible_input_percent": round_percent(
@@ -84,7 +84,8 @@ def analysis_record(analysis: NetworkAnalysis,
             analysis.report, net.labels, include_members),
     }
     if include_members:
-        record["mis"]["members"] = [net.labels[v] for v in analysis.input_set]
+        record["mis"]["members"] = [net.labels[v]
+                                    for v in sorted(analysis.input_set)]
         record["node_classes"] = {
             net.labels[v]: analysis.classes[v].value for v in range(net.n)}
     return record

@@ -7,7 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from netcontrol import DirectedNetwork, Matching, load_edge_list
+from netcontrol import (DirectedNetwork, Matching, build_input_graph,
+                        component_report, input_nodes, load_edge_list,
+                        unsaturated_nodes)
 
 
 @pytest.fixture
@@ -89,3 +91,11 @@ def brute_input_sets(net: DirectedNetwork):
     everyone = frozenset(range(net.n))
     return {everyone - frozenset(v for _, v in pairs)
             for pairs in brute_maximum_matchings(net)}
+
+
+def report_for(net: DirectedNetwork, m: Matching, ig=None):
+    """Component report for the maximum matching ``m`` of ``net``."""
+    if ig is None:
+        ig = build_input_graph(net, m)
+    return component_report(net, ig, input_nodes(net, m),
+                            unsaturated_nodes(net, m))

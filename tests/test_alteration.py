@@ -6,7 +6,7 @@ from netcontrol import (AlterationError, ComponentKind,
 from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
                                    plan_attains_goal, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from conftest import random_digraph
+from conftest import random_digraph, report_for
 
 
 def component_of(analysis, node):
@@ -95,9 +95,9 @@ def test_smc_to_ic_single_five_node(five_node, five_node_matching):
     ids = five_node.id_of
     before = analyze(five_node)
     # pin the worked matching rather than the seed-0 one
-    from netcontrol import build_input_graph, component_report
+    from netcontrol import build_input_graph
     ig = build_input_graph(five_node, five_node_matching)
-    report = component_report(five_node, five_node_matching, ig)
+    report = report_for(five_node, five_node_matching, ig)
     comp = next(c for c in report.components if ids("a") in c.members)
     assert comp.kind is ComponentKind.SMC
     plan = smc_to_ic_single(five_node, five_node_matching, comp, ig=ig)
@@ -136,7 +136,7 @@ def test_direct_link_to_umc_creates_augmenting_path(confluence):
     m = before.matching
     node = ids("3")
     pred = m.matched_in[node]
-    receiver = next(d for d in sorted(before.input_set.nodes)
+    receiver = next(d for d in sorted(before.input_set)
                     if d != pred and not confluence.has_edge(pred, d))
     forced = confluence.with_edges([(pred, receiver)])
     assert not is_maximum(forced, m)
@@ -219,7 +219,7 @@ def test_adjacency_plans_flip_closures_random():
         before = analyze(net)
         pool = [c for c in before.report.components
                 if c.kind is ComponentKind.SMC]
-        if not pool or not before.input_set.nodes:
+        if not pool or not before.input_set:
             continue
         comp = min(pool, key=lambda c: (-c.size, c.id))
         try:

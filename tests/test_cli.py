@@ -334,3 +334,73 @@ def test_nodes_directive_above_limit_exits_2(tmp_path, capsys):
     path.write_text("# nodes: 10000001\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     assert "limit" in capsys.readouterr().err
+
+
+def test_byte_order_mark_and_crlf_match_plain_input(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 2\n2 1\n", encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf1 2\r\n2 1\r\n")
+    expected = run_cli(capsys, "analyze", str(plain))
+    assert expected[0] == 0 and json.loads(expected[1])["n"] == 2
+    assert run_cli(capsys, "analyze", str(marked)) == expected
+    directive = tmp_path / "directive.txt"
+    directive.write_bytes(b"\xef\xbb\xbf# nodes: 3\r\n0 1\r\n")
+    code, out = run_cli(capsys, "analyze", str(directive))
+    assert code == 0 and json.loads(out)["n"] == 3
+
+
+def test_alter_edgeless_network_omits_p(tmp_path, capsys):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("# nodes: 3\n", encoding="utf-8")
+    assert main(["alter", str(path), "--to", "smc"]) == 0
+    captured = capsys.readouterr()
+    plan = json.loads(captured.out)["plan"]
+    assert plan["edge_count"] == 1 and "p_percent" not in plan
+    assert "Traceback" not in captured.err
+
+
+def test_exchange_errors_name_labels(tmp_path, capsys):
+    path = tmp_path / "letters.txt"
+    path.write_text("x y\ny z\n", encoding="utf-8")
+    assert main(["exchange", str(path), "--node", "y"]) == 3
+    assert "error: node y is not an input node" in capsys.readouterr().err
+    assert main(["exchange", str(path), "--node", "x", "--via", "z"]) == 3
+    assert "(z, x) is not an edge" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 b\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "Traceback" not in err
+
+
+def test_non_ascii_digit_selector_exits_3(confluence_file, capsys):
+    assert main(["alter", confluence_file, "--component", "²",
+                 "--to", "smc"]) == 3
+    assert "unknown component selector" in capsys.readouterr().err
+
+
+def test_stray_value_error_exits_5(dilation_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("two sources matched to the same target")
+
+    monkeypatch.setattr("netcontrol.cli.analyze", broken)
+    assert main(["analyze", dilation_file]) == 5
+    err = capsys.readouterr().err
+    assert "internal error: two sources" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "er", "-n", "10", "-k", "2", "--seed", "-1"),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", "2",
+     "--replicates", "1", "--seed-base", "-1"),
+    ("generate", "--model", "sf", "-n", "10000001", "-k", "10"),
+])
+def test_bad_generator_arguments_exit_2(argv, capsys):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+

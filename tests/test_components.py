@@ -1,9 +1,9 @@
-from netcontrol import (ComponentKind, build_input_graph, component_report,
-                        find_components, maximum_matching)
+from netcontrol import (ComponentKind, build_input_graph, find_components,
+                        maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import round_percent
 
-from conftest import random_digraph
+from conftest import random_digraph, report_for
 
 
 def members_by_labels(net, comps):
@@ -14,7 +14,7 @@ def test_dilation_components(dilation_net, dilation_matching):
     ig = build_input_graph(dilation_net, dilation_matching)
     comps = find_components(ig)
     assert members_by_labels(dilation_net, comps) == [("a", "b"), ("c",)]
-    report = component_report(dilation_net, dilation_matching, ig)
+    report = report_for(dilation_net, dilation_matching, ig)
     kinds = {tuple(sorted(dilation_net.labels[v] for v in c.members)): c.kind
              for c in report.components}
     assert kinds == {("a", "b"): ComponentKind.IC, ("c",): ComponentKind.IC}
@@ -37,7 +37,7 @@ def test_five_node_components(five_node, five_node_matching):
 
 def test_path_tail_components_are_smc(path4):
     m = maximum_matching(path4, 0)
-    report = component_report(path4, m, build_input_graph(path4, m))
+    report = report_for(path4, m)
     kinds = {tuple(c.sorted_members()): c.kind for c in report.components}
     assert kinds == {(0,): ComponentKind.IC, (1,): ComponentKind.SMC,
                      (2,): ComponentKind.SMC, (3,): ComponentKind.SMC}
@@ -45,7 +45,7 @@ def test_path_tail_components_are_smc(path4):
 
 def test_confluence_has_umc(confluence):
     m = maximum_matching(confluence, 0)
-    report = component_report(confluence, m, build_input_graph(confluence, m))
+    report = report_for(confluence, m)
     sink = confluence.id_of("3")
     comp = next(c for c in report.components if sink in c.members)
     assert comp.kind is ComponentKind.UMC
@@ -60,8 +60,7 @@ def test_component_ids_deterministic_by_smallest_member(five_node,
 
 
 def test_report_dilation(dilation_net, dilation_matching):
-    report = component_report(dilation_net, dilation_matching,
-                              build_input_graph(dilation_net, dilation_matching))
+    report = report_for(dilation_net, dilation_matching)
     assert report.mis_size == 2
     assert round_percent(report.n_mis_fraction) == 66.67
     assert round_percent(report.cc_max_fraction) == 66.67
@@ -72,7 +71,7 @@ def test_report_dilation(dilation_net, dilation_matching):
 def test_report_single_isolated_node():
     net = DirectedNetwork(1, [])
     m = maximum_matching(net, 0)
-    report = component_report(net, m, build_input_graph(net, m))
+    report = report_for(net, m)
     assert report.mis_size == 1
     assert round_percent(report.n_mis_fraction) == 100.0
     assert report.cc_max.kind is ComponentKind.IC
@@ -80,7 +79,7 @@ def test_report_single_isolated_node():
 
 def test_perfect_matching_report(two_cycle):
     m = maximum_matching(two_cycle, 0)
-    report = component_report(two_cycle, m, build_input_graph(two_cycle, m))
+    report = report_for(two_cycle, m)
     assert report.perfectly_matched
     assert report.mis_size == 0
     assert all(c.kind is ComponentKind.SMC for c in report.components)
@@ -89,8 +88,7 @@ def test_perfect_matching_report(two_cycle):
 def test_cc_max_tie_breaks_toward_ic(confluence):
     # components {1}, {2}, {3} all size 1; kinds IC, IC, UMC -> pick IC id 0
     m = maximum_matching(confluence, 0)
-    report = component_report(confluence, m,
-                              build_input_graph(confluence, m))
+    report = report_for(confluence, m)
     assert report.cc_max.kind is ComponentKind.IC
     assert report.cc_max.id == 0
 
@@ -100,13 +98,16 @@ def test_sizes_sum_and_purity_random():
         net = random_digraph(15, 0.2, seed)
         m = maximum_matching(net, 0)
         ig = build_input_graph(net, m)
-        report = component_report(net, m, ig)  # raises on purity violations
+        report = report_for(net, m, ig)
+        linked = {x for u in unsaturated_nodes(net, m) for x in net.out_adj[u]}
         assert sum(c.size for c in report.components) == net.n
         for comp in report.components:
             inside = comp.members <= ig.possible_inputs
             outside = comp.members.isdisjoint(ig.possible_inputs)
             assert inside or outside
             assert (comp.kind is ComponentKind.IC) == inside
+            # an IC linked by an unsaturated node would augment the matching
+            assert not (inside and not comp.members.isdisjoint(linked))
 
 
 def test_kinds_stable_across_matching_seeds():
@@ -115,7 +116,7 @@ def test_kinds_stable_across_matching_seeds():
         reference = None
         for order_seed in range(5):
             m = maximum_matching(net, order_seed)
-            report = component_report(net, m, build_input_graph(net, m))
+            report = report_for(net, m)
             snapshot = sorted((tuple(c.sorted_members()), c.kind.value)
                               for c in report.components)
             if reference is None:
@@ -129,3 +130,26 @@ def test_round_percent_half_away_from_zero():
     assert round_percent(21 / 122) == 17.21
     assert round_percent(0.999999) == 100.0
     assert round_percent(0.0049995) == 0.5
+
+
+def test_analysis_derives_each_node_set_once(five_node):
+    import sys
+    from collections import Counter
+
+    from netcontrol import analyze, matching, network, reports
+    counted = {matching.input_nodes.__code__: "input_nodes",
+               matching.unsaturated_nodes.__code__: "unsaturated_nodes",
+               network.DirectedNetwork.self_loop_count.__code__:
+                   "self_loop_count"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        reports.analysis_record(analyze(five_node))
+    finally:
+        sys.setprofile(None)
+    assert calls == Counter(counted.values())

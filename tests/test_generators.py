@@ -63,6 +63,23 @@ def test_spec_validation():
         GenSpec(model="er", n=0, avg_degree=2)
     with pytest.raises(GenerationError):
         GenSpec(model="er", n=10, avg_degree=-1)
+    with pytest.raises(GenerationError, match="seed"):
+        GenSpec(model="er", n=10, avg_degree=2, seed=-1)
+
+
+def test_spec_rejects_more_nodes_than_a_file_can_declare():
+    import tracemalloc
+
+    from netcontrol.network import MAX_DECLARED_NODES
+    GenSpec(model="er", n=MAX_DECLARED_NODES, avg_degree=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GenerationError, match="n must be"):
+            GenSpec(model="sf", n=MAX_DECLARED_NODES + 1, avg_degree=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("field", ["avg_degree", "gamma_in", "gamma_out"])

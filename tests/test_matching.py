@@ -24,7 +24,6 @@ def test_dilation_matching_size_and_inputs(dilation_net):
     mis = input_nodes(dilation_net, m)
     assert len(mis) == 2
     assert dilation_net.id_of("c") in mis
-    assert not mis.perfectly_matched
 
 
 def test_path_is_matched_except_head(path4):
@@ -47,7 +46,7 @@ def test_two_cycle_perfectly_matched(two_cycle):
     m = maximum_matching(two_cycle, 0)
     assert m.size == 2
     mis = input_nodes(two_cycle, m)
-    assert mis.perfectly_matched and len(mis) == 0
+    assert mis == frozenset()
     assert unsaturated_nodes(two_cycle, m) == frozenset()
 
 

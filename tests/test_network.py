@@ -2,8 +2,9 @@ import io
 
 import pytest
 
-from netcontrol import (DirectedNetwork, EdgeListParseError, basic_stats,
+from netcontrol import (DirectedNetwork, EdgeListParseError, analyze,
                         load_edge_list, write_edge_list)
+from netcontrol.reports import analysis_record
 
 
 def test_load_assigns_ids_in_first_appearance_order(dilation_net):
@@ -86,7 +87,8 @@ def test_round_trip(text):
 def test_self_loop_stored_and_flagged():
     net = load_edge_list("a a\na b\n")
     assert net.edge_count == 2
-    assert basic_stats(net).self_loops == 1
+    assert net.self_loop_count() == 1
+    assert analysis_record(analyze(net))["self_loops"] == 1
 
 
 def test_with_edges_returns_new_network(dilation_net):
@@ -97,14 +99,14 @@ def test_with_edges_returns_new_network(dilation_net):
         dilation_net.with_edges([(0, 1)])
 
 
-def test_basic_stats_zero_edges():
+def test_report_avg_degree_zero_edges():
     net = DirectedNetwork(4, [])
-    assert basic_stats(net).avg_degree == 0.0
+    assert analyze(net).report.avg_degree == 0.0
 
 
-def test_basic_stats_rejects_empty_network():
+def test_analyze_rejects_empty_network():
     with pytest.raises(ValueError):
-        basic_stats(DirectedNetwork(0, []))
+        analyze(DirectedNetwork(0, []))
 
 
 # Published (N, L, average-degree) triples; the ratio convention must
@@ -143,7 +145,7 @@ def dense_dummy_network(n, l):
 def test_avg_degree_matches_published_two_decimals(n, l, expected):
     from decimal import Decimal, ROUND_HALF_UP
     if n <= 1000:  # route small rows through the real constructor
-        value = basic_stats(dense_dummy_network(n, l)).avg_degree
+        value = analyze(dense_dummy_network(n, l)).report.avg_degree
     else:
         value = 2 * l / n
     rounded = float(Decimal(repr(value)).quantize(Decimal("0.01"),
@@ -155,6 +157,27 @@ def test_constructor_counts_duplicates():
     net = DirectedNetwork(3, [(0, 1), (0, 1), (1, 2), (0, 1)])
     assert net.edges == ((0, 1), (1, 2))
     assert net.duplicates_collapsed == 2
+
+
+def test_edges_derive_from_adjacency():
+    net = DirectedNetwork(4, [(2, 0), (0, 3), (2, 2), (0, 1), (3, 0)])
+    assert net.edges == ((0, 1), (0, 3), (2, 0), (2, 2), (3, 0))
+    assert net.out_adj == ((1, 3), (), (0, 2), (0,))
+    assert net.in_adj == ((2, 3), (0,), (2,), (0,))
+    assert all(net.has_edge(u, v) for u, v in net.edges)
+    assert not any(net.has_edge(u, v) for u, v in [(1, 0), (0, 2), (3, 3),
+                                                    (-1, 0), (4, 0), (0, 4)])
+    assert net == DirectedNetwork(4, reversed(net.edges))
+    assert not {"edges", "_edge_set"} & set(DirectedNetwork.__slots__)
+
+
+def test_load_drops_byte_order_mark():
+    plain = load_edge_list("1 2\n2 1\n")
+    assert plain.n == 2
+    assert load_edge_list("\ufeff1 2\r\n2 1\r\n") == plain
+    assert load_edge_list(io.StringIO("\ufeff1 2\r\n2 1\r\n")) == plain
+    net = load_edge_list("\ufeff# nodes: 3\r\n0 1\r\n")
+    assert net.n == 3 and net.labels == ("0", "1", "2")
 
 
 def test_nodes_directive_above_limit_fails_before_interning():
@@ -170,3 +193,9 @@ def test_nodes_directive_above_limit_fails_before_interning():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_nodes_directive_with_long_or_padded_counts():
+    with pytest.raises(EdgeListParseError, match="line 1.*limit"):
+        load_edge_list("# nodes: " + "9" * 5000 + "\n")
+    assert load_edge_list("# nodes: 0003\n0 1\n").n == 3

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcontrol import (build_input_graph, classify_exhaustive, classify_nodes,
-                        component_report, exchange, input_nodes, is_maximum,
-                        maximum_matching, unsaturated_nodes)
+                        exchange, input_nodes, is_maximum, maximum_matching,
+                        unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
+
+from conftest import report_for
 
 
 @st.composite
@@ -70,8 +72,12 @@ def test_structural_invariants(net):
     assert all(e.src in poss and e.dst in poss for e in ig.possible_edges)
     assert not any(e.src in poss or e.dst in poss for e in ig.redundant_edges)
     assert ig.edge_count <= net.edge_count
-    report = component_report(net, m, ig)  # raises on impurity internally
+    report = report_for(net, m, ig)
     assert sum(c.size for c in report.components) == net.n
+    for comp in report.components:
+        inside = comp.members <= poss
+        assert inside or comp.members.isdisjoint(poss)
+        assert (comp.kind.value == "IC") == inside
 
 
 @settings(max_examples=40)
