@@ -1,9 +1,9 @@
 """Batch command-line front door.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input,
-3 infeasible alteration or exchange, 4 oracle guard exceeded, 5 internal
-error (a violated invariant, a non-maximum matching or a stray
-``ValueError``, never bad input).
+Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input or an
+unwritable ``-o`` path, 3 infeasible alteration or exchange, 4 oracle guard
+exceeded, 5 internal error (a violated invariant, a non-maximum matching or
+a stray ``ValueError``, never bad input).
 Data goes to stdout (or ``-o``); timing notes go to stderr so repeated runs
 with the same seed stay byte-identical.
 """
@@ -108,9 +108,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+class _OutputError(NetcontrolError):
+    """An output file could not be written."""
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(Path(output), text)
     else:
         sys.stdout.write(text)
 
@@ -247,14 +258,14 @@ def _cmd_alter(args) -> int:
     }
     if args.output:
         prefix = Path(args.output)
-        prefix.with_suffix(".plan.json").write_text(
-            reports.to_json(payload["plan"]), encoding="utf-8")
-        prefix.with_suffix(".added.tsv").write_text(
-            reports.additions_tsv(plan, labels), encoding="utf-8")
-        prefix.with_suffix(".before.json").write_text(
-            reports.to_json(payload["before"]), encoding="utf-8")
-        prefix.with_suffix(".after.json").write_text(
-            reports.to_json(payload["after"]), encoding="utf-8")
+        _write(prefix.with_suffix(".plan.json"),
+               reports.to_json(payload["plan"]))
+        _write(prefix.with_suffix(".added.tsv"),
+               reports.additions_tsv(plan, labels))
+        _write(prefix.with_suffix(".before.json"),
+               reports.to_json(payload["before"]))
+        _write(prefix.with_suffix(".after.json"),
+               reports.to_json(payload["after"]))
     else:
         sys.stdout.write(reports.to_json(payload))
     return EXIT_OK
@@ -348,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-    except (EdgeListParseError, GenerationError) as exc:
+    except (EdgeListParseError, GenerationError, _OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (AlterationError, ExchangeError) as exc:

@@ -129,14 +129,12 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     Each non-comment line holds exactly two node labels (source, target).
     Lines starting with ``#`` are comments; a leading ``# nodes: N``
     directive pre-registers nodes ``0..N-1``. One leading byte-order mark is
-    dropped. Duplicate edges are collapsed with a warning. Raises
-    :class:`EdgeListParseError` on malformed lines or empty input.
+    dropped. A file object is read line by line, never whole. Duplicate
+    edges are collapsed with a warning. Raises :class:`EdgeListParseError`
+    on malformed lines or empty input.
     """
-    text = source.read() if hasattr(source, "read") else source
-    text = (text or "").removeprefix("\ufeff")
-    if text.strip() == "":
-        raise EdgeListParseError("empty input")
-
+    lines = source if hasattr(source, "read") else io.StringIO(source)
+    blank = True
     declared_n: int | None = None
     labels: list[str] = []
     label_to_id: dict[str, int] = {}
@@ -150,10 +148,13 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
             labels.append(label)
         return i
 
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")
         line = raw.strip()
         if not line:
             continue
+        blank = False
         if line.startswith("#"):
             m = _NODES_DIRECTIVE.match(line)
             if m:
@@ -182,6 +183,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
                         f"0..{declared_n - 1}", lineno)
         edges.append((intern(tokens[0]), intern(tokens[1])))
 
+    if blank:
+        raise EdgeListParseError("empty input")
     if not labels:
         raise EdgeListParseError("no nodes found in input")
     net = DirectedNetwork(len(labels), edges, labels)

@@ -404,3 +404,24 @@ def test_bad_generator_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
 
+
+def test_negative_seed_gives_seed_zero_classes(tmp_path, capsys):
+    path = tmp_path / "er.txt"
+    assert main(["generate", "--model", "er", "-n", "80", "-k", "3",
+                 "-o", str(path)]) == 0
+    records = {}
+    for seed in ("0", "-3"):
+        code, out = run_cli(capsys, "analyze", str(path), "--seed", seed)
+        assert code == 0
+        records[seed] = json.loads(out)
+    assert records["-3"]["node_classes"] == records["0"]["node_classes"]
+
+
+def test_unwritable_output_exits_2(dilation_file, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out"
+    for argv in (["analyze", dilation_file],
+                 ["alter", dilation_file, "--to", "smc"]):
+        assert main(argv + ["-o", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {missing}")
+        assert "Traceback" not in err

@@ -1,4 +1,5 @@
-from netcontrol import (ComponentKind, build_input_graph, find_components,
+from netcontrol import (ComponentKind, Matching, build_input_graph,
+                        classify_nodes, find_components, load_edge_list,
                         maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import round_percent
@@ -110,18 +111,40 @@ def test_sizes_sum_and_purity_random():
             assert not (inside and not comp.members.isdisjoint(linked))
 
 
+def matching_independent_facts(net, m):
+    """Classes, the IC partition and each node's kind under matching ``m``."""
+    ig = build_input_graph(net, m)
+    report = report_for(net, m, ig)
+    kind_of = {v: c.kind for c in report.components for v in c.members}
+    ics = {c.members for c in report.components if c.kind is ComponentKind.IC}
+    return classify_nodes(ig), ics, kind_of
+
+
+def mc_partition(net, m):
+    return {c.members for c in report_for(net, m).components
+            if c.kind is not ComponentKind.IC}
+
+
 def test_kinds_stable_across_matching_seeds():
+    # The MC partition may differ between maximum matchings (see
+    # test_mc_partition_depends_on_the_matching); these facts may not.
     for seed in range(8):
         net = random_digraph(14, 0.25, seed)
-        reference = None
-        for order_seed in range(5):
+        reference = matching_independent_facts(net, maximum_matching(net, 0))
+        for order_seed in range(1, 5):
             m = maximum_matching(net, order_seed)
-            report = report_for(net, m)
-            snapshot = sorted((tuple(c.sorted_members()), c.kind.value)
-                              for c in report.components)
-            if reference is None:
-                reference = snapshot
-            assert snapshot == reference
+            assert matching_independent_facts(net, m) == reference
+
+
+def test_mc_partition_depends_on_the_matching():
+    net = load_edge_list("p x\nq x\nq y\nr y\n")
+    p, q, r, x, y = map(net.id_of, "pqrxy")
+    via_q = Matching.from_pairs(net, [(p, x), (q, y)])
+    via_r = Matching.from_pairs(net, [(p, x), (r, y)])
+    assert (matching_independent_facts(net, via_q)
+            == matching_independent_facts(net, via_r))
+    assert mc_partition(net, via_q) == {frozenset({x, y})}
+    assert mc_partition(net, via_r) == {frozenset({x}), frozenset({y})}
 
 
 def test_round_percent_half_away_from_zero():

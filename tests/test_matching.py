@@ -1,9 +1,9 @@
 import networkx as nx
 import pytest
 
-from netcontrol import (ExchangeError, InternalInvariantError, Matching,
-                        exchange, input_nodes, is_maximum, maximum_matching,
-                        unsaturated_nodes)
+from netcontrol import (ExchangeError, GenSpec, InternalInvariantError,
+                        Matching, exchange, generate, input_nodes, is_maximum,
+                        maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 
 from conftest import brute_maximum_matchings, random_digraph
@@ -67,6 +67,41 @@ def test_matching_size_matches_networkx():
     for seed in range(20):
         net = random_digraph(15, 0.2, seed)
         assert maximum_matching(net, 0).size == nx_matching_size(net)
+
+
+@pytest.mark.parametrize("model,n,k", [("er", 200, 2.0), ("er", 2000, 4.0),
+                                       ("sf", 300, 3.0), ("sf", 2000, 6.0)])
+def test_matching_matches_networkx_on_generated_graphs(model, n, k):
+    net = generate(GenSpec(model=model, n=n, avg_degree=k, seed=n))
+    expected = nx_matching_size(net)
+    for order_seed in (0, 3, -3):
+        m = maximum_matching(net, order_seed)
+        assert m.size == expected
+        m.validate(net)
+        assert is_maximum(net, m)
+
+
+def test_reverse_chain_needs_one_long_augmenting_path():
+    # u -> N-1-u and u -> N-2-u: taking first claims leaves one augmenting
+    # path that zigzags through about 2N copies
+    n = 2000
+    edges = [(u, n - 1 - u) for u in range(n)] + \
+            [(u, n - 2 - u) for u in range(n - 1)]
+    net = DirectedNetwork(n, edges)
+    m = maximum_matching(net, 0)
+    assert m.size == n
+    m.validate(net)
+    assert is_maximum(net, m)
+
+
+def test_edgeless_and_self_loop_only_networks():
+    edgeless = DirectedNetwork(4, [])
+    assert maximum_matching(edgeless, 0).size == 0
+    loops = DirectedNetwork(4, [(v, v) for v in range(4)])
+    for order_seed in (0, 3, -3):
+        m = maximum_matching(loops, order_seed)
+        assert m.matched_out == {v: v for v in range(4)}
+        assert is_maximum(loops, m)
 
 
 def test_matching_size_matches_brute_force():
