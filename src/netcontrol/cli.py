@@ -328,6 +328,11 @@ def _cmd_sweep(args) -> int:
         k_values = [float(tok) for tok in args.k_list.split(",") if tok]
     except ValueError:
         raise GenerationError(f"bad k list {args.k_list!r}")
+    if not k_values:
+        raise GenerationError(f"k list {args.k_list!r} names no degree")
+    if args.replicates < 1:
+        raise GenerationError(
+            f"replicates must be positive, got {args.replicates}")
     rows = [reports.SWEEP_HEADER]
     for k in k_values:
         for seed in range(args.seed_base, args.seed_base + args.replicates):

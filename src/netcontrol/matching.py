@@ -27,13 +27,18 @@ from .network import DirectedNetwork, NodeId
 
 
 class Matching:
-    """A matching of the bipartite split, immutable once built."""
+    """A matching of the bipartite split, immutable once built.
+
+    The matching takes ownership of the ``matched_out`` dict it is handed
+    and keeps it without a copy, so the caller must pass a dict it will not
+    mutate afterwards (every caller in the package builds a fresh one).
+    """
 
     __slots__ = ("matched_out", "matched_in")
 
     def __init__(self, matched_out: dict[NodeId, NodeId]):
-        self.matched_out = dict(matched_out)
-        self.matched_in = {v: u for u, v in self.matched_out.items()}
+        self.matched_out = matched_out
+        self.matched_in = {v: u for u, v in matched_out.items()}
         if len(self.matched_in) != len(self.matched_out):
             raise ValueError("two sources matched to the same target")
 

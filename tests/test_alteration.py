@@ -254,3 +254,70 @@ def test_closure_masks_match_bfs_reachability():
                 got = {members[i] for i in range(len(members))
                        if masks[node] >> i & 1}
                 assert got == expected
+
+
+def eager_cover_plan(net, m, comp, closures):
+    """Reference: the eager greedy cover, re-scanning every member per pick,
+    and its link edges. Returns ``(chosen, additions)``; ``additions`` is
+    None when some chosen member admits no link edge."""
+    members = sorted(comp.members)
+    uncovered = (1 << len(members)) - 1
+    chosen = []
+    while uncovered:
+        best = max(members,
+                   key=lambda v: ((closures[v] & uncovered).bit_count(), -v))
+        chosen.append(best)
+        uncovered &= ~closures[best]
+    receivers = sorted(v for v in range(net.n) if v not in m.matched_in)
+    additions = []
+    for node in chosen:
+        pred = m.matched_in[node]
+        dst = next((d for d in receivers
+                    if d != pred and not net.has_edge(pred, d)
+                    and (pred, d) not in additions), None)
+        if dst is None:
+            return chosen, None
+        additions.append((pred, dst))
+    return chosen, additions
+
+
+def test_smc_to_ic_full_matches_eager_greedy_random():
+    from netcontrol.alteration import _closure_masks
+    compared = multi_pick = 0
+    for seed in range(200):
+        n = 12 + seed % 49
+        net = random_digraph(n, (1 + seed % 5) / n, seed)
+        analysis = analyze(net)
+        m = analysis.matching
+        for comp in analysis.report.components:
+            if comp.kind is not ComponentKind.SMC:
+                continue
+            closures = _closure_masks(analysis.input_graph, comp)
+            chosen, additions = eager_cover_plan(net, m, comp, closures)
+            if additions is None:
+                with pytest.raises(AlterationError):
+                    smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+                continue
+            plan = smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+            assert [m.matched_out[a.src] for a in plan.additions] == chosen
+            assert list(plan.edge_labels) == additions
+            assert plan.affected == comp.members
+            compared += 1
+            multi_pick += len(chosen) > 1
+    assert compared >= 400 and multi_pick >= 25
+
+
+def test_smc_to_ic_full_breaks_ties_to_lowest_id():
+    # a and b close over each other (a -> b via c2, b -> a via c1), so both
+    # closures are {a, b}; the cover must pick a, the lower id, and link
+    # a's matched predecessor c1.
+    net = load_edge_list("c1 a\nc1 b\nc2 a\nc2 b\n")
+    analysis = analyze(net)
+    ids = net.id_of
+    comp = component_of(analysis, ids("a"))
+    assert comp.kind is ComponentKind.SMC
+    assert comp.members == {ids("a"), ids("b")}
+    plan = smc_to_ic_full(net, analysis.matching, comp,
+                          ig=analysis.input_graph)
+    assert plan.edge_labels == ((ids("c1"), ids("c2")),)
+    assert plan.affected == comp.members

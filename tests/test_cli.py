@@ -398,6 +398,13 @@ def test_stray_value_error_exits_5(dilation_file, capsys, monkeypatch):
     ("sweep", "--model", "er", "-n", "10", "--k-list", "2",
      "--replicates", "1", "--seed-base", "-1"),
     ("generate", "--model", "sf", "-n", "10000001", "-k", "10"),
+    # an empty grid: no replicate or no degree
+    ("sweep", "--model", "er", "-n", "10", "--k-list", "2",
+     "--replicates", "-1"),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", "2",
+     "--replicates", "0"),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", ","),
+    ("sweep", "--model", "er", "-n", "10", "--k-list", ""),
 ])
 def test_bad_generator_arguments_exit_2(argv, capsys):
     assert main(list(argv)) == 2
