@@ -29,9 +29,10 @@ for v in range(net.n):
     print(f"  {net.labels[v]:>2}  {analysis.classes[v].value}")
 
 print("\ncontrol-adjacency edges (src can replace dst, via witness):")
-for e in analysis.input_graph.all_edges():
-    print(f"  {net.labels[e.src]} -> {net.labels[e.dst]}"
-          f"   (witness {net.labels[e.witness]})")
+ig = analysis.input_graph
+for src, dst, witness in zip(ig.src, ig.dst, ig.witness):
+    print(f"  {net.labels[src]} -> {net.labels[dst]}"
+          f"   (witness {net.labels[witness]})")
 
 print("\ncomponents:")
 for comp in analysis.report.components:

@@ -16,11 +16,10 @@ from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      InternalInvariantError, NetcontrolError,
                      NotMaximumMatchingError, OracleInfeasibleError)
 from .generators import GenSpec, er_directed, generate, scale_free_directed
-from .input_graph import (ControlAdjacencyEdge, InputGraph, NodeClass,
-                          build_input_graph, classify_nodes,
-                          control_reachable_from)
+from .input_graph import (InputGraph, NodeClass, build_input_graph,
+                          classify_nodes, control_reachable_from, is_maximum)
 from .matching import (ExchangeResult, Matching, exchange, input_nodes,
-                       is_maximum, maximum_matching, unsaturated_nodes)
+                       maximum_matching, unsaturated_nodes)
 from .network import DirectedNetwork, load_edge_list, write_edge_list
 from .oracle import (EnumerationResult, OracleGuard, classify_exhaustive,
                      enumerate_maximum_matchings, exhaustive_classes)

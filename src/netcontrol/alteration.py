@@ -25,6 +25,8 @@ import heapq
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .components import ComponentKind, ControlComponent
 from .errors import (AlterationError, InsufficientInputNodesError,
                      InternalInvariantError)
@@ -95,30 +97,14 @@ def ic_to_smc(net: DirectedNetwork, m: Matching,
         raise InternalInvariantError(
             "fewer unsaturated nodes than input nodes; the split is unbalanced")
 
-    additions: list[EdgeAddition] = []
-    added: set[tuple[int, int]] = set()
-    new_out = dict(m.matched_out)
-    available = list(donors)
+    pairs = []
     for node in targets:
-        src = _take(available, lambda s: s != node
-                    and not net.has_edge(s, node) and (s, node) not in added)
+        src = _take(donors, lambda s: s != node and not net.has_edge(s, node))
         if src is None:
             raise AlterationError("no feasible addition for input node "
                                   f"{node}")
-        additions.append(EdgeAddition(src, node, "saturate_input"))
-        added.add((src, node))
-        new_out[src] = node
-
-    after = Matching(new_out)
-    return AlterationPlan(
-        target_component_id=comp.id,
-        requested_kind=ComponentKind.SMC,
-        additions=tuple(additions),
-        matching_after=after,
-        affected=comp.members,
-        mis_before=net.n - m.size,
-        mis_after=net.n - after.size,
-    )
+        pairs.append((src, node))
+    return _saturation_plan(net, m, comp, pairs, "saturate_input")
 
 
 def umc_to_smc(net: DirectedNetwork, m: Matching,
@@ -133,32 +119,31 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
     _require_kind(comp, ComponentKind.UMC)
     linkers = sorted(
         u for u in unsaturated_nodes(net, m)
-        if any(x in comp.members for x in net.out_adj[u]))
+        if not comp.members.isdisjoint(net.successors(u).tolist()))
     if not linkers:
         raise InternalInvariantError(
             f"UMC {comp.id} has no linking unsaturated node")
     receivers = sorted(input_nodes(net, m))
-
-    additions: list[EdgeAddition] = []
-    added: set[tuple[int, int]] = set()
-    new_out = dict(m.matched_out)
-    available = list(receivers)
+    pairs = []
     for u in linkers:
-        dst = _take(available, lambda d: d != u
-                    and not net.has_edge(u, d) and (u, d) not in added)
+        dst = _take(receivers, lambda d: d != u and not net.has_edge(u, d))
         if dst is None:
             raise InsufficientInputNodesError(
                 f"insufficient input nodes to saturate {len(linkers)} "
-                f"linking nodes", partial_additions=additions)
-        additions.append(EdgeAddition(u, dst, "saturate_unsaturated"))
-        added.add((u, dst))
-        new_out[u] = dst
+                f"linking nodes", partial_additions=[
+                    EdgeAddition(*pair, "saturate_unsaturated")
+                    for pair in pairs])
+        pairs.append((u, dst))
+    return _saturation_plan(net, m, comp, pairs, "saturate_unsaturated")
 
-    after = Matching(new_out)
+
+def _saturation_plan(net, m, comp, pairs, reason) -> AlterationPlan:
+    """Plan whose additions ``(src, dst)`` each match src to dst."""
+    after = Matching({**m.matched_out, **dict(pairs)})
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.SMC,
-        additions=tuple(additions),
+        additions=tuple(EdgeAddition(*pair, reason) for pair in pairs),
         matching_after=after,
         affected=comp.members,
         mis_before=net.n - m.size,
@@ -240,7 +225,6 @@ def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
     additions: list[EdgeAddition] = []
-    added: set[tuple[int, int]] = set()
     covered = 0
     for node in chosen:
         pred = m.matched_in.get(node)
@@ -248,12 +232,10 @@ def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
             raise InternalInvariantError(
                 f"member {node} of a matched component has no matched in-edge")
         dst = next((d for d in receivers
-                    if d != pred and not net.has_edge(pred, d)
-                    and (pred, d) not in added), None)
+                    if d != pred and not net.has_edge(pred, d)), None)
         if dst is None:
             raise AlterationError(f"no feasible addition for member {node}")
         additions.append(EdgeAddition(pred, dst, "adjacency_link"))
-        added.add((pred, dst))
         covered |= closures[node]
     return additions, [members[i] for i in range(len(members))
                        if covered >> i & 1]
@@ -262,78 +244,61 @@ def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
 def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
     """Forward-closure bitmasks (over member indices) for every member.
 
-    Members in the same strongly connected piece share a closure, so the
-    masks are computed once per SCC of the component subgraph and combined
-    along the condensation in reverse topological order.
+    Members in the same strongly connected piece share a closure. An
+    iterative Tarjan search emits the pieces sinks first, so each piece's
+    mask is its members' bits plus their successors' finished masks.
     """
     members = sorted(comp.members)
-    index = {v: i for i, v in enumerate(members)}
+    index = np.full(ig.network.n, -1, dtype=np.int64)
+    index[members] = np.arange(len(members))
+    si, di = index[ig.src], index[ig.dst]
+    inside = (si >= 0) & (di >= 0)
     adj: list[list[int]] = [[] for _ in members]
-    for e in ig.all_edges():
-        si, di = index.get(e.src), index.get(e.dst)
-        if si is not None and di is not None:
-            adj[si].append(di)
+    for x, y in zip(si[inside].tolist(), di[inside].tolist()):
+        adj[x].append(y)
 
-    n = len(members)
-    scc_of = [-1] * n
-    low = [0] * n
-    order = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
+    order = [-1] * len(members)  # discovery number
+    low = [0] * len(members)
+    closure = [0] * len(members)  # final once the member's piece is emitted
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    on_stack = [False] * len(members)
     counter = 0
-    for root in range(n):
-        if visited[root]:
+    for root in range(len(members)):
+        if order[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, iter(adj[root]))]
         while work:
-            v, ei = work.pop()
-            if ei == 0:
-                visited[v] = True
-                low[v] = order[v] = counter
+            v, successors = work[-1]
+            if order[v] < 0:
+                order[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if not visited[w]:
-                    work.append((v, ei))
-                    work.append((w, 0))
-                    advanced = True
+            for w in successors:
+                if order[w] < 0:
+                    work.append((w, iter(adj[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            if low[v] == order[v]:
-                group = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = len(sccs)
-                    group.append(w)
-                    if w == v:
-                        break
-                sccs.append(group)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:  # v's piece is the stack above v
+                    piece = []
+                    while not piece or piece[-1] != v:
+                        piece.append(stack.pop())
+                        on_stack[piece[-1]] = False
+                    mask = 0  # members of the piece still read 0 here
+                    for x in piece:
+                        mask |= 1 << x
+                        for w in adj[x]:
+                            mask |= closure[w]
+                    for x in piece:
+                        closure[x] = mask
 
-    # Tarjan emits SCCs sinks-first, so successors are already final.
-    closure = [0] * len(sccs)
-    for sid, group in enumerate(sccs):
-        mask = 0
-        for v in group:
-            mask |= 1 << v
-            for w in adj[v]:
-                if scc_of[w] != sid:
-                    mask |= closure[scc_of[w]]
-        closure[sid] = mask
-
-    return {members[v]: closure[scc_of[v]] for v in range(n)}
+    return dict(zip(members, closure))
 
 
 def _take(available: list[int], ok) -> int | None:
@@ -383,8 +348,6 @@ def plan_attains_goal(plan: AlterationPlan, after) -> bool:
         if any(after.classes[v].possible_input for v in plan.affected):
             return False
         net = after.network
-        for u in after.unsaturated:
-            if any(x in plan.affected for x in net.out_adj[u]):
-                return False
-        return True
+        return all(plan.affected.isdisjoint(net.successors(u).tolist())
+                   for u in after.unsaturated)
     return all(after.classes[v].possible_input for v in plan.affected)

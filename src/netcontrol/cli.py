@@ -192,10 +192,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        labels = analysis.network.labels
-        payload = {labels[v]: analysis.classes[v].value
-                   for v in range(analysis.network.n)}
-        _emit(reports.to_json(payload), args.output)
+        _emit(reports.to_json(reports.classes_dict(analysis)), args.output)
     else:
         _emit(reports.classes_tsv(analysis), args.output)
     return EXIT_OK
@@ -204,14 +201,8 @@ def _cmd_classify(args) -> int:
 def _cmd_inputgraph(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        labels = analysis.network.labels
-        payload = {
-            phase: [{"src": labels[e.src], "dst": labels[e.dst],
-                     "witness": labels[e.witness]} for e in sorted(edges)]
-            for phase, edges in (("Di", analysis.input_graph.possible_edges),
-                                 ("Dr", analysis.input_graph.redundant_edges))
-        }
-        _emit(reports.to_json(payload), args.output)
+        _emit(reports.to_json(reports.input_graph_dict(analysis.input_graph)),
+              args.output)
     else:
         _emit(reports.input_graph_tsv(analysis.input_graph), args.output)
     return EXIT_OK
@@ -280,11 +271,11 @@ def _cmd_exchange(args) -> int:
         raise EdgeListParseError(f"unknown node label {exc}") from exc
     m = maximum_matching(net, args.seed)
     if via is None:
-        candidates = net.in_adj[node]
-        if not candidates:
+        candidates = net.predecessors(node)
+        if not candidates.size:
             raise ExchangeError(
                 f"node {args.node} has no in-edge and is in every input set")
-        via = candidates[0]
+        via = int(candidates[0])
     result = exchange(net, m, node, via)
     labels = net.labels
     payload = {

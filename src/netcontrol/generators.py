@@ -71,7 +71,7 @@ def er_directed(spec: GenSpec) -> DirectedNetwork:
     target = spec.edge_target
     rng = np.random.default_rng(spec.seed)
     capacity = spec.n * (spec.n - 1)
-    edges = _rejection_sample(rng, target, capacity * max(spec.n, 10),
+    edges = _rejection_sample(spec.n, target, capacity * max(spec.n, 10),
                               lambda size: (rng.integers(0, spec.n, size),
                                             rng.integers(0, spec.n, size)))
     return DirectedNetwork(spec.n, edges)
@@ -90,7 +90,7 @@ def scale_free_directed(spec: GenSpec) -> DirectedNetwork:
     p_in /= p_in.sum()
     stall_budget = max(spec.n * max(target, 1), 10_000)
     edges = _rejection_sample(
-        rng, target, stall_budget,
+        spec.n, target, stall_budget,
         lambda size: (rng.choice(spec.n, size=size, p=p_out),
                       rng.choice(spec.n, size=size, p=p_in)))
     return DirectedNetwork(spec.n, edges)
@@ -100,33 +100,43 @@ def generate(spec: GenSpec) -> DirectedNetwork:
     return er_directed(spec) if spec.model == "er" else scale_free_directed(spec)
 
 
-def _rejection_sample(rng, target, stall_budget, draw) -> list[tuple[int, int]]:
+def _rejection_sample(n, target, stall_budget, draw) -> np.ndarray:
     """Accept distinct non-loop pairs from ``draw`` until ``target`` reached.
 
-    ``stall_budget`` bounds the attempts allowed without accepting a new
-    edge; exceeding it raises :class:`GenerationError` instead of spinning.
+    Draws are examined in order and a pair is accepted unless it is a loop
+    or was drawn before; each batch is filtered at once, by first occurrence
+    within it and a search in the sorted keys ``u*n+v`` accepted earlier.
+    ``stall_budget`` bounds the attempts in a row without a new edge;
+    exceeding it raises :class:`GenerationError` instead of spinning.
     """
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    accepted = [np.empty((0, 2), dtype=np.int64)]
+    seen = np.array([-1])  # sorted keys of accepted pairs, after a sentinel
+    have = 0
     since_accept = 0
     batch = max(1024, 2 * target)
-    while len(edges) < target:
+    while have < target:
         srcs, dsts = draw(batch)
-        accepted_any = False
-        for u, v in zip(srcs.tolist(), dsts.tolist()):
-            if u == v or (u, v) in seen:
-                since_accept += 1
-                if since_accept > stall_budget:
-                    raise GenerationError(
-                        f"no new edge after {since_accept} attempts "
-                        f"({len(edges)}/{target} drawn)")
-                continue
-            seen.add((u, v))
-            edges.append((u, v))
-            since_accept = 0
-            accepted_any = True
-            if len(edges) == target:
-                break
-        if not accepted_any and since_accept > stall_budget:
-            raise GenerationError("sampling stalled")
-    return edges
+        keys = srcs * n + dsts
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.empty(batch, dtype=bool)
+        first[order[:1]] = True
+        first[order[1:]] = ordered[1:] != ordered[:-1]
+        at = np.minimum(seen.searchsorted(keys), seen.size - 1)
+        known = seen[at] == keys
+        take = np.flatnonzero(first & (srcs != dsts) & ~known)[:target - have]
+        # Rejected draws before each acceptance, counted on from the last
+        # batch, and after the last one when the target is still short.
+        ends = take if have + take.size == target else np.append(take, batch)
+        gaps = np.diff(ends, prepend=-1 - since_accept) - 1
+        stalled = np.flatnonzero(gaps > stall_budget)
+        if stalled.size:
+            raise GenerationError(
+                f"no new edge after {stall_budget + 1} attempts "
+                f"({have + int(stalled[0])}/{target} drawn)")
+        have += take.size
+        since_accept = int(gaps[-1])
+        accepted.append(np.column_stack((srcs[take], dsts[take])))
+        seen = np.sort(np.concatenate((seen, keys[take])))
+    return np.concatenate(accepted)
+

@@ -15,7 +15,6 @@ fixed Python overhead per level.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -23,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ExchangeError, InternalInvariantError
-from .network import DirectedNetwork, NodeId
+from .network import DirectedNetwork, NodeId, edge_positions
 
 
 class Matching:
@@ -117,22 +116,20 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     maximum matching is found but never its size.
     """
     n = net.n
-    adj = net.out_adj
-    order = list(range(n))
+    indptr, indices = net.out_ptr, net.out_idx
+    roots = np.arange(n, dtype=np.int32)
     if order_seed:
         rng = random.Random(order_seed)
+        order = list(range(n))
         rng.shuffle(order)
-        adj = [list(t) for t in adj]
+        flat, bounds = indices.tolist(), indptr.tolist()
+        adj = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         for lst in adj:
             rng.shuffle(lst)
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n),
-              out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32,
-                          count=int(indptr[-1]))
-    roots = np.array(order, dtype=np.int32)
-    del adj, order
+        indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32,
+                              count=indices.size)
+        roots = np.array(order, dtype=np.int32)
+        del adj, flat, order
 
     match_out = np.full(n, -1, dtype=np.int32)  # out-copy u -> in-copy v
     match_in = np.full(n, -1, dtype=np.int32)   # in-copy v -> out-copy u
@@ -147,13 +144,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
         done = np.zeros(n, dtype=bool)     # roots whose tree found a free end
         ends = []
         while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            # Positions of the frontier's edges in ``indices``, in place.
-            offsets = np.cumsum(counts)
-            starts -= offsets - counts
-            pos = np.repeat(starts, counts)
-            pos += np.arange(pos.size)
+            pos, counts = edge_positions(indptr, frontier)
             src = np.repeat(frontier, counts)
             dst = indices[pos]
             fresh = ~visited[dst]
@@ -205,29 +196,6 @@ def input_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
 def unsaturated_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
     """Nodes with no matched out-edge."""
     return frozenset(u for u in range(net.n) if u not in m.matched_out)
-
-
-def is_maximum(net: DirectedNetwork, m: Matching) -> bool:
-    """Berge check: True iff no augmenting path leaves an unmatched in-copy.
-
-    The alternating search steps from an in-copy through any unmatched
-    in-edge to its source's out-copy; if that out-copy is free the path
-    augments, otherwise it continues from the source's matched target.
-    """
-    seen = set(v for v in range(net.n) if v not in m.matched_in)
-    queue = deque(sorted(seen))
-    while queue:
-        v = queue.popleft()
-        for u in net.in_adj[v]:
-            if m.matched_in.get(v) == u:
-                continue  # matched edge: not a valid alternating step here
-            b = m.matched_out.get(u)
-            if b is None:
-                return False  # u is unsaturated: augmenting path found
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return True
 
 
 def exchange(net: DirectedNetwork, m: Matching, node: NodeId,

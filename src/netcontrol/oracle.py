@@ -59,7 +59,7 @@ def enumerate_maximum_matchings(net: DirectedNetwork,
                     raise OracleInfeasibleError(
                         f"more than {guard.max_count} maximum matchings")
             return
-        for u in net.in_adj[v]:
+        for u in net.predecessors(v).tolist():
             if u in used_out:
                 continue
             used_out.add(u)

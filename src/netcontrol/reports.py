@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .alteration import AlterationPlan
 from .components import ComponentReport
 from .input_graph import InputGraph
@@ -30,7 +32,45 @@ def round_ratio(value: float) -> float:
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+
+    ``indent`` drops CPython to its pure-Python encoder. Here the C encoder
+    writes each container that holds no container, and each list of such
+    dicts, in one call whose item separator carries the newline and
+    indentation: JSON strings never hold a raw newline.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(obj, newline: str) -> str:
+    """``obj`` as ``indent=2`` JSON that starts after ``newline``."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        return json.dumps(obj)
+    inner = newline + "  "
+    if not _has_container(obj.values() if is_dict else obj):
+        flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if not is_dict and all(isinstance(v, dict) and v
+                           and not _has_container(v.values()) for v in obj):
+        # Records: "," + deep + "{" occurs only between two records.
+        deep = inner + "  "
+        flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
+        return ("[" + inner + "{" + deep + flat[2:-2].replace(
+            "}," + deep + "{", inner + "}," + inner + "{" + deep)
+            + inner + "}" + newline + "]")
+    if is_dict:  # non-string keys are written as json writes them
+        items = [json.dumps(k if isinstance(k, str) else json.dumps(k))
+                 + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
+    else:
+        items = [_indented(v, inner) for v in obj]
+    opener, closer = "{}" if is_dict else "[]"
+    return opener + inner + ("," + inner).join(items) + newline + closer
+
+
+def _has_container(values) -> bool:
+    return any(issubclass(t, (dict, list, tuple))
+               for t in set(map(type, values)))
 
 
 def component_report_dict(report: ComponentReport, labels,
@@ -86,9 +126,15 @@ def analysis_record(analysis: NetworkAnalysis,
     if include_members:
         record["mis"]["members"] = [net.labels[v]
                                     for v in sorted(analysis.input_set)]
-        record["node_classes"] = {
-            net.labels[v]: analysis.classes[v].value for v in range(net.n)}
+        record["node_classes"] = classes_dict(analysis)
     return record
+
+
+def classes_dict(analysis: NetworkAnalysis) -> dict[str, str]:
+    """Node label -> class name."""
+    classes = analysis.classes
+    return {label: classes[v].value
+            for v, label in enumerate(analysis.network.labels)}
 
 
 def plan_dict(plan: AlterationPlan, labels) -> dict:
@@ -117,14 +163,30 @@ def additions_tsv(plan: AlterationPlan, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
+def input_graph_rows(ig: InputGraph) -> list[tuple[str, str, str, str]]:
+    """``(src, dst, witness, phase)`` labels, phase ``Di`` then ``Dr``.
+
+    Each phase is sorted by (src id, dst id); no pair occurs twice.
+    """
+    redundant = np.arange(ig.edge_count) >= ig.possible_edge_count
+    order = np.lexsort((ig.dst, ig.src, redundant))
+    label = ig.network.labels.__getitem__
+    return list(zip(*(map(label, column[order].tolist())
+                      for column in (ig.src, ig.dst, ig.witness)),
+                    np.where(redundant[order], "Dr", "Di").tolist()))
+
+
 def input_graph_tsv(ig: InputGraph) -> str:
-    labels = ig.network.labels
     lines = ["# from\tto\twitness\tphase"]
-    for phase, edges in (("Di", ig.possible_edges), ("Dr", ig.redundant_edges)):
-        for e in sorted(edges):
-            lines.append(
-                f"{labels[e.src]}\t{labels[e.dst]}\t{labels[e.witness]}\t{phase}")
+    lines += map("\t".join, input_graph_rows(ig))
     return "\n".join(lines) + "\n"
+
+
+def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
+    payload: dict[str, list[dict[str, str]]] = {"Di": [], "Dr": []}
+    for src, dst, witness, phase in input_graph_rows(ig):
+        payload[phase].append({"src": src, "dst": dst, "witness": witness})
+    return payload
 
 
 def components_tsv(report: ComponentReport, labels,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -93,9 +94,42 @@ def brute_input_sets(net: DirectedNetwork):
             for pairs in brute_maximum_matchings(net)}
 
 
+def adjacency_edges(ig):
+    """Control-adjacency edges as ``(src, dst, witness)`` lists: the
+    possible-input side, then the redundant side."""
+    rows = list(zip(ig.src.tolist(), ig.dst.tolist(), ig.witness.tolist()))
+    return rows[:ig.possible_edge_count], rows[ig.possible_edge_count:]
+
+
 def report_for(net: DirectedNetwork, m: Matching, ig=None):
     """Component report for the maximum matching ``m`` of ``net``."""
     if ig is None:
         ig = build_input_graph(net, m)
     return component_report(net, ig, input_nodes(net, m),
                             unsaturated_nodes(net, m))
+
+
+def is_maximum_reference(net: DirectedNetwork, m: Matching) -> bool:
+    """Berge check: True iff no augmenting path leaves an unmatched in-copy.
+
+    The alternating search the library ran before its closure pass became
+    the Berge check, kept as an independent oracle for that check.
+
+    The alternating search steps from an in-copy through any unmatched
+    in-edge to its source's out-copy; if that out-copy is free the path
+    augments, otherwise it continues from the source's matched target.
+    """
+    seen = set(v for v in range(net.n) if v not in m.matched_in)
+    queue = deque(sorted(seen))
+    while queue:
+        v = queue.popleft()
+        for u in net.predecessors(v).tolist():
+            if m.matched_in.get(v) == u:
+                continue  # matched edge: not a valid alternating step here
+            b = m.matched_out.get(u)
+            if b is None:
+                return False  # u is unsaturated: augmenting path found
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return True

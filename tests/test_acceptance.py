@@ -167,7 +167,7 @@ def test_criterion_3_exchange_suite():
                 if net.in_degree(node) == 0:
                     continue
                 partners = set()
-                for via in net.in_adj[node]:
+                for via in net.predecessors(node).tolist():
                     result = exchange(net, m, node, via)
                     assert is_maximum(net, result.matching)
                     after = set(input_nodes(net, result.matching))

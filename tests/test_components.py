@@ -100,7 +100,8 @@ def test_sizes_sum_and_purity_random():
         m = maximum_matching(net, 0)
         ig = build_input_graph(net, m)
         report = report_for(net, m, ig)
-        linked = {x for u in unsaturated_nodes(net, m) for x in net.out_adj[u]}
+        linked = {x for u in unsaturated_nodes(net, m)
+                  for x in net.successors(u).tolist()}
         assert sum(c.size for c in report.components) == net.n
         for comp in report.components:
             inside = comp.members <= ig.possible_inputs

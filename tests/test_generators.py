@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netcontrol import GenSpec, GenerationError, er_directed, scale_free_directed
+from netcontrol.generators import _rejection_sample
 from netcontrol.network import write_edge_list
 
 
@@ -111,3 +112,65 @@ def test_realized_degree_within_rounding():
                  GenSpec(model="sf", n=501, avg_degree=3.0, seed=2)):
         net = (er_directed if spec.model == "er" else scale_free_directed)(spec)
         assert abs(2 * net.edge_count / net.n - spec.avg_degree) <= 2 / net.n
+
+
+def _rejection_sample_loop(rng, target, stall_budget, draw):
+    """The per-draw loop the batched sampler replaced, kept as reference."""
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    since_accept = 0
+    batch = max(1024, 2 * target)
+    while len(edges) < target:
+        srcs, dsts = draw(batch)
+        for u, v in zip(srcs.tolist(), dsts.tolist()):
+            if u == v or (u, v) in seen:
+                since_accept += 1
+                if since_accept > stall_budget:
+                    raise GenerationError(
+                        f"no new edge after {since_accept} attempts "
+                        f"({len(edges)}/{target} drawn)")
+                continue
+            seen.add((u, v))
+            edges.append((u, v))
+            since_accept = 0
+            if len(edges) == target:
+                break
+    return edges
+
+
+def _sampled(sampler, first, n, target, budget, draws):
+    rng = np.random.default_rng(7)
+    try:
+        return sampler(first, target, budget, lambda size: draws(rng, size))
+    except GenerationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, target, budget, model", [
+    (5, 20, 10_000, "uniform"),     # every possible edge: many repeats
+    (40, 700, 5_000, "uniform"),
+    (300, 900, 10_000, "skewed"),   # hubs draw the same pairs often
+    (3, 5, 50, "uniform"),          # only 6 edges exist; 5 found
+    (2, 3, 50, "uniform"),          # only 2 edges exist: stalls
+    (2, 3, 2_000, "uniform"),       # stalls after batches of rejections
+    (4, 0, 10, "uniform"),
+])
+def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
+    weights = np.arange(1, n + 1, dtype=float) ** -2.0
+    weights /= weights.sum()
+
+    def draws(rng, size):
+        if model == "uniform":
+            return rng.integers(0, n, size), rng.integers(0, n, size)
+        return (rng.choice(n, size=size, p=weights),
+                rng.choice(n, size=size, p=weights))
+
+    reference = _sampled(_rejection_sample_loop, None, n, target, budget,
+                         draws)
+    batched = _sampled(_rejection_sample, n, n, target, budget, draws)
+    if isinstance(reference, str):
+        assert batched == reference
+        assert reference.startswith(f"no new edge after {budget + 1}")
+    else:
+        assert batched.tolist() == [list(e) for e in reference]
+

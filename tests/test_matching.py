@@ -192,7 +192,7 @@ def test_exchange_one_node_difference_everywhere():
         before = set(input_nodes(net, m))
         for node in sorted(before):
             partners = set()
-            for via in net.in_adj[node]:
+            for via in net.predecessors(node).tolist():
                 result = exchange(net, m, node, via)
                 assert is_maximum(net, result.matching)
                 after = set(input_nodes(net, result.matching))
@@ -200,7 +200,7 @@ def test_exchange_one_node_difference_everywhere():
                 assert len(after - before) == 1
                 partners.update(after - before)
             # distinct witnesses always yield distinct replacements
-            assert len(partners) == len(net.in_adj[node])
+            assert len(partners) == net.predecessors(node).size
 
 
 def test_long_chain_does_not_recurse():

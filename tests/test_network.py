@@ -162,8 +162,10 @@ def test_constructor_counts_duplicates():
 def test_edges_derive_from_adjacency():
     net = DirectedNetwork(4, [(2, 0), (0, 3), (2, 2), (0, 1), (3, 0)])
     assert net.edges == ((0, 1), (0, 3), (2, 0), (2, 2), (3, 0))
-    assert net.out_adj == ((1, 3), (), (0, 2), (0,))
-    assert net.in_adj == ((2, 3), (0,), (2,), (0,))
+    assert [net.successors(u).tolist() for u in range(4)] == \
+        [[1, 3], [], [0, 2], [0]]
+    assert [net.predecessors(v).tolist() for v in range(4)] == \
+        [[2, 3], [0], [2], [0]]
     assert all(net.has_edge(u, v) for u, v in net.edges)
     assert not any(net.has_edge(u, v) for u, v in [(1, 0), (0, 2), (3, 3),
                                                     (-1, 0), (4, 0), (0, 4)])
@@ -199,3 +201,88 @@ def test_nodes_directive_with_long_or_padded_counts():
     with pytest.raises(EdgeListParseError, match="line 1.*limit"):
         load_edge_list("# nodes: " + "9" * 5000 + "\n")
     assert load_edge_list("# nodes: 0003\n0 1\n").n == 3
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "empty input", None),
+    ("\n  \n\t\n", "empty input", None),
+    ("\ufeff", "empty input", None),
+    ("\ufeffa\n", "expected two node labels, got 1", 1),
+    ("# hello\n", "no nodes found in input", None),
+    ("# nodes: 0\n", "no nodes found in input", None),
+    ("a b\nc\n", "expected two node labels, got 1", 2),
+    ("a b\nc d e\n", "expected two node labels, got 3", 2),
+    ("a\tb\tc\n", "expected two node labels, got 3", 1),
+    ("a b\r\nc d e\r\n", "expected two node labels, got 3", 2),
+    ("\ufeffa b\r\nc d\r\ne f g\r\n", "expected two node labels, got 3", 3),
+    ("a b\n# nodes: 3\n", "'# nodes:' directive must precede edges", 2),
+    ("# nodes: 2\n# nodes: 3\n", "'# nodes:' directive must precede edges", 2),
+    ("# nodes: 3\n0 1\n1 3\n",
+     "label '3' outside declared node range 0..2", 3),
+    ("# nodes: 3\n0 x\n", "label 'x' outside declared node range 0..2", 2),
+    ("# nodes: 3\n0 01\n", "label '01' outside declared node range 0..2", 2),
+    ("# nodes: 10000001\n",
+     "declared 10000001 nodes, more than the limit of 10000000", 1),
+], ids=["empty", "blank", "bom-only", "bom-one-token", "comment-only",
+        "zero-nodes", "one-token", "three-tokens", "tabs", "crlf",
+        "bom-crlf", "misplaced-directive", "second-directive",
+        "out-of-range", "foreign-label", "padded-label", "over-limit"])
+def test_parse_errors_keep_message_and_line(text, message, line):
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(source)
+        assert exc.value.line == line
+        assert str(exc.value) == (message if line is None
+                                  else f"line {line}: {message}")
+
+
+def _big_edge_list(lines: int) -> list[str]:
+    """Edge lines spanning several parse batches (about 13 chars each)."""
+    return [f"{i % 997} {(i * 7) % 1009}x\n" for i in range(lines)]
+
+
+def test_errors_past_the_first_batch_report_their_line():
+    body = _big_edge_list(200_000)  # about 2.6 MB, three batches
+    bad = body.copy()
+    bad[150_000] = "1 2 3\n"
+    with pytest.raises(EdgeListParseError, match="^line 150001: expected two"):
+        load_edge_list("".join(bad))
+    numbered = ["# nodes: 1000\n"] + [f"{i % 1000} {(i + 1) % 1000}\n"
+                                      for i in range(200_000)]
+    numbered[170_001] = "5 1000\n"
+    with pytest.raises(EdgeListParseError,
+                       match="^line 170002: label '1000' outside"):
+        load_edge_list(io.StringIO("".join(numbered)))
+
+
+def test_batched_parse_equals_line_by_line_reference():
+    body = _big_edge_list(150_000)
+    body[3] = "# a comment\n"
+    body[90_000] = "   \n"
+    body[120_000] = "# another comment, late in a batch\n"
+    text = "\ufeff" + "".join(body)
+    labels: dict[str, int] = {}
+    pairs = []
+    for line in text.removeprefix("\ufeff").splitlines():
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            pairs.append(tuple(labels.setdefault(t, len(labels))
+                               for t in tokens))
+    net = load_edge_list(io.StringIO(text))
+    assert net.labels == tuple(labels)
+    assert net == DirectedNetwork(len(labels), pairs, tuple(labels))
+    assert net.duplicates_collapsed == 0
+
+
+def test_constructor_takes_pairs_or_arrays():
+    import numpy as np
+    pairs = [(3, 1), (0, 2), (3, 1), (1, 1)]
+    from_list = DirectedNetwork(4, pairs)
+    from_array = DirectedNetwork(4, np.array(pairs, dtype=np.int32))
+    assert from_list == from_array == DirectedNetwork(4, iter(pairs))
+    assert from_array.edges == ((0, 2), (1, 1), (3, 1))
+    assert from_array.duplicates_collapsed == 1
+    assert from_array.self_loop_count() == 1
+    assert from_array.out_idx.dtype == from_array.in_idx.dtype == np.int32
+    with pytest.raises(ValueError, match=r"edge \(4, 0\) out of range"):
+        DirectedNetwork(4, np.array([[0, 1], [4, 0]]))

@@ -1,15 +1,19 @@
 """Hypothesis-driven invariants on small random digraphs."""
 
+from collections import deque
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrol import (build_input_graph, classify_exhaustive, classify_nodes,
-                        exchange, input_nodes, is_maximum, maximum_matching,
-                        unsaturated_nodes)
+from netcontrol import (Matching, NotMaximumMatchingError, build_input_graph,
+                        classify_exhaustive, classify_nodes, exchange,
+                        find_components, input_nodes, is_maximum,
+                        maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
 
-from conftest import report_for
+from conftest import adjacency_edges, report_for
 
 
 @st.composite
@@ -39,7 +43,7 @@ def test_exchange_swaps_exactly_one_node(net):
     m = maximum_matching(net, 0)
     before = set(input_nodes(net, m))
     for node in before:
-        for via in net.in_adj[node]:
+        for via in net.predecessors(node).tolist():
             result = exchange(net, m, node, via)
             assert is_maximum(net, result.matching)
             after = set(input_nodes(net, result.matching))
@@ -69,8 +73,9 @@ def test_structural_invariants(net):
     m = maximum_matching(net, 0)
     ig = build_input_graph(net, m)
     poss = ig.possible_inputs
-    assert all(e.src in poss and e.dst in poss for e in ig.possible_edges)
-    assert not any(e.src in poss or e.dst in poss for e in ig.redundant_edges)
+    possible, redundant = adjacency_edges(ig)
+    assert all(src in poss and dst in poss for src, dst, _ in possible)
+    assert not any(src in poss or dst in poss for src, dst, _ in redundant)
     assert ig.edge_count <= net.edge_count
     report = report_for(net, m, ig)
     assert sum(c.size for c in report.components) == net.n
@@ -86,3 +91,93 @@ def test_classification_seed_stable(net, seed):
     base = classify_nodes(build_input_graph(net, maximum_matching(net, 0)))
     other = classify_nodes(build_input_graph(net, maximum_matching(net, seed)))
     assert base == other
+
+
+def _closure_reference(net, m):
+    """The two-pass closure the array pass replaced, kept as reference.
+
+    Returns the possible inputs and the possible-side and redundant-side
+    ``(src, dst, witness)`` edges, or raises for a non-maximum matching.
+    """
+    matched_out, matched_in = m.matched_out, m.matched_in
+    possible = set(v for v in range(net.n) if v not in matched_in)
+    queue = deque(sorted(possible))
+    possible_edges = []
+    while queue:
+        x = queue.popleft()
+        for c in net.predecessors(x).tolist():
+            b = matched_out.get(c)
+            if b is None:
+                raise NotMaximumMatchingError("augmenting path")
+            if b == x:
+                continue
+            possible_edges.append((x, b, c))
+            if b not in possible:
+                possible.add(b)
+                queue.append(b)
+    redundant_edges = []
+    for x in range(net.n):
+        if x in possible:
+            continue
+        w = matched_in[x]
+        for c in net.successors(w).tolist():
+            if c != x:
+                assert c not in possible
+                redundant_edges.append((c, x, w))
+    return possible, possible_edges, redundant_edges
+
+
+def _components_reference(n, edges):
+    """The union-find the label propagation replaced, kept as reference."""
+    parent = list(range(n))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for src, dst, _ in edges:
+        ra, rb = find(src), find(dst)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return [frozenset(members) for _, members in sorted(groups.items())]
+
+
+@st.composite
+def digraphs_with_loops(draw, max_nodes=24):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return DirectedNetwork(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_loops(), st.integers(min_value=0, max_value=5))
+def test_array_closure_and_components_match_references(net, seed):
+    m = maximum_matching(net, seed)
+    ig = build_input_graph(net, m)
+    possible, possible_edges, redundant_edges = _closure_reference(net, m)
+    assert ig.possible_inputs == possible
+    got_possible, got_redundant = adjacency_edges(ig)
+    assert sorted(got_possible) == sorted(possible_edges)
+    assert sorted(got_redundant) == sorted(redundant_edges)
+    assert ([c.members for c in find_components(ig)]
+            == _components_reference(net.n, possible_edges + redundant_edges))
+    assert [c.id for c in find_components(ig)] == \
+        list(range(len(find_components(ig))))
+    # dropping a matched pair raises in both exactly when it is not maximum
+    for drop in list(m.matched_out)[:3]:
+        smaller = Matching({u: v for u, v in m.matched_out.items()
+                            if u != drop})
+        try:
+            _closure_reference(net, smaller)
+        except NotMaximumMatchingError:
+            with pytest.raises(NotMaximumMatchingError):
+                build_input_graph(net, smaller)
+        else:
+            build_input_graph(net, smaller)
