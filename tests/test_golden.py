@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -55,6 +56,16 @@ def files(tmp_path_factory):
         paths[f"sat{seed}"] = work / f"sat{seed}.txt"
         paths[f"sat{seed}"].write_text(
             paths["sf"].read_text(encoding="utf-8") + added, encoding="utf-8")
+    # The ER network without its "# nodes:" header (integer labels in
+    # first-appearance order), and with every label prefixed "v".
+    lines = paths["er"].read_text(encoding="utf-8").splitlines(keepends=True)
+    body = [line for line in lines if not line.startswith("# nodes:")]
+    paths["er-bare"] = work / "er-bare.txt"
+    paths["er-bare"].write_text("".join(body), encoding="utf-8")
+    paths["er-v"] = work / "er-v.txt"
+    paths["er-v"].write_text("".join(
+        line if line.startswith("#") else re.sub(r"(\S+)", r"v\1", line)
+        for line in body), encoding="utf-8")
     return paths
 
 
@@ -87,6 +98,10 @@ def _cases():
             cases[f"exchange-{node}-sf-s{seed}"] = (
                 lambda p, node=node, s=s:
                 ["exchange", str(p["sf"]), "--node", node, *s])
+    for graph in ("er-bare", "er-v"):
+        cases[f"analyze-json-{graph}-s0"] = (
+            lambda p, g=graph: ["analyze", str(p[g]), "--format", "json",
+                                "--seed", "0"])
     cases["sweep-sf"] = lambda p: ["sweep", "--model", "sf", "-n", "300",
                                    "--k-list", "2,6", "--replicates", "2",
                                    "--seed-base", "4"]
@@ -103,8 +118,10 @@ DIGESTS = {
     'alter-cover-sf-s3': (0, 'ae0d198602e5112a9542bd458e0188906ed63d8631a219129533e7e2a4b82824'),
     'alter-saturate-sf-s0': (0, 'c95bc7d073a166e050ee4ba23fdb28462d26f745a8b97c63438ed90c3a886e77'),
     'alter-saturate-sf-s3': (0, 'd2404d1c1e9f371d6d8e3a67817f498f7aa5f391eaae4a1f030f6d2939bdb0ec'),
+    'analyze-json-er-bare-s0': (0, 'fae9083c7cdb3e9e1e628a8a6ccc91b455823f9c6e1638e2894044dfb8dc46f8'),
     'analyze-json-er-s0': (0, '7b3bd8016677b410484182d8d516ec37b18ee6486375fda2ce81b6b2016d63eb'),
     'analyze-json-er-s3': (0, '45eba4b1380125ffededa71271f00c20dffd81fae7aef3d0c9e4de2e54c18538'),
+    'analyze-json-er-v-s0': (0, '78429a61b1c179f754971e0934cf559e5323e002c2ad0f3650d13faae55ee08c'),
     'analyze-json-sf-s0': (0, 'a33c622f8b4c6d14392d48b918ebd0e1bfcedb5aed61d36a823f31d1e4440170'),
     'analyze-json-sf-s3': (0, 'ca7d9dd8df578e0e527251d791f42e089c31f59c483ebda7d20689c4e6843582'),
     'analyze-tsv-er-s0': (0, 'f76fe3879a6d3a48b9a0656db979661b54fdae30b8cf97d28eb44e2c22260b3f'),

@@ -1,9 +1,14 @@
 import io
+import re
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcontrol import (DirectedNetwork, EdgeListParseError, analyze,
-                        load_edge_list, write_edge_list)
+                        load_edge_list, network, write_edge_list)
 from netcontrol.reports import analysis_record
 
 
@@ -221,12 +226,17 @@ def test_nodes_directive_with_long_or_padded_counts():
      "label '3' outside declared node range 0..2", 3),
     ("# nodes: 3\n0 x\n", "label 'x' outside declared node range 0..2", 2),
     ("# nodes: 3\n0 01\n", "label '01' outside declared node range 0..2", 2),
+    ("# nodes: 12\n0 01\n",
+     "label '01' outside declared node range 0..11", 2),
+    ("# nodes: 12\n0 \u0661\n",
+     "label '\u0661' outside declared node range 0..11", 2),
     ("# nodes: 10000001\n",
      "declared 10000001 nodes, more than the limit of 10000000", 1),
 ], ids=["empty", "blank", "bom-only", "bom-one-token", "comment-only",
         "zero-nodes", "one-token", "three-tokens", "tabs", "crlf",
         "bom-crlf", "misplaced-directive", "second-directive",
-        "out-of-range", "foreign-label", "padded-label", "over-limit"])
+        "out-of-range", "foreign-label", "padded-label",
+        "padded-label-in-range", "non-ascii-digit", "over-limit"])
 def test_parse_errors_keep_message_and_line(text, message, line):
     for source in (text, io.StringIO(text)):
         with pytest.raises(EdgeListParseError) as exc:
@@ -286,3 +296,125 @@ def test_constructor_takes_pairs_or_arrays():
     assert from_array.out_idx.dtype == from_array.in_idx.dtype == np.int32
     with pytest.raises(ValueError, match=r"edge \(4, 0\) out of range"):
         DirectedNetwork(4, np.array([[0, 1], [4, 0]]))
+
+
+def test_label_index_is_built_on_first_lookup():
+    net = load_edge_list("b c\na b\n")
+    assert net._label_to_id is None
+    assert [net.id_of(lab) for lab in ("b", "c", "a")] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        net.id_of("d")
+    with pytest.raises(ValueError, match="duplicate labels"):
+        DirectedNetwork(2, [(0, 1)], ("x", "x"))
+
+
+@pytest.mark.parametrize("text", [
+    "01 2\n", "00 1\n", "+1 2\n", "-1 2\n", "\u0661 2\n", "\uff11 2\n",
+    "1" * 19 + " 2\n", "1" * 20 + " 2\n", "1\x0b2\n", "1\x0c2\n",
+    "1\x1c2\n", "\ufeff1 2\n", "1 2 3\n", "1\n", "1 2\n3\n", "1 2\r3 4\n",
+    "1 2\n3 4 5", "a b\n", "1,2\n",
+])
+def test_integer_tokenizer_hands_back_what_it_cannot_decide(text):
+    assert network._integers(text, 10 ** 18) is None
+
+
+def test_integer_tokenizer_reads_blanks_and_bounds():
+    text = "\n 1\t20\r\n\n" + "9" * 18 + " 0\n" + " 3 4"
+    assert network._integers(text, 10 ** 18).tolist() == [1, 20, 10 ** 18 - 1,
+                                                           0, 3, 4]
+    assert network._integers("0 4\n", 5).tolist() == [0, 4]
+    assert network._integers("0 5\n", 5) is None
+    assert network._integers(" \r\n\t", 5).tolist() == []
+
+
+def _reference_parse(text: str):
+    """Naive line-by-line parser: ``(labels, pairs)`` or ``(message, line)``.
+
+    Lines end at "\n" only, as ``readlines`` splits a string source; with
+    ``# nodes: N`` the labels must be among ``str(0) .. str(N - 1)``.
+    """
+    labels: dict[str, int] = {}
+    declared = None
+    pairs = []
+    blank = True
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        blank = False
+        if line.startswith("#"):
+            m = re.match(r"^#\s*nodes:\s*0*(\d+)\s*$", line)
+            if m:
+                if labels:
+                    return "'# nodes:' directive must precede edges", lineno
+                declared = int(m.group(1))
+                labels = {str(i): i for i in range(declared)}
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            return f"expected two node labels, got {len(tokens)}", lineno
+        if declared is not None:
+            for tok in tokens:
+                if tok not in labels:
+                    return (f"label {tok!r} outside declared node range "
+                            f"0..{declared - 1}", lineno)
+        pairs.append(tuple(labels.setdefault(t, len(labels)) for t in tokens))
+    if blank:
+        return "empty input", None
+    if not labels:
+        return "no nodes found in input", None
+    return tuple(labels), pairs
+
+
+_SMALL = [str(i) for i in range(12)]
+_ODD = ["01", "007", "+1", "-1", "\u0661", "\uff11", "1" * 18, "1" * 19,
+        "1" * 20, "9" * 18, "123456789012345678", "x", "v3", "#"]
+_SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\r"]
+
+
+@st.composite
+def _line(draw, tokens, separators, counts, endings):
+    count = draw(st.sampled_from(counts))
+    words = draw(st.lists(tokens, min_size=count, max_size=count))
+    seps = draw(st.lists(separators, min_size=count + 1, max_size=count + 1))
+    body = seps[0] + "".join(t + s for t, s in zip(words, seps[1:]))
+    return body + draw(endings)
+
+
+_PAIR_LINE = _line(st.sampled_from(_SMALL), st.sampled_from([" ", "\t", "  "]),
+                   [2], st.sampled_from(["\n", "\n", "\r\n"]))
+_ODD_LINE = st.one_of(
+    _line(st.sampled_from(_SMALL + _ODD), st.sampled_from(_SEPARATORS),
+          [0, 1, 2, 2, 3], st.sampled_from(["\n", "\r\n", "\r", ""])),
+    st.sampled_from(["\n", "# note\n", "# nodes: 3\n", "\ufeff0 1\n"]))
+
+
+@st.composite
+def _edge_lists(draw):
+    """Mostly pairs of small integers, with a few odd lines among them."""
+    head = draw(st.sampled_from(["", "", "\ufeff", "# c\n"]))
+    if draw(st.booleans()):
+        head += f"# nodes: {draw(st.sampled_from([0, 11, 12, 14, 14]))}\n"
+    lines = draw(st.lists(_PAIR_LINE, max_size=30))
+    for line in draw(st.lists(_ODD_LINE, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return head + "".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_lists(), st.integers(1, 40))
+def test_batched_parse_equals_naive_reference(text, chunk):
+    expected = _reference_parse(text)
+    with mock.patch.object(network, "_CHUNK_CHARS", chunk), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            net = load_edge_list(io.StringIO(text))
+        except EdgeListParseError as exc:
+            message = str(exc).removeprefix(f"line {exc.line}: ")
+            assert (message, exc.line) == expected
+            return
+    labels, pairs = expected
+    assert net.labels == labels
+    assert net == DirectedNetwork(len(labels), pairs, labels)
+    assert net.duplicates_collapsed == len(pairs) - len(set(pairs))
