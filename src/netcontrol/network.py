@@ -11,9 +11,9 @@ The edge set is stored once, as sorted compressed sparse rows (int32 ids,
 int64 offsets) in both directions, which every stage of the analysis reads.
 Integer labels are read by a numpy tokenizer over the file's bytes; other
 labels are split and interned as strings. On ER N=10^5, k=10 (2.0 GHz
-Xeon) loading the file takes about 0.2 s with its ``# nodes:`` header,
-0.35-0.45 s without it and 0.55-0.75 s with string labels; the constructor
-is 0.05-0.07 s of each.
+Xeon) loading the file takes about 0.2 s with its ``# nodes:`` header and
+0.55-0.65 s without it or with string labels; the constructor is
+0.05-0.07 s of each.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ NodeId = int
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*0*(\d+)\s*$")
 MAX_DECLARED_NODES = 10 ** 7  # bounds the nodes a header makes before any edge
 _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
-_MAX_INTEGER_LABEL = 10 ** 18  # 18 digits fit an int64
 
 
 def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
@@ -176,13 +175,13 @@ class DirectedNetwork:
         return f"DirectedNetwork(n={self.n}, edges={self.edge_count})"
 
 
-def _integers(text: str, limit: int) -> np.ndarray | None:
+def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
     """The labels of ``text`` as int64 values, when the bytes decide them.
 
     That is when ``text`` holds only lines of zero or two canonical decimal
-    labels below ``limit`` (at most 18 digits, no leading zero), split by
-    spaces, tabs and carriage returns. Returns None otherwise, and the line
-    parser takes the text.
+    labels (at most 18 digits, no leading zero, below ``limit`` if given),
+    split by spaces, tabs and carriage returns. Returns None otherwise, and
+    the line parser takes the text.
     """
     if not text.isascii():
         return None
@@ -211,7 +210,7 @@ def _integers(text: str, limit: int) -> np.ndarray | None:
     values = np.zeros(starts.size, dtype=np.int64)
     for j in range(width):  # the digit j places left of each token's end
         values += (buf[ends - 1 - j] - 48) * (lengths > j) * np.int64(10 ** j)
-    return values if values.max() < limit else None
+    return values if limit is None or values.max() < limit else None
 
 
 def load_edge_list(source: str | TextIO) -> DirectedNetwork:
@@ -230,9 +229,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     (:func:`_integers`, a few numpy passes plus one per digit position),
     else split at once as strings; the line-by-line parser reports any
     error. Under ``# nodes:`` the labels are the ids. Otherwise ids follow
-    first appearance: each batch's distinct integers are looked up in a
-    sorted cache, and only those new to it go through ``label_to_id``, the
-    one interning table.
+    first appearance: each batch's distinct integers, in the order they
+    first occur, go through ``label_to_id``, the one interning table.
     """
     fh = source if hasattr(source, "read") else io.StringIO(source)
     label_to_id: dict[str, int] = {}
@@ -240,9 +238,6 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     declared_n: int | None = None
     blank = True
     lineno = 0
-    # Integer labels interned so far (sorted) and their ids.
-    seen = np.zeros(0, dtype=np.int64)
-    seen_ids = np.zeros(0, dtype=np.int64)
 
     def by_line(lines: list[str]) -> list[int]:
         nonlocal declared_n, blank, lineno
@@ -286,32 +281,18 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
         return ids
 
     def first_appearance_ids(values: np.ndarray) -> np.ndarray:
-        nonlocal seen, seen_ids
         uniq, first, inverse = np.unique(values, return_index=True,
                                          return_inverse=True)
-        at = np.searchsorted(seen, uniq)
-        hit = at < seen.size
-        hit[hit] = seen[at[hit]] == uniq[hit]
+        order = np.argsort(first)
         ids = np.empty(uniq.size, dtype=np.int64)
-        ids[hit] = seen_ids[at[hit]]
-        new = np.flatnonzero(~hit)
-        fresh = new[np.argsort(first[new])]
-        tokens = list(map(str, uniq[fresh].tolist()))
-        if label_to_id.keys().isdisjoint(tokens):
-            ids[fresh] = np.arange(len(label_to_id),
-                                   len(label_to_id) + len(tokens))
-            label_to_id.update(zip(tokens, ids[fresh].tolist()))
-        else:  # the string path interned some of them
-            ids[fresh] = [intern(tok, len(label_to_id)) for tok in tokens]
-        seen = np.insert(seen, at[new], uniq[new])
-        seen_ids = np.insert(seen_ids, at[new], ids[new])
+        ids[order] = [intern(tok, len(label_to_id))
+                      for tok in map(str, uniq[order].tolist())]
         return ids[inverse]
 
-    def at_once(lines: list[str]) -> np.ndarray:  # lines without "#"
+    def at_once(lines: list[str], text: str) -> np.ndarray:
+        """Ids of ``lines``, which hold no "#"; ``text`` is their join."""
         nonlocal blank, lineno
-        text = "".join(lines)
-        values = _integers(text, _MAX_INTEGER_LABEL if declared_n is None
-                           else declared_n)
+        values = _integers(text, declared_n)
         if values is None:
             if (declared_n is not None or
                     not set(map(len, map(str.split, lines))) <= {0, 2}):
@@ -333,9 +314,12 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
             lines[0] = lines[0].removeprefix("\ufeff")
         text = "".join(lines)
         cut = text.rfind("#")
-        hashed = text.count("\n", 0, cut) + 1 if cut >= 0 else 0
+        hashed = start = 0
+        if cut >= 0:  # the lines up to the one holding the last "#"
+            hashed = text.count("\n", 0, cut) + 1
+            start = text.find("\n", cut) + 1 or len(text)
         parts.append(np.array(by_line(lines[:hashed]), dtype=np.int32))
-        parts.append(at_once(lines[hashed:]))
+        parts.append(at_once(lines[hashed:], text[start:]))
 
     if blank:
         raise EdgeListParseError("empty input")
