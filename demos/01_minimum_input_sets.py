@@ -22,9 +22,10 @@ print(f"maximum matching size: {m.size}")
 for u, v in m.pairs():
     print(f"  matched edge {net.labels[u]} -> {net.labels[v]}")
 
-mis = input_nodes(net, m)
+mis = input_nodes(m)  # node ids, ascending
 print("minimum input set:", sorted(net.labels[v] for v in mis))
-print("unsaturated nodes:", sorted(net.labels[v] for v in unsaturated_nodes(net, m)))
+print("unsaturated nodes:",
+      sorted(net.labels[v] for v in unsaturated_nodes(m)))
 print("matching is maximum:", is_maximum(net, m))
 
 # 'geneB' is an input node here; its in-edge from 'regulator' lets us swap
@@ -35,4 +36,4 @@ via = net.id_of("regulator")
 result = exchange(net, m, target, via)
 print(f"exchanged geneB out; replacement: {net.labels[result.replaced]}")
 print("new input set:", sorted(net.labels[v]
-                               for v in input_nodes(net, result.matching)))
+                               for v in input_nodes(result.matching)))

@@ -12,7 +12,8 @@ each component is one of:
 The demo network stacks all three kinds side by side.
 """
 
-from netcontrol import analyze, control_reachable_from, load_edge_list
+from netcontrol import (NODE_CLASSES, analyze, control_reachable_from,
+                        load_edge_list)
 
 net = load_edge_list("""
 a b
@@ -26,7 +27,7 @@ analysis = analyze(net)
 
 print("per-node classes:")
 for v in range(net.n):
-    print(f"  {net.labels[v]:>2}  {analysis.classes[v].value}")
+    print(f"  {net.labels[v]:>2}  {NODE_CLASSES[analysis.classes[v]].value}")
 
 print("\ncontrol-adjacency edges (src can replace dst, via witness):")
 ig = analysis.input_graph
@@ -35,13 +36,15 @@ for src, dst, witness in zip(ig.src, ig.dst, ig.witness):
           f"   (witness {net.labels[witness]})")
 
 print("\ncomponents:")
-for comp in analysis.report.components:
-    members = ",".join(net.labels[v] for v in comp.sorted_members())
+report = analysis.report
+for ident in range(report.component_count):
+    comp = report.component(ident)
+    members = ",".join(net.labels[v] for v in comp.members)
     print(f"  #{comp.id} {comp.kind.value:<3} {{{members}}}")
 
 start = net.id_of("a")
 reach = control_reachable_from(analysis.input_graph, start)
 print("\ncontrol-reachable from a:",
       sorted(net.labels[v] for v in reach))
-print(f"largest component: {analysis.report.cc_max.kind.value}, "
-      f"{analysis.report.cc_max.size}/{net.n} nodes")
+print(f"largest component: {report.kind(report.cc_max).value}, "
+      f"{report.sizes[report.cc_max]}/{net.n} nodes")

@@ -21,8 +21,8 @@ for model in ("er", "sf"):
             a = analyze(generate(GenSpec(model=model, n=N, avg_degree=k,
                                          seed=seed)))
             fracs.append(a.report.cc_max_fraction)
-            counts.append(len(a.report.components))
-            nps.append(len(a.input_graph.possible_inputs) / N)
+            counts.append(a.report.component_count)
+            nps.append(a.input_graph.possible_inputs.sum() / N)
         print(f"  {k:2d}   {sum(fracs)/len(fracs):8.3f}"
               f"   {sum(counts)/len(counts):10.1f}"
               f"   {min(nps):.2f} .. {max(nps):.2f}")

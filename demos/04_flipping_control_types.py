@@ -13,7 +13,7 @@ from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
 
 net = generate(GenSpec(model="sf", n=2000, avg_degree=10, seed=0))
 before = analyze(net)
-giant = before.report.cc_max
+giant = before.report.component(before.report.cc_max)
 print(f"start: giant {giant.kind.value} with {giant.size}/{net.n} nodes, "
       f"{before.report.mis_size} input nodes")
 
@@ -25,7 +25,7 @@ print(f"\nIC -> SMC: added {len(plan1.additions)} edges "
       f"(p = {plan1.p:.2%} of the original edges)")
 print(f"  classes flipped: {plan1.delta_n_d:.1%} of all nodes")
 print(f"  input-set size: {plan1.mis_before} -> {plan1.mis_after}")
-giant2 = middle.report.cc_max
+giant2 = middle.report.component(middle.report.cc_max)
 print(f"  giant is now {giant2.kind.value} with {giant2.size} nodes")
 
 plan2 = smc_to_ic_single(net2, middle.matching, giant2,
@@ -36,5 +36,6 @@ addition = plan2.additions[0]
 print(f"\nSMC -> IC: one edge "
       f"{net.labels[addition.src]} -> {net.labels[addition.dst]}")
 print(f"  classes flipped back: {plan2.delta_n_d:.1%} of all nodes")
-print(f"  giant is now {final.report.cc_max.kind.value} again")
-assert final.report.cc_max.kind is ComponentKind.IC
+final_kind = final.report.kind(final.report.cc_max)
+print(f"  giant is now {final_kind.value} again")
+assert final_kind is ComponentKind.IC

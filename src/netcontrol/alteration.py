@@ -32,7 +32,7 @@ from .errors import (AlterationError, InsufficientInputNodesError,
                      InternalInvariantError)
 from .input_graph import InputGraph, build_input_graph
 from .matching import Matching, input_nodes, unsaturated_nodes
-from .network import DirectedNetwork, NodeId
+from .network import DirectedNetwork, NodeId, edge_positions
 
 
 class EdgeAddition(NamedTuple):
@@ -41,21 +41,21 @@ class EdgeAddition(NamedTuple):
     reason: str  # saturate_input | saturate_unsaturated | adjacency_link
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlterationPlan:
     """Ordered edge additions plus before/after bookkeeping.
 
-    ``affected`` holds the nodes whose class the plan is meant to change:
-    the component members for saturation plans, the covered closure for
-    adjacency links. ``p`` and ``delta_n_d`` stay unset until
-    :func:`alteration_report` fills them from full re-analyses.
+    ``affected`` holds the ids, ascending, of the nodes whose class the
+    plan is meant to change: the component members for saturation plans,
+    the covered closure for adjacency links. ``p`` and ``delta_n_d`` stay
+    unset until :func:`alteration_report` fills them from full re-analyses.
     """
 
     target_component_id: int
     requested_kind: ComponentKind
     additions: tuple[EdgeAddition, ...]
     matching_after: Matching
-    affected: frozenset[NodeId]
+    affected: np.ndarray
     mis_before: int
     mis_after: int
     p: float | None = None
@@ -73,8 +73,7 @@ def apply_plan(net: DirectedNetwork, plan: AlterationPlan) -> DirectedNetwork:
 def _require_kind(comp: ControlComponent, kind: ComponentKind) -> None:
     if comp.kind is not kind:
         raise AlterationError(
-            f"component {comp.id} is {comp.kind.value if comp.kind else 'unclassified'},"
-            f" expected {kind.value}")
+            f"component {comp.id} is {comp.kind.value}, expected {kind.value}")
 
 
 def ic_to_smc(net: DirectedNetwork, m: Matching,
@@ -86,13 +85,14 @@ def ic_to_smc(net: DirectedNetwork, m: Matching,
     unsaturated node points at them.
     """
     _require_kind(comp, ComponentKind.IC)
-    targets = sorted(comp.members & input_nodes(net, m))
+    targets = comp.members[m.match_in[comp.members] < 0].tolist()
     if not targets:
         raise AlterationError(f"IC {comp.id} has no input node")
     # Donors with out-edges go first: every unsaturated node left over is
     # then a sink and cannot keep any matched component unsaturated-linked.
-    donors = sorted(unsaturated_nodes(net, m),
-                    key=lambda u: (net.out_degree(u) == 0, u))
+    unsaturated = unsaturated_nodes(m)
+    sink = np.diff(net.out_ptr)[unsaturated] == 0
+    donors = np.concatenate((unsaturated[~sink], unsaturated[sink])).tolist()
     if len(donors) < len(targets):
         raise InternalInvariantError(
             "fewer unsaturated nodes than input nodes; the split is unbalanced")
@@ -117,13 +117,11 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
     input nodes run out.
     """
     _require_kind(comp, ComponentKind.UMC)
-    linkers = sorted(
-        u for u in unsaturated_nodes(net, m)
-        if not comp.members.isdisjoint(net.successors(u).tolist()))
+    linkers = _linking(net, unsaturated_nodes(m), comp.members).tolist()
     if not linkers:
         raise InternalInvariantError(
             f"UMC {comp.id} has no linking unsaturated node")
-    receivers = sorted(input_nodes(net, m))
+    receivers = input_nodes(m).tolist()
     pairs = []
     for u in linkers:
         dst = _take(receivers, lambda d: d != u and not net.has_edge(u, d))
@@ -139,7 +137,9 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
 
 def _saturation_plan(net, m, comp, pairs, reason) -> AlterationPlan:
     """Plan whose additions ``(src, dst)`` each match src to dst."""
-    after = Matching({**m.matched_out, **dict(pairs)})
+    match_out = m.match_out.copy()
+    match_out[[u for u, _ in pairs]] = [v for _, v in pairs]
+    after = Matching(match_out)
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.SMC,
@@ -159,9 +159,9 @@ def smc_to_ic_single(net: DirectedNetwork, m: Matching,
     if ig is None:
         ig = build_input_graph(net, m)
     closures = _closure_masks(ig, comp)
-    members = sorted(comp.members)
-    best = max(members, key=lambda v: (closures[v].bit_count(), -v))
-    additions, covered = _link_edges(net, m, comp, [best], closures, members)
+    best = max(comp.members.tolist(),
+               key=lambda v: (closures[v].bit_count(), -v))
+    additions, covered = _link_edges(net, m, comp, [best], closures)
     return _adjacency_plan(net, m, comp, additions, covered)
 
 
@@ -184,11 +184,10 @@ def smc_to_ic_full(net: DirectedNetwork, m: Matching,
     if ig is None:
         ig = build_input_graph(net, m)
     closures = _closure_masks(ig, comp)
-    members = sorted(comp.members)
     # Min-heap on (-gain, id): the lowest id wins a gain tie.
-    heap = [(-closures[v].bit_count(), v) for v in members]
+    heap = [(-closures[v].bit_count(), v) for v in comp.members.tolist()]
     heapq.heapify(heap)
-    uncovered = (1 << len(members)) - 1
+    uncovered = (1 << comp.size) - 1
     chosen: list[NodeId] = []
     while uncovered:
         _, v = heapq.heappop(heap)
@@ -200,7 +199,7 @@ def smc_to_ic_full(net: DirectedNetwork, m: Matching,
             raise InternalInvariantError("greedy cover made no progress")
         chosen.append(v)
         uncovered &= ~closures[v]
-    additions, covered = _link_edges(net, m, comp, chosen, closures, members)
+    additions, covered = _link_edges(net, m, comp, chosen, closures)
     return _adjacency_plan(net, m, comp, additions, covered)
 
 
@@ -211,24 +210,23 @@ def _adjacency_plan(net, m, comp, additions, covered) -> AlterationPlan:
         requested_kind=ComponentKind.IC,
         additions=tuple(additions),
         matching_after=m,  # adjacency links never touch the matching
-        affected=frozenset(covered),
+        affected=covered,
         mis_before=mis,
         mis_after=mis,
     )
 
 
 def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
-                chosen: list[NodeId], closures: dict[NodeId, int],
-                members: list[NodeId]):
+                chosen: list[NodeId], closures: dict[NodeId, int]):
     """One adjacency-link edge per chosen member, all to input nodes."""
-    receivers = sorted(input_nodes(net, m))
+    receivers = input_nodes(m).tolist()
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
     additions: list[EdgeAddition] = []
     covered = 0
     for node in chosen:
-        pred = m.matched_in.get(node)
-        if pred is None:
+        pred = int(m.match_in[node])
+        if pred < 0:
             raise InternalInvariantError(
                 f"member {node} of a matched component has no matched in-edge")
         dst = next((d for d in receivers
@@ -237,8 +235,8 @@ def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
             raise AlterationError(f"no feasible addition for member {node}")
         additions.append(EdgeAddition(pred, dst, "adjacency_link"))
         covered |= closures[node]
-    return additions, [members[i] for i in range(len(members))
-                       if covered >> i & 1]
+    return additions, comp.members[[bool(covered >> i & 1)
+                                    for i in range(comp.size)]]
 
 
 def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
@@ -248,9 +246,9 @@ def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
     iterative Tarjan search emits the pieces sinks first, so each piece's
     mask is its members' bits plus their successors' finished masks.
     """
-    members = sorted(comp.members)
+    members = comp.members.tolist()
     index = np.full(ig.network.n, -1, dtype=np.int64)
-    index[members] = np.arange(len(members))
+    index[comp.members] = np.arange(len(members))
     si, di = index[ig.src], index[ig.dst]
     inside = (si >= 0) & (di >= 0)
     adj: list[list[int]] = [[] for _ in members]
@@ -320,9 +318,8 @@ def alteration_report(before, after, plan: AlterationPlan) -> AlterationPlan:
     n = before.network.n
     if after.network.n != n:
         raise ValueError("before/after analyses cover different networks")
-    changed = sum(
-        1 for v in range(n)
-        if before.classes[v].possible_input != after.classes[v].possible_input)
+    changed = int(np.count_nonzero(before.input_graph.possible_inputs
+                                   != after.input_graph.possible_inputs))
     mis_before = before.report.mis_size
     mis_after = after.report.mis_size
     if mis_after != plan.mis_after:
@@ -344,10 +341,17 @@ def plan_attains_goal(plan: AlterationPlan, after) -> bool:
     unsaturated node pointing at it; adjacency plans must turn the whole
     covered closure into possible inputs.
     """
+    possible = after.input_graph.possible_inputs[plan.affected]
     if plan.requested_kind is ComponentKind.SMC:
-        if any(after.classes[v].possible_input for v in plan.affected):
-            return False
-        net = after.network
-        return all(plan.affected.isdisjoint(net.successors(u).tolist())
-                   for u in after.unsaturated)
-    return all(after.classes[v].possible_input for v in plan.affected)
+        return not (possible.any() or _linking(
+            after.network, after.unsaturated, plan.affected).size)
+    return bool(possible.all())
+
+
+def _linking(net: DirectedNetwork, sources: np.ndarray,
+             targets: np.ndarray) -> np.ndarray:
+    """The ``sources`` with an edge into ``targets``, ascending."""
+    inside = np.zeros(net.n, dtype=bool)
+    inside[targets] = True
+    pos, counts = edge_positions(net.out_ptr, sources)
+    return np.unique(np.repeat(sources, counts)[inside[net.out_idx[pos]]])

@@ -15,14 +15,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import reports
 from .alteration import (alteration_report, apply_plan, ic_to_smc,
                          plan_attains_goal, smc_to_ic_full, smc_to_ic_single,
                          umc_to_smc)
-from .components import ComponentKind, largest_component
+from .components import COMPONENT_KINDS, ComponentKind, largest_component
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, NetcontrolError, OracleInfeasibleError)
 from .generators import GenSpec, generate
+from .input_graph import NODE_CLASSES
 from .matching import exchange, input_nodes, maximum_matching
 from .network import DirectedNetwork, load_edge_list, write_edge_list
 from .oracle import OracleGuard, enumerate_maximum_matchings, exhaustive_classes
@@ -135,26 +138,22 @@ def _load(path: str) -> DirectedNetwork:
 
 
 def _select_component(analysis: NetworkAnalysis, selector: str):
-    comps = analysis.report.components
+    report = analysis.report
     if selector.isdecimal():
         ident = int(selector)
-        for comp in comps:
-            if comp.id == ident:
-                return comp
-        raise AlterationError(f"no component with id {ident}")
-    pools = {
-        "largest": comps,
-        "largest-ic": [c for c in comps if c.kind is ComponentKind.IC],
-        "largest-mc": [c for c in comps if c.kind is not ComponentKind.IC],
-        "largest-umc": [c for c in comps if c.kind is ComponentKind.UMC],
-        "largest-smc": [c for c in comps if c.kind is ComponentKind.SMC],
-    }
+        if ident >= report.component_count:
+            raise AlterationError(f"no component with id {ident}")
+        return report.component(ident)
+    ic, umc, smc = map(report.kinds.__eq__, range(len(COMPONENT_KINDS)))
+    pools = {"largest": None, "largest-ic": ic, "largest-mc": ~ic,
+             "largest-umc": umc, "largest-smc": smc}
     if selector not in pools:
         raise AlterationError(f"unknown component selector {selector!r}")
     pool = pools[selector]
-    if not pool:
+    if pool is not None and not pool.any():
         raise AlterationError(f"no component matches {selector!r}")
-    return largest_component(pool)
+    return report.component(
+        largest_component(report.sizes, report.kinds, pool))
 
 
 def _cmd_generate(args) -> int:
@@ -282,9 +281,9 @@ def _cmd_exchange(args) -> int:
         "node": labels[node],
         "via": labels[via],
         "replaced": labels[result.replaced],
-        "mis_before": [labels[v] for v in sorted(input_nodes(net, m))],
+        "mis_before": [labels[v] for v in input_nodes(m).tolist()],
         "mis_after": [labels[v]
-                      for v in sorted(input_nodes(net, result.matching))],
+                      for v in input_nodes(result.matching).tolist()],
         "matching_size": result.matching.size,
     }
     _emit(reports.to_json(payload), args.output)
@@ -298,17 +297,17 @@ def _cmd_oracle_check(args) -> int:
     truth = exhaustive_classes(net, enum)
     analysis = analyze(net, args.seed)
     diffs = [
-        {"node": net.labels[v], "oracle": truth[v].value,
-         "pipeline": analysis.classes[v].value}
-        for v in range(net.n) if truth[v] is not analysis.classes[v]
+        {"node": net.labels[v], "oracle": NODE_CLASSES[truth[v]].value,
+         "pipeline": NODE_CLASSES[analysis.classes[v]].value}
+        for v in np.flatnonzero(truth != analysis.classes).tolist()
     ]
+    possible = np.flatnonzero(analysis.input_graph.possible_inputs).tolist()
     payload = {
         "agree": not diffs,
         "diffs": diffs,
         "matching_count": enum.matching_count,
         "distinct_input_sets": len(enum.input_sets),
-        "possible_inputs_match_union":
-            enum.in_some_set == analysis.input_graph.possible_inputs,
+        "possible_inputs_match_union": enum.in_some_set == set(possible),
     }
     _emit(reports.to_json(payload), args.output)
     return EXIT_OK

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .input_graph import InputGraph
-from .network import DirectedNetwork, NodeId
+from .network import DirectedNetwork, edge_positions
 
 
 class ComponentKind(Enum):
@@ -35,26 +35,25 @@ class ComponentKind(Enum):
         return {"IC": "I", "UMC": "U", "SMC": "S"}[self.value]
 
 
-# Tie-break priority for picking the largest component.
-_KIND_PRIORITY = {ComponentKind.IC: 0, ComponentKind.UMC: 1, ComponentKind.SMC: 2}
+# The kinds that kind codes index, also the tie-break order for the largest.
+COMPONENT_KINDS = tuple(ComponentKind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlComponent:
+    """One component: its id, its member ids in ascending order, its kind."""
+
     id: int
-    members: frozenset[NodeId]
-    kind: ComponentKind | None = None
+    members: np.ndarray
+    kind: ComponentKind
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> list[NodeId]:
-        return sorted(self.members)
+        return self.members.size
 
 
-def _component_of(ig: InputGraph) -> tuple[np.ndarray, int]:
-    """Component id of every node, ids in order of smallest member."""
+def find_components(ig: InputGraph) -> np.ndarray:
+    """Component id of every node, ids 0,1,... in order of smallest member."""
     n = ig.network.n
     ends = np.concatenate((ig.src, ig.dst))
     other = np.concatenate((ig.dst, ig.src))
@@ -67,39 +66,36 @@ def _component_of(ig: InputGraph) -> tuple[np.ndarray, int]:
         if np.array_equal(lab, before):
             break
     roots = lab == np.arange(n)
-    ids = np.cumsum(roots) - 1
-    return ids[lab], int(np.count_nonzero(roots))
+    ids = (np.cumsum(roots, dtype=np.int32) - 1)[lab]
+    ids.flags.writeable = False
+    return ids
 
 
-def _components(comp_of: np.ndarray, count: int,
-                kinds=None) -> list[ControlComponent]:
-    members = np.argsort(comp_of, kind="stable").tolist()
-    bounds = [0, *np.cumsum(np.bincount(comp_of, minlength=count)).tolist()]
-    return [ControlComponent(id=i, members=frozenset(members[lo:hi]),
-                             kind=kinds[i] if kinds else None)
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-
-def find_components(ig: InputGraph) -> list[ControlComponent]:
-    """Undirected connected components of the control-adjacency graph.
-
-    Components are id-ed 0,1,... in order of their smallest member, kinds
-    left unset.
-    """
-    return _components(*_component_of(ig))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentReport:
-    """Whole-network summary: stats, input-set density, component census."""
+    """Whole-network summary: stats, input-set density, component census.
+
+    ``comp_of`` is each node's component id; ``sizes`` and ``kinds`` (int8
+    codes into :data:`COMPONENT_KINDS`) are indexed by component id, and
+    ``cc_max`` is the largest one's. Members are gathered only on request.
+    """
 
     n: int
     edge_count: int
     avg_degree: float
     mis_size: int
-    perfectly_matched: bool
-    components: tuple[ControlComponent, ...]
-    cc_max: ControlComponent
+    comp_of: np.ndarray
+    sizes: np.ndarray
+    kinds: np.ndarray
+    cc_max: int
+
+    @property
+    def perfectly_matched(self) -> bool:
+        return self.mis_size == 0
+
+    @property
+    def component_count(self) -> int:
+        return self.sizes.size
 
     @property
     def n_mis_fraction(self) -> float:
@@ -107,51 +103,63 @@ class ComponentReport:
 
     @property
     def cc_max_fraction(self) -> float:
-        return self.cc_max.size / self.n
+        return int(self.sizes[self.cc_max]) / self.n
+
+    def kind(self, ident: int) -> ComponentKind:
+        return COMPONENT_KINDS[self.kinds[ident]]
+
+    def component(self, ident: int) -> ControlComponent:
+        """Component ``ident`` with its members gathered."""
+        return ControlComponent(id=ident,
+                                members=np.flatnonzero(self.comp_of == ident),
+                                kind=self.kind(ident))
 
     def kind_counts(self) -> dict[str, int]:
-        counts = {k.value: 0 for k in ComponentKind}
-        for comp in self.components:
-            counts[comp.kind.value] += 1
-        return counts
+        counts = np.bincount(self.kinds, minlength=len(COMPONENT_KINDS))
+        return {k.value: c for k, c in zip(COMPONENT_KINDS, counts.tolist())}
 
 
 def component_report(net: DirectedNetwork, ig: InputGraph,
-                     inputs: frozenset[NodeId],
-                     unsaturated: frozenset[NodeId]) -> ComponentReport:
+                     inputs: np.ndarray,
+                     unsaturated: np.ndarray) -> ComponentReport:
     """Classify every component and assemble the summary report.
 
-    ``inputs`` and ``unsaturated`` are the input and unsaturated nodes of the
-    maximum matching ``ig`` was built from. Class purity and the exclusion of
-    unsaturated-linked ICs hold by construction of ``ig``.
+    ``inputs`` and ``unsaturated`` are the ids of the input and unsaturated
+    nodes of the maximum matching ``ig`` was built from. Class purity and
+    the exclusion of unsaturated-linked ICs hold by construction of ``ig``.
     """
     if net.n == 0:
         raise ValueError("network has no nodes")
-    comp_of, count = _component_of(ig)
+    comp_of = find_components(ig)
+    sizes = np.bincount(comp_of)
+    count = sizes.size
 
     def touched(nodes: np.ndarray) -> np.ndarray:
         return np.bincount(comp_of[nodes], minlength=count) > 0
 
-    unsat = np.zeros(net.n, dtype=bool)
-    unsat[list(unsaturated)] = True
     # targets of an unsaturated node's edge
-    linked = net.out_idx[np.repeat(unsat, np.diff(net.out_ptr))]
-    code = np.where(touched(list(inputs)), 0, np.where(touched(linked), 1, 2))
-    order = (ComponentKind.IC, ComponentKind.UMC, ComponentKind.SMC)
-    comps = _components(comp_of, count,
-                        list(map(order.__getitem__, code.tolist())))
-    edge_count = net.edge_count
+    linked = net.out_idx[edge_positions(net.out_ptr, unsaturated)[0]]
+    kinds = np.where(touched(inputs), 0,  # codes of IC, UMC, SMC
+                     np.where(touched(linked), 1, 2)).astype(np.int8)
+    sizes.flags.writeable = kinds.flags.writeable = False
     return ComponentReport(
         n=net.n,
-        edge_count=edge_count,
-        avg_degree=2.0 * edge_count / net.n,
-        mis_size=len(inputs),
-        perfectly_matched=not inputs,
-        components=tuple(comps),
-        cc_max=largest_component(comps),
+        edge_count=net.edge_count,
+        avg_degree=2.0 * net.edge_count / net.n,
+        mis_size=inputs.size,
+        comp_of=comp_of,
+        sizes=sizes,
+        kinds=kinds,
+        cc_max=largest_component(sizes, kinds),
     )
 
 
-def largest_component(comps) -> ControlComponent:
-    """The largest classified component; ties go to IC, UMC, SMC, then id."""
-    return min(comps, key=lambda c: (-c.size, _KIND_PRIORITY[c.kind], c.id))
+def largest_component(sizes: np.ndarray, kinds: np.ndarray,
+                      pool: np.ndarray | None = None) -> int:
+    """Id of the largest component in the mask ``pool`` (default: all).
+
+    Ties go to IC, UMC, SMC, then the lowest id.
+    """
+    ids = np.arange(sizes.size) if pool is None else np.flatnonzero(pool)
+    ids = ids[sizes[ids] == sizes[ids].max()]
+    return int(ids[kinds[ids].argmin()])

@@ -8,8 +8,8 @@ witness ``c`` has an unmatched edge ``(c, a)`` and a matched edge ``(c, b)``:
 One pass over the network's CSR arrays builds the graph: a
 level-synchronous breadth-first closure over the candidates, started from
 the unmatched nodes, marks the possible inputs (the nodes of some minimum
-input set); the kept edges are the candidates leaving a possible input
-plus those entering a redundant node, stored as parallel
+input set) in a bool mask; the kept edges are the candidates leaving a
+possible input plus those entering a redundant node, stored as parallel
 ``src``/``dst``/``witness`` arrays. The two sides never mix classes.
 Candidates from a redundant node to a possible input belong to neither: a
 literal reading of the definition keeps them, but that replacement needs
@@ -39,14 +39,18 @@ class NodeClass(Enum):
         return self is not NodeClass.REDUNDANT
 
 
+NODE_CLASSES = tuple(NodeClass)  # the classes that class codes index
+
+
 @dataclass(frozen=True, eq=False)
 class InputGraph:
     """Control-adjacency edges for one maximum matching of a network.
 
     Edge ``i`` is ``src[i] -> dst[i]`` via ``witness[i]`` (int32 arrays).
     The first ``possible_edge_count`` edges join possible-input nodes, the
-    rest join redundant nodes. ``possible_inputs`` is the closure of the
-    input set under control adjacency (the union of all minimum input sets).
+    rest join redundant nodes. ``possible_inputs``, a read-only node mask, is
+    the closure of the input set under control adjacency (the union of all
+    minimum input sets).
     """
 
     network: DirectedNetwork
@@ -55,7 +59,7 @@ class InputGraph:
     dst: np.ndarray
     witness: np.ndarray
     possible_edge_count: int
-    possible_inputs: frozenset[NodeId]
+    possible_inputs: np.ndarray
 
     @property
     def edge_count(self) -> int:
@@ -69,16 +73,14 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     O(N + L) array work: each node's in-edges are gathered once.
     """
     n = net.n
-    match_out = np.full(n, -1, dtype=np.int32)
-    match_out[list(m.matched_out)] = list(m.matched_out.values())
+    match_out = m.match_out
     # Candidate a -> b via witness c for every edge (c, a), in in-CSR order;
     # b < 0 (c unmatched) or b == a (the matched edge itself) gives none.
     a = np.repeat(np.arange(n, dtype=np.int32), np.diff(net.in_ptr))
     c = net.in_idx
     b = match_out[c]
 
-    possible = np.ones(n, dtype=bool)
-    possible[match_out[match_out >= 0]] = False  # matched in-copies
+    possible = m.match_in < 0
     frontier = np.flatnonzero(possible)
     while frontier.size:
         pos, _ = edge_positions(net.in_ptr, frontier)
@@ -101,6 +103,7 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     side_p = np.flatnonzero(candidate & possible[a])
     side_r = np.flatnonzero(candidate & ~possible[b])
     keep = np.concatenate((side_p, side_r))
+    possible.flags.writeable = False
     return InputGraph(
         network=net,
         matching=m,
@@ -108,7 +111,7 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
         dst=b[keep],
         witness=c[keep],
         possible_edge_count=side_p.size,
-        possible_inputs=frozenset(np.flatnonzero(possible).tolist()),
+        possible_inputs=possible,
     )
 
 
@@ -124,27 +127,25 @@ def is_maximum(net: DirectedNetwork, m: Matching) -> bool:
     return True
 
 
-def classify_nodes(ig: InputGraph) -> dict[NodeId, NodeClass]:
-    """Map every node to critical / intermittent / redundant.
+def classify_nodes(ig: InputGraph) -> np.ndarray:
+    """Class code of every node, an int8 index into :data:`NODE_CLASSES`.
 
-    A node is critical exactly when it has no in-edge in the original
-    network; such nodes are unmatched under every maximum matching.
+    A possible input is critical exactly when it has no in-edge in the
+    original network; such nodes are unmatched under every maximum matching.
     """
-    net = ig.network
-    code = np.full(net.n, 2, dtype=np.int8)  # REDUNDANT
-    possible = np.fromiter(ig.possible_inputs, dtype=np.int64,
-                           count=len(ig.possible_inputs))
-    code[possible] = np.diff(net.in_ptr)[possible] > 0  # CRITICAL or not
-    order = (NodeClass.CRITICAL, NodeClass.INTERMITTENT, NodeClass.REDUNDANT)
-    return dict(enumerate(map(order.__getitem__, code.tolist())))
+    has_in = np.diff(ig.network.in_ptr) > 0  # INTERMITTENT (1) or CRITICAL (0)
+    code = np.where(ig.possible_inputs, has_in,
+                    NODE_CLASSES.index(NodeClass.REDUNDANT)).astype(np.int8)
+    code.flags.writeable = False
+    return code
 
 
-def control_reachable_from(ig: InputGraph, node: NodeId) -> frozenset[NodeId]:
-    """Forward closure of ``node`` over control-adjacency edges, incl. itself."""
+def control_reachable_from(ig: InputGraph, node: NodeId) -> np.ndarray:
+    """Ascending ids of ``node`` and its forward closure over adjacency."""
     if not (0 <= node < ig.network.n):
         raise ValueError(f"node {node} out of range")
     seen = np.zeros(ig.network.n, dtype=bool)
     seen[node] = True
     while (step := seen[ig.src] & ~seen[ig.dst]).any():
         seen[ig.dst[step]] = True
-    return frozenset(np.flatnonzero(seen).tolist())
+    return np.flatnonzero(seen)

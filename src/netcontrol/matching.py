@@ -3,8 +3,9 @@
 Every node ``v`` contributes an out-copy and an in-copy; a directed edge
 ``(u, v)`` becomes the bipartite edge ``(u_out, v_in)``. Zero-degree copies
 exist but are isolated, which keeps the unmatched counts on both sides equal
-to ``N - |M|``. A matching is stored as the pair of mutually inverse maps
-``matched_out: u -> v`` and ``matched_in: v -> u``.
+to ``N - |M|``. A matching is stored as two mutually inverse read-only int32
+arrays, ``match_out[u] = v`` and ``match_in[v] = u``, with -1 for an
+unmatched copy; the input and unsaturated nodes are their -1 entries.
 
 :func:`maximum_matching` works on CSR arrays in phases of one breadth-first
 search from all free out-copies at once. Each BFS level is one round of
@@ -22,52 +23,59 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ExchangeError, InternalInvariantError
-from .network import DirectedNetwork, NodeId, edge_positions
+from .network import DirectedNetwork, NodeId, edge_positions, first_of_each
 
 
 class Matching:
     """A matching of the bipartite split, immutable once built.
 
-    The matching takes ownership of the ``matched_out`` dict it is handed
-    and keeps it without a copy, so the caller must pass a dict it will not
-    mutate afterwards (every caller in the package builds a fresh one).
+    ``match_out`` holds each out-copy's partner or -1, and ``match_in`` is
+    its inverse. The matching owns the array it is handed and makes it
+    read-only, so a caller that edits a matching copies ``match_out`` first.
     """
 
-    __slots__ = ("matched_out", "matched_in")
+    __slots__ = ("match_out", "match_in", "size")
 
-    def __init__(self, matched_out: dict[NodeId, NodeId]):
-        self.matched_out = matched_out
-        self.matched_in = {v: u for u, v in matched_out.items()}
-        if len(self.matched_in) != len(self.matched_out):
+    def __init__(self, match_out):
+        out = np.asarray(match_out)
+        if out.ndim != 1 or ((out < -1) | (out >= out.size)).any():
+            raise ValueError("match_out must hold a partner in 0..N-1 or -1")
+        out = out.astype(np.int32, copy=False)
+        matched = np.flatnonzero(out >= 0).astype(np.int32)
+        match_in = np.full(out.size, -1, dtype=np.int32)
+        match_in[out[matched]] = matched
+        if np.count_nonzero(match_in >= 0) != matched.size:
             raise ValueError("two sources matched to the same target")
+        out.flags.writeable = match_in.flags.writeable = False
+        self.match_out, self.match_in, self.size = out, match_in, matched.size
 
     @classmethod
     def from_pairs(cls, net: DirectedNetwork,
                    pairs: Iterable[tuple[NodeId, NodeId]]) -> "Matching":
-        m = cls(dict(pairs))
+        match_out = np.full(net.n, -1, dtype=np.int32)
+        for u, v in pairs:
+            match_out[u] = v
+        m = cls(match_out)
         m.validate(net)
         return m
 
-    @property
-    def size(self) -> int:
-        return len(self.matched_out)
-
     def pairs(self) -> tuple[tuple[NodeId, NodeId], ...]:
-        return tuple(sorted(self.matched_out.items()))
+        u = np.flatnonzero(self.match_out >= 0)
+        return tuple(zip(u.tolist(), self.match_out[u].tolist()))
 
     def validate(self, net: DirectedNetwork) -> None:
         """Raise ``ValueError`` unless every matched pair is a network edge."""
-        for u, v in self.matched_out.items():
+        for u, v in self.pairs():
             if not net.has_edge(u, v):
                 raise ValueError(f"matched pair ({u}, {v}) is not an edge")
 
     def __eq__(self, other):
         if not isinstance(other, Matching):
             return NotImplemented
-        return self.matched_out == other.matched_out
+        return np.array_equal(self.match_out, other.match_out)
 
     def __hash__(self):
-        return hash(frozenset(self.matched_out.items()))
+        return hash(self.match_out.tobytes())
 
     def __repr__(self):
         return f"Matching(size={self.size})"
@@ -77,17 +85,6 @@ class Matching:
 class ExchangeResult:
     matching: Matching
     replaced: NodeId
-
-
-def _first_of_each(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Mask of the first occurrence of each value in ``keys``.
-
-    ``scratch`` is a work array indexed by key; its contents are clobbered.
-    """
-    rank = np.arange(keys.size)
-    scratch[keys] = keys.size
-    np.minimum.at(scratch, keys, rank)
-    return scratch[keys] == rank
 
 
 def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
@@ -150,7 +147,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
             fresh = ~visited[dst]
             dst = dst[fresh]
             src = src[fresh]
-            first = _first_of_each(dst, scratch)
+            first = first_of_each(dst, scratch)
             dst = dst[first]
             src = src[first]
             visited[dst] = True
@@ -160,7 +157,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
             free = mate < 0
             if free.any():
                 found = tree[free]
-                one = _first_of_each(found, scratch)
+                one = first_of_each(found, scratch)
                 done[found[one]] = True
                 ends.append(dst[free][one])
             grow = ~free
@@ -179,23 +176,17 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
             match_in[v] = u
             v = prev[prev >= 0]
 
-    pairs = match_out.tolist()
-    del (indptr, indices, roots, match_out, match_in, parent, root_of, scratch,
-         visited, done)
-    # One int object per node id, shared by keys and values: a node that is
-    # matched on both sides costs one object, not two (3 MB at N=10^5).
-    ids = list(range(n))
-    return Matching({ids[u]: ids[v] for u, v in enumerate(pairs) if v >= 0})
+    return Matching(match_out)
 
 
-def input_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
+def input_nodes(m: Matching) -> np.ndarray:
     """Nodes with no matched in-edge: a minimum input set of ``N - |M|``."""
-    return frozenset(v for v in range(net.n) if v not in m.matched_in)
+    return np.flatnonzero(m.match_in < 0)
 
 
-def unsaturated_nodes(net: DirectedNetwork, m: Matching) -> frozenset[NodeId]:
+def unsaturated_nodes(m: Matching) -> np.ndarray:
     """Nodes with no matched out-edge."""
-    return frozenset(u for u in range(net.n) if u not in m.matched_out)
+    return np.flatnonzero(m.match_out < 0)
 
 
 def exchange(net: DirectedNetwork, m: Matching, node: NodeId,
@@ -204,21 +195,21 @@ def exchange(net: DirectedNetwork, m: Matching, node: NodeId,
 
     ``via`` must have a matched out-edge ``(via, b)``; the result rematches
     ``via`` to ``node``, so ``b`` replaces ``node`` in the input set. The new
-    matching has the same size and is again maximum.
+    matching has the same size and is again maximum; ``m`` is left as is.
     """
     labels = net.labels
-    if node in m.matched_in:
+    if m.match_in[node] >= 0:
         raise ExchangeError(f"node {labels[node]} is not an input node")
     if not net.has_edge(via, node):
         raise ExchangeError(f"({labels[via]}, {labels[node]}) is not an edge "
                             f"of the network")
-    replaced = m.matched_out.get(via)
-    if replaced is None:
+    replaced = int(m.match_out[via])
+    if replaced < 0:
         # For a maximum matching the witness of an input node's in-edge is
         # always saturated, else the edge itself would augment the matching.
         raise InternalInvariantError(
             f"witness {labels[via]} has no matched out-edge; matching is not "
             f"maximum")
-    new_out = dict(m.matched_out)
-    new_out[via] = node
-    return ExchangeResult(matching=Matching(new_out), replaced=replaced)
+    match_out = m.match_out.copy()
+    match_out[via] = node
+    return ExchangeResult(matching=Matching(match_out), replaced=replaced)

@@ -59,6 +59,17 @@ def edge_positions(ptr: np.ndarray, nodes: np.ndarray):
     return pos, counts
 
 
+def first_of_each(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each value in ``keys``.
+
+    ``scratch`` is a work array indexed by key; its contents are clobbered.
+    """
+    rank = np.arange(keys.size)
+    scratch[keys] = keys.size
+    np.minimum.at(scratch, keys, rank)
+    return scratch[keys] == rank
+
+
 class DirectedNetwork:
     """Immutable simple directed graph with a label table.
 
@@ -281,9 +292,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
         return ids
 
     def first_appearance_ids(values: np.ndarray) -> np.ndarray:
-        uniq, first, inverse = np.unique(values, return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
+        uniq, inverse = np.unique(values, return_inverse=True)
+        order = inverse[first_of_each(inverse, np.empty_like(uniq))]
         ids = np.empty(uniq.size, dtype=np.int64)
         ids[order] = [intern(tok, len(label_to_id))
                       for tok in map(str, uniq[order].tolist())]

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInvariantError, OracleInfeasibleError
-from .input_graph import NodeClass
+from .input_graph import NODE_CLASSES, NodeClass
 from .network import DirectedNetwork, NodeId
 
 
@@ -88,26 +90,21 @@ def enumerate_maximum_matchings(net: DirectedNetwork,
 
 
 def classify_exhaustive(net: DirectedNetwork,
-                        guard: OracleGuard = OracleGuard()
-                        ) -> dict[NodeId, NodeClass]:
+                        guard: OracleGuard = OracleGuard()) -> np.ndarray:
     """Node classes straight from the enumeration, no adjacency reasoning."""
     return exhaustive_classes(net, enumerate_maximum_matchings(net, guard))
 
 
-def exhaustive_classes(net: DirectedNetwork, result: EnumerationResult
-                       ) -> dict[NodeId, NodeClass]:
-    """Node classes from an enumeration of ``net``'s maximum matchings."""
-    classes: dict[NodeId, NodeClass] = {}
-    for v in range(net.n):
-        if v in result.in_all_sets:
-            classes[v] = NodeClass.CRITICAL
-        elif v in result.in_some_set:
-            classes[v] = NodeClass.INTERMITTENT
-        else:
-            classes[v] = NodeClass.REDUNDANT
-    for v in range(net.n):
-        if (classes[v] is NodeClass.CRITICAL) != (net.in_degree(v) == 0):
-            raise InternalInvariantError(
-                f"node {v}: always-input status must coincide with zero "
-                f"in-degree")
-    return classes
+def exhaustive_classes(net: DirectedNetwork,
+                       result: EnumerationResult) -> np.ndarray:
+    """Class codes (into ``NODE_CLASSES``) from an enumeration of ``net``."""
+    index = NODE_CLASSES.index
+    codes = np.full(net.n, index(NodeClass.REDUNDANT), dtype=np.int8)
+    codes[list(result.in_some_set)] = index(NodeClass.INTERMITTENT)
+    codes[list(result.in_all_sets)] = index(NodeClass.CRITICAL)
+    stray = (codes == index(NodeClass.CRITICAL)) != (np.diff(net.in_ptr) == 0)
+    if stray.any():
+        raise InternalInvariantError(
+            f"node {stray.argmax()}: always-input status must coincide with "
+            f"zero in-degree")
+    return codes

@@ -13,8 +13,8 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .alteration import AlterationPlan
-from .components import ComponentReport
-from .input_graph import InputGraph
+from .components import COMPONENT_KINDS, ComponentReport
+from .input_graph import NODE_CLASSES, InputGraph
 from .pipeline import NetworkAnalysis
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
@@ -75,12 +75,17 @@ def _has_container(values) -> bool:
 
 def component_report_dict(report: ComponentReport, labels,
                           include_members: bool) -> dict:
-    comps = []
-    for comp in report.components:
-        entry = {"id": comp.id, "size": comp.size, "kind": comp.kind.value}
-        if include_members:
-            entry["members"] = [labels[v] for v in comp.sorted_members()]
-        comps.append(entry)
+    names = [kind.value for kind in COMPONENT_KINDS]
+    kinds = map(names.__getitem__, report.kinds.tolist())
+    comps = [{"id": ident, "size": size, "kind": kind} for ident, (size, kind)
+             in enumerate(zip(report.sizes.tolist(), kinds))]
+    if include_members:  # labels of the members of each, by ascending id
+        order = np.argsort(report.comp_of, kind="stable").tolist()
+        members = list(map(labels.__getitem__, order))
+        bounds = np.cumsum(report.sizes).tolist()
+        for entry, lo, hi in zip(comps, [0, *bounds], bounds):
+            entry["members"] = members[lo:hi]
+    cc_max = report.cc_max
     return {
         "n": report.n,
         "l": report.edge_count,
@@ -88,14 +93,14 @@ def component_report_dict(report: ComponentReport, labels,
         "n_mis_percent": round_percent(report.n_mis_fraction),
         "mis_size": report.mis_size,
         "perfectly_matched": report.perfectly_matched,
-        "component_count": len(report.components),
+        "component_count": report.component_count,
         "kind_counts": report.kind_counts(),
         "components": comps,
         "cc_max": {
-            "id": report.cc_max.id,
-            "size": report.cc_max.size,
+            "id": cc_max,
+            "size": int(report.sizes[cc_max]),
             "percent": round_percent(report.cc_max_fraction),
-            "kind": report.cc_max.kind.letter,
+            "kind": report.kind(cc_max).letter,
         },
     }
 
@@ -118,23 +123,23 @@ def analysis_record(analysis: NetworkAnalysis,
             "perfectly_matched": analysis.report.perfectly_matched,
         },
         "input_graph_edges": analysis.input_graph.edge_count,
-        "possible_input_percent": round_percent(
-            len(analysis.input_graph.possible_inputs) / net.n),
+        "possible_input_percent": round_percent(int(np.count_nonzero(
+            analysis.input_graph.possible_inputs)) / net.n),
         "components": component_report_dict(
             analysis.report, net.labels, include_members),
     }
     if include_members:
-        record["mis"]["members"] = [net.labels[v]
-                                    for v in sorted(analysis.input_set)]
+        record["mis"]["members"] = list(map(
+            net.labels.__getitem__, analysis.input_set.tolist()))
         record["node_classes"] = classes_dict(analysis)
     return record
 
 
 def classes_dict(analysis: NetworkAnalysis) -> dict[str, str]:
     """Node label -> class name."""
-    classes = analysis.classes
-    return {label: classes[v].value
-            for v, label in enumerate(analysis.network.labels)}
+    names = [c.value for c in NODE_CLASSES]
+    return dict(zip(analysis.network.labels,
+                    map(names.__getitem__, analysis.classes.tolist())))
 
 
 def plan_dict(plan: AlterationPlan, labels) -> dict:
@@ -192,21 +197,19 @@ def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
 def components_tsv(report: ComponentReport, labels,
                    include_members: bool) -> str:
     lines = ["# id\tsize\tkind" + ("\tmembers" if include_members else "")]
-    for comp in report.components:
-        row = f"{comp.id}\t{comp.size}\t{comp.kind.value}"
-        if include_members:
-            row += "\t" + ",".join(labels[v] for v in comp.sorted_members())
-        lines.append(row)
+    for c in component_report_dict(report, labels, include_members)[
+            "components"]:
+        lines.append(f"{c['id']}\t{c['size']}\t{c['kind']}" + (
+            "\t" + ",".join(c["members"]) if include_members else ""))
     return "\n".join(lines) + "\n"
 
 
 def classes_tsv(analysis: NetworkAnalysis) -> str:
-    labels = analysis.network.labels
+    cells = [f"{c.value}\t{'yes' if c.possible_input else 'no'}"
+             for c in NODE_CLASSES]
     lines = ["# node\tclass\tpossible_input"]
-    for v in range(analysis.network.n):
-        cls = analysis.classes[v]
-        lines.append(
-            f"{labels[v]}\t{cls.value}\t{'yes' if cls.possible_input else 'no'}")
+    lines += map("{}\t{}".format, analysis.network.labels,
+                 map(cells.__getitem__, analysis.classes.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -216,14 +219,14 @@ SWEEP_HEADER = "model,N,k,seed,cc_max_frac,cc_count,n_p,cc_kind"
 def sweep_row(model: str, n: int, k: float, seed: int,
               analysis: NetworkAnalysis) -> str:
     report = analysis.report
-    n_p = len(analysis.input_graph.possible_inputs) / n
+    n_p = int(np.count_nonzero(analysis.input_graph.possible_inputs)) / n
     return ",".join([
         model,
         str(n),
         f"{k:g}",
         str(seed),
         f"{round_ratio(report.cc_max_fraction):g}",
-        str(len(report.components)),
+        str(report.component_count),
         f"{round_ratio(n_p):g}",
-        report.cc_max.kind.letter,
+        report.kind(report.cc_max).letter,
     ])

@@ -6,11 +6,12 @@ import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from netcontrol import (DirectedNetwork, Matching, build_input_graph,
-                        component_report, input_nodes, load_edge_list,
-                        unsaturated_nodes)
+from netcontrol import (NODE_CLASSES, DirectedNetwork, Matching,
+                        build_input_graph, component_report, input_nodes,
+                        load_edge_list, unsaturated_nodes)
 
 
 @pytest.fixture
@@ -105,8 +106,24 @@ def report_for(net: DirectedNetwork, m: Matching, ig=None):
     """Component report for the maximum matching ``m`` of ``net``."""
     if ig is None:
         ig = build_input_graph(net, m)
-    return component_report(net, ig, input_nodes(net, m),
-                            unsaturated_nodes(net, m))
+    return component_report(net, ig, input_nodes(m), unsaturated_nodes(m))
+
+
+def node_set(nodes) -> frozenset[int]:
+    """The ids of a bool mask over the nodes, or of an id array, as a set."""
+    nodes = np.asarray(nodes)
+    return frozenset((np.flatnonzero(nodes) if nodes.dtype == bool
+                      else nodes).tolist())
+
+
+def class_names(codes) -> list:
+    """The :class:`NodeClass` of each class code, by node id."""
+    return [NODE_CLASSES[code] for code in np.asarray(codes).tolist()]
+
+
+def component_sets(comp_of) -> list[frozenset[int]]:
+    """Member sets of the components of ``comp_of``, by component id."""
+    return [node_set(comp_of == i) for i in range(int(comp_of.max()) + 1)]
 
 
 def is_maximum_reference(net: DirectedNetwork, m: Matching) -> bool:
@@ -119,15 +136,16 @@ def is_maximum_reference(net: DirectedNetwork, m: Matching) -> bool:
     in-edge to its source's out-copy; if that out-copy is free the path
     augments, otherwise it continues from the source's matched target.
     """
-    seen = set(v for v in range(net.n) if v not in m.matched_in)
+    match_out, match_in = m.match_out.tolist(), m.match_in.tolist()
+    seen = set(v for v in range(net.n) if match_in[v] < 0)
     queue = deque(sorted(seen))
     while queue:
         v = queue.popleft()
         for u in net.predecessors(v).tolist():
-            if m.matched_in.get(v) == u:
+            if match_in[v] == u:
                 continue  # matched edge: not a valid alternating step here
-            b = m.matched_out.get(u)
-            if b is None:
+            b = match_out[u]
+            if b < 0:
                 return False  # u is unsaturated: augmenting path found
             if b not in seen:
                 seen.add(b)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netcontrol import (ComponentKind, GenSpec, NodeClass, analyze,
@@ -28,7 +29,8 @@ from netcontrol.cli import main as cli_main
 from netcontrol.oracle import enumerate_maximum_matchings
 from netcontrol.reports import round_percent
 
-from conftest import random_digraph, worked_networks
+from conftest import (class_names, component_sets, node_set, random_digraph,
+                      worked_networks)
 
 SWEEP_KS = (2, 4, 6, 8, 10, 12)
 SWEEP_N = 2000
@@ -77,9 +79,13 @@ def check_invariants_and_stability(net, analysis) -> int:
     for seed in range(1, STABILITY_SEEDS):
         m = maximum_matching(net, seed)
         other = classify_nodes(build_input_graph(net, m))
-        if other != base:
+        if not np.array_equal(other, base):
             return 1
     return 0
+
+
+def node_count(mask) -> int:
+    return len(node_set(mask))
 
 
 @pytest.fixture(scope="session")
@@ -99,12 +105,13 @@ def sweep_summary() -> SweepSummary:
                 stability_failures += check_invariants_and_stability(net,
                                                                      analysis)
                 fracs.append(analysis.report.cc_max_fraction)
-                counts.append(len(analysis.report.components))
+                counts.append(analysis.report.component_count)
                 if k == 12:
                     k12[model].append(analysis.report.cc_max_fraction)
                 if k == 10:
                     bifurcation[model].append(
-                        len(analysis.input_graph.possible_inputs) / SWEEP_N)
+                        node_count(analysis.input_graph.possible_inputs)
+                        / SWEEP_N)
             cc_means[(model, k)] = sum(fracs) / len(fracs)
             count_means[(model, k)] = sum(counts) / len(counts)
         for seed in range(10, 20):
@@ -113,7 +120,7 @@ def sweep_summary() -> SweepSummary:
             analysis = analyze(net)
             stability_failures += check_invariants_and_stability(net, analysis)
             bifurcation[model].append(
-                len(analysis.input_graph.possible_inputs) / SWEEP_N)
+                node_count(analysis.input_graph.possible_inputs) / SWEEP_N)
     return SweepSummary(cc_means, count_means, k12, bifurcation,
                         stability_failures, time.perf_counter() - started)
 
@@ -129,10 +136,13 @@ def test_criterion_1_worked_example_exactness():
             frozenset({ids("a"), ids("c")}), frozenset({ids("b"), ids("c")})}
         assert all(len(s) == 2 for s in enum.input_sets)
         analysis = analyze(net)
-        assert all(cls.possible_input for cls in analysis.classes.values())
-        assert analysis.classes[ids("c")] is NodeClass.CRITICAL
-        comps = {tuple(sorted(net.labels[v] for v in c.members)): c.kind
-                 for c in analysis.report.components}
+        classes = class_names(analysis.classes)
+        assert len(classes) == net.n
+        assert all(cls.possible_input for cls in classes)
+        assert classes[ids("c")] is NodeClass.CRITICAL
+        report = analysis.report
+        comps = {tuple(sorted(net.labels[v] for v in members)): report.kind(i)
+                 for i, members in enumerate(component_sets(report.comp_of))}
         assert comps == {("a", "b"): ComponentKind.IC,
                          ("c",): ComponentKind.IC}
         assert time.perf_counter() - started < 1.0
@@ -150,10 +160,10 @@ def test_criterion_2_oracle_equivalence():
         for net in corpus:
             truth = classify_exhaustive(net)
             ig = build_input_graph(net, maximum_matching(net, 0))
-            assert classify_nodes(ig) == truth
+            assert np.array_equal(classify_nodes(ig), truth)
             union = frozenset().union(
                 *enumerate_maximum_matchings(net).input_sets)
-            assert ig.possible_inputs == union
+            assert node_set(ig.possible_inputs) == union
         assert time.perf_counter() - started < 60.0
 
 
@@ -162,7 +172,7 @@ def test_criterion_3_exchange_suite():
         for seed in range(100):
             net = generate(GenSpec(model="er", n=50, avg_degree=4, seed=seed))
             m = maximum_matching(net, 0)
-            before = set(input_nodes(net, m))
+            before = node_set(input_nodes(m))
             for node in sorted(before):
                 if net.in_degree(node) == 0:
                     continue
@@ -170,7 +180,7 @@ def test_criterion_3_exchange_suite():
                 for via in net.predecessors(node).tolist():
                     result = exchange(net, m, node, via)
                     assert is_maximum(net, result.matching)
-                    after = set(input_nodes(net, result.matching))
+                    after = node_set(input_nodes(result.matching))
                     assert before - after == {node}
                     assert len(after - before) == 1
                     partners.update(after - before)
@@ -206,8 +216,13 @@ def test_criterion_6_bifurcation(sweep_summary):
             assert in_band >= 18  # at least 90% of runs
 
 
+def _components(analysis):
+    report = analysis.report
+    return list(map(report.component, range(report.component_count)))
+
+
 def _largest(analysis, kind):
-    pool = [c for c in analysis.report.components if c.kind is kind]
+    pool = [c for c in _components(analysis) if c.kind is kind]
     if not pool:
         return None
     return min(pool, key=lambda c: (-c.size, c.id))
@@ -243,14 +258,14 @@ def test_criterion_7_alteration_trends():
         # (d) round trip on a giant-IC instance flips most classes twice
         net = generate(GenSpec(model="sf", n=SWEEP_N, avg_degree=10, seed=0))
         before = analyze(net)
-        giant = before.report.cc_max
+        giant = before.report.component(before.report.cc_max)
         assert giant.kind is ComponentKind.IC
         plan1 = ic_to_smc(net, before.matching, giant)
         net2 = apply_plan(net, plan1)
         middle = analyze(net2)
         plan1 = alteration_report(before, middle, plan1)
         assert plan1.delta_n_d >= 0.5
-        giant2 = middle.report.cc_max
+        giant2 = middle.report.component(middle.report.cc_max)
         assert giant2.kind is ComponentKind.SMC
         plan2 = smc_to_ic_single(net2, middle.matching, giant2,
                                  ig=middle.input_graph)
@@ -277,7 +292,7 @@ def test_criterion_8_greedy_cover_is_minimum():
         for seed in range(40):
             net = generate(GenSpec(model="er", n=50, avg_degree=4, seed=seed))
             analysis = analyze(net)
-            for comp in analysis.report.components:
+            for comp in _components(analysis):
                 if comp.kind is not ComponentKind.SMC or comp.size > 10:
                     continue
                 try:
@@ -323,7 +338,8 @@ def test_criterion_9_published_circuit_tables():
                 analysis = analyze(load_edge_list(fh))
             assert round_percent(analysis.report.n_mis_fraction) == n_mis
             assert round_percent(analysis.report.cc_max_fraction) == cc_max
-            assert analysis.report.cc_max.kind is ComponentKind.IC
+            report = analysis.report
+            assert report.kind(report.cc_max) is ComponentKind.IC
 
 
 def test_criterion_10_command_determinism(tmp_path, capsys):

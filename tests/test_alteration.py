@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netcontrol import (AlterationError, ComponentKind,
@@ -6,17 +7,29 @@ from netcontrol import (AlterationError, ComponentKind,
 from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
                                    plan_attains_goal, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from conftest import random_digraph, report_for
+from conftest import class_names, node_set, random_digraph, report_for
 
 
 def component_of(analysis, node):
-    return next(c for c in analysis.report.components if node in c.members)
+    report = analysis.report
+    return report.component(int(report.comp_of[node]))
+
+
+def components(analysis, kind=None):
+    """Every component of ``analysis`` (of ``kind`` if given), by id."""
+    report = analysis.report
+    comps = map(report.component, range(report.component_count))
+    return [c for c in comps if kind is None or c.kind is kind]
 
 
 def largest_of(analysis, kind):
-    pool = [c for c in analysis.report.components if c.kind is kind]
+    pool = components(analysis, kind)
     assert pool, f"no {kind.value} component"
     return min(pool, key=lambda c: (-c.size, c.id))
+
+
+def possible_input(analysis, v):
+    return class_names(analysis.classes)[v].possible_input
 
 
 def reanalyzed(net, plan):
@@ -35,8 +48,8 @@ def test_ic_to_smc_dilation(dilation_net):
     after = reanalyzed(dilation_net, plan)
     plan = alteration_report(before, after, plan)
     assert plan_attains_goal(plan, after)
-    for v in comp.members:
-        assert not after.classes[v].possible_input
+    for v in comp.members.tolist():
+        assert not possible_input(after, v)
 
 
 def test_ic_to_smc_requires_ic(confluence):
@@ -83,7 +96,7 @@ def test_umc_to_smc_insufficient_inputs():
     # the only unsaturated node, so no receiver remains for it
     net = load_edge_list("x y\ny x\nu x\n")
     before = analyze(net)
-    assert set(before.input_set) == {net.id_of("u")}
+    assert node_set(before.input_set) == {net.id_of("u")}
     comp = component_of(before, net.id_of("x"))
     assert comp.kind is ComponentKind.UMC
     with pytest.raises(InsufficientInputNodesError) as exc_info:
@@ -98,7 +111,7 @@ def test_smc_to_ic_single_five_node(five_node, five_node_matching):
     from netcontrol import build_input_graph
     ig = build_input_graph(five_node, five_node_matching)
     report = report_for(five_node, five_node_matching, ig)
-    comp = next(c for c in report.components if ids("a") in c.members)
+    comp = report.component(int(report.comp_of[ids("a")]))
     assert comp.kind is ComponentKind.SMC
     plan = smc_to_ic_single(five_node, five_node_matching, comp, ig=ig)
     assert len(plan.additions) == 1
@@ -110,7 +123,7 @@ def test_smc_to_ic_single_five_node(five_node, five_node_matching):
     net2 = apply_plan(five_node, plan)
     assert is_maximum(net2, five_node_matching)
     after = analyze(net2)
-    assert after.classes[ids("a")].possible_input
+    assert possible_input(after, ids("a"))
 
 
 def test_smc_to_ic_requires_smc(confluence):
@@ -135,8 +148,8 @@ def test_direct_link_to_umc_creates_augmenting_path(confluence):
     before = analyze(confluence)
     m = before.matching
     node = ids("3")
-    pred = m.matched_in[node]
-    receiver = next(d for d in sorted(before.input_set)
+    pred = int(m.match_in[node])
+    receiver = next(d for d in before.input_set.tolist()
                     if d != pred and not confluence.has_edge(pred, d))
     forced = confluence.with_edges([(pred, receiver)])
     assert not is_maximum(forced, m)
@@ -145,22 +158,20 @@ def test_direct_link_to_umc_creates_augmenting_path(confluence):
 def test_smc_to_ic_full_covers_every_member():
     net = load_edge_list("s a\ns b\nx a\nx y\ny b\n")
     analysis = analyze(net)
-    smcs = [c for c in analysis.report.components
-            if c.kind is ComponentKind.SMC]
+    smcs = components(analysis, ComponentKind.SMC)
     assert smcs
     for comp in smcs:
         plan = smc_to_ic_full(net, analysis.matching, comp,
                               ig=analysis.input_graph)
         after = reanalyzed(net, plan)
         assert plan_attains_goal(plan, after)
-        assert all(after.classes[v].possible_input for v in comp.members)
+        assert all(possible_input(after, v) for v in comp.members.tolist())
 
 
 def test_smc_to_ic_on_chain_tails(path4):
     before = analyze(path4)
-    smcs = [c for c in before.report.components
-            if c.kind is ComponentKind.SMC]
-    assert [c.sorted_members() for c in smcs] == [[1], [2], [3]]
+    smcs = components(before, ComponentKind.SMC)
+    assert [c.members.tolist() for c in smcs] == [[1], [2], [3]]
     # the head is the only input node AND the matched predecessor of node 1,
     # so that member admits no link edge (it would be a self-loop)
     with pytest.raises(AlterationError, match="no feasible addition"):
@@ -170,7 +181,7 @@ def test_smc_to_ic_on_chain_tails(path4):
                               ig=before.input_graph)
         assert len(plan.additions) == 1
         after = reanalyzed(path4, plan)
-        assert all(after.classes[v].possible_input for v in comp.members)
+        assert all(possible_input(after, v) for v in comp.members.tolist())
 
 
 def test_identity_plan_metrics(dilation_net):
@@ -180,7 +191,8 @@ def test_identity_plan_metrics(dilation_net):
     plan = ic_to_smc(dilation_net, before.matching, comp)
     identity = plan.__class__(
         target_component_id=comp.id, requested_kind=plan.requested_kind,
-        additions=(), matching_after=before.matching, affected=frozenset(),
+        additions=(), matching_after=before.matching,
+        affected=np.zeros(0, dtype=np.int64),
         mis_before=plan.mis_before, mis_after=plan.mis_before)
     filled = alteration_report(before, after, identity)
     assert filled.p == 0.0
@@ -194,7 +206,7 @@ def test_saturation_plans_keep_matchings_maximum_random():
         before = analyze(net)
         for kind, op in ((ComponentKind.IC, ic_to_smc),
                          (ComponentKind.UMC, umc_to_smc)):
-            pool = [c for c in before.report.components if c.kind is kind]
+            pool = components(before, kind)
             if not pool:
                 continue
             comp = min(pool, key=lambda c: (-c.size, c.id))
@@ -217,9 +229,8 @@ def test_adjacency_plans_flip_closures_random():
     for seed in range(30):
         net = random_digraph(12, 0.2, seed)
         before = analyze(net)
-        pool = [c for c in before.report.components
-                if c.kind is ComponentKind.SMC]
-        if not pool or not before.input_set:
+        pool = components(before, ComponentKind.SMC)
+        if not pool or not before.input_set.size:
             continue
         comp = min(pool, key=lambda c: (-c.size, c.id))
         try:
@@ -233,7 +244,7 @@ def test_adjacency_plans_flip_closures_random():
         plan = alteration_report(before, after, plan)
         assert plan.mis_after == plan.mis_before
         assert plan_attains_goal(plan, after)
-        assert all(after.classes[v].possible_input for v in comp.members)
+        assert all(possible_input(after, v) for v in comp.members.tolist())
         checked += 1
     assert checked >= 10
 
@@ -245,12 +256,12 @@ def test_closure_masks_match_bfs_reachability():
     for seed in range(15):
         net = random_digraph(14, 0.25, seed)
         analysis = analyze(net)
-        for comp in analysis.report.components:
+        for comp in components(analysis):
             masks = _closure_masks(analysis.input_graph, comp)
-            members = sorted(comp.members)
+            members = comp.members.tolist()
             for node in members:
-                expected = control_reachable_from(
-                    analysis.input_graph, node) & comp.members
+                expected = node_set(control_reachable_from(
+                    analysis.input_graph, node)) & set(members)
                 got = {members[i] for i in range(len(members))
                        if masks[node] >> i & 1}
                 assert got == expected
@@ -260,7 +271,7 @@ def eager_cover_plan(net, m, comp, closures):
     """Reference: the eager greedy cover, re-scanning every member per pick,
     and its link edges. Returns ``(chosen, additions)``; ``additions`` is
     None when some chosen member admits no link edge."""
-    members = sorted(comp.members)
+    members = comp.members.tolist()
     uncovered = (1 << len(members)) - 1
     chosen = []
     while uncovered:
@@ -268,10 +279,11 @@ def eager_cover_plan(net, m, comp, closures):
                    key=lambda v: ((closures[v] & uncovered).bit_count(), -v))
         chosen.append(best)
         uncovered &= ~closures[best]
-    receivers = sorted(v for v in range(net.n) if v not in m.matched_in)
+    match_in = m.match_in.tolist()
+    receivers = [v for v in range(net.n) if match_in[v] < 0]
     additions = []
     for node in chosen:
-        pred = m.matched_in[node]
+        pred = match_in[node]
         dst = next((d for d in receivers
                     if d != pred and not net.has_edge(pred, d)
                     and (pred, d) not in additions), None)
@@ -289,9 +301,7 @@ def test_smc_to_ic_full_matches_eager_greedy_random():
         net = random_digraph(n, (1 + seed % 5) / n, seed)
         analysis = analyze(net)
         m = analysis.matching
-        for comp in analysis.report.components:
-            if comp.kind is not ComponentKind.SMC:
-                continue
+        for comp in components(analysis, ComponentKind.SMC):
             closures = _closure_masks(analysis.input_graph, comp)
             chosen, additions = eager_cover_plan(net, m, comp, closures)
             if additions is None:
@@ -299,9 +309,10 @@ def test_smc_to_ic_full_matches_eager_greedy_random():
                     smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
                 continue
             plan = smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
-            assert [m.matched_out[a.src] for a in plan.additions] == chosen
+            assert m.match_out[[a.src for a in plan.additions]].tolist() \
+                == chosen
             assert list(plan.edge_labels) == additions
-            assert plan.affected == comp.members
+            assert np.array_equal(plan.affected, comp.members)
             compared += 1
             multi_pick += len(chosen) > 1
     assert compared >= 400 and multi_pick >= 25
@@ -316,8 +327,8 @@ def test_smc_to_ic_full_breaks_ties_to_lowest_id():
     ids = net.id_of
     comp = component_of(analysis, ids("a"))
     assert comp.kind is ComponentKind.SMC
-    assert comp.members == {ids("a"), ids("b")}
+    assert node_set(comp.members) == {ids("a"), ids("b")}
     plan = smc_to_ic_full(net, analysis.matching, comp,
                           ig=analysis.input_graph)
     assert plan.edge_labels == ((ids("c1"), ids("c2")),)
-    assert plan.affected == comp.members
+    assert np.array_equal(plan.affected, comp.members)

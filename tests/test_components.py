@@ -4,11 +4,18 @@ from netcontrol import (ComponentKind, Matching, build_input_graph,
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import round_percent
 
-from conftest import random_digraph, report_for
+from conftest import component_sets, node_set, random_digraph, report_for
 
 
-def members_by_labels(net, comps):
-    return sorted(tuple(sorted(net.labels[v] for v in c.members)) for c in comps)
+def members_by_labels(net, comp_of):
+    return sorted(tuple(sorted(net.labels[v] for v in members))
+                  for members in component_sets(comp_of))
+
+
+def kinds_by_members(report):
+    """Member set -> kind, over every component of ``report``."""
+    return {members: report.kind(i)
+            for i, members in enumerate(component_sets(report.comp_of))}
 
 
 def test_dilation_components(dilation_net, dilation_matching):
@@ -16,17 +23,17 @@ def test_dilation_components(dilation_net, dilation_matching):
     comps = find_components(ig)
     assert members_by_labels(dilation_net, comps) == [("a", "b"), ("c",)]
     report = report_for(dilation_net, dilation_matching, ig)
-    kinds = {tuple(sorted(dilation_net.labels[v] for v in c.members)): c.kind
-             for c in report.components}
+    kinds = {tuple(sorted(dilation_net.labels[v] for v in members)): kind
+             for members, kind in kinds_by_members(report).items()}
     assert kinds == {("a", "b"): ComponentKind.IC, ("c",): ComponentKind.IC}
 
 
 def test_edgeless_graph_gives_singletons():
     net = DirectedNetwork(5, [])
     m = maximum_matching(net, 0)
-    comps = find_components(build_input_graph(net, m))
+    comps = component_sets(find_components(build_input_graph(net, m)))
     assert len(comps) == 5
-    assert all(c.size == 1 for c in comps)
+    assert all(len(c) == 1 for c in comps)
 
 
 def test_five_node_components(five_node, five_node_matching):
@@ -39,7 +46,8 @@ def test_five_node_components(five_node, five_node_matching):
 def test_path_tail_components_are_smc(path4):
     m = maximum_matching(path4, 0)
     report = report_for(path4, m)
-    kinds = {tuple(c.sorted_members()): c.kind for c in report.components}
+    kinds = {tuple(sorted(members)): kind
+             for members, kind in kinds_by_members(report).items()}
     assert kinds == {(0,): ComponentKind.IC, (1,): ComponentKind.SMC,
                      (2,): ComponentKind.SMC, (3,): ComponentKind.SMC}
 
@@ -48,16 +56,15 @@ def test_confluence_has_umc(confluence):
     m = maximum_matching(confluence, 0)
     report = report_for(confluence, m)
     sink = confluence.id_of("3")
-    comp = next(c for c in report.components if sink in c.members)
-    assert comp.kind is ComponentKind.UMC
+    assert report.kind(report.comp_of[sink]) is ComponentKind.UMC
 
 
 def test_component_ids_deterministic_by_smallest_member(five_node,
                                                         five_node_matching):
-    comps = find_components(build_input_graph(five_node, five_node_matching))
-    assert [c.id for c in comps] == [0, 1, 2, 3]
-    assert [min(c.members) for c in comps] == sorted(min(c.members)
-                                                     for c in comps)
+    comp_of = find_components(build_input_graph(five_node, five_node_matching))
+    comps = component_sets(comp_of)
+    assert sorted(set(comp_of.tolist())) == [0, 1, 2, 3]
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
 
 def test_report_dilation(dilation_net, dilation_matching):
@@ -65,8 +72,9 @@ def test_report_dilation(dilation_net, dilation_matching):
     assert report.mis_size == 2
     assert round_percent(report.n_mis_fraction) == 66.67
     assert round_percent(report.cc_max_fraction) == 66.67
-    assert report.cc_max.kind is ComponentKind.IC
-    assert sum(c.size for c in report.components) == dilation_net.n
+    assert report.kind(report.cc_max) is ComponentKind.IC
+    assert sum(map(len, component_sets(report.comp_of))) == dilation_net.n
+    assert report.sizes.sum() == dilation_net.n
 
 
 def test_report_single_isolated_node():
@@ -75,7 +83,7 @@ def test_report_single_isolated_node():
     report = report_for(net, m)
     assert report.mis_size == 1
     assert round_percent(report.n_mis_fraction) == 100.0
-    assert report.cc_max.kind is ComponentKind.IC
+    assert report.kind(report.cc_max) is ComponentKind.IC
 
 
 def test_perfect_matching_report(two_cycle):
@@ -83,15 +91,16 @@ def test_perfect_matching_report(two_cycle):
     report = report_for(two_cycle, m)
     assert report.perfectly_matched
     assert report.mis_size == 0
-    assert all(c.kind is ComponentKind.SMC for c in report.components)
+    assert all(report.kind(i) is ComponentKind.SMC
+               for i in range(report.component_count))
 
 
 def test_cc_max_tie_breaks_toward_ic(confluence):
     # components {1}, {2}, {3} all size 1; kinds IC, IC, UMC -> pick IC id 0
     m = maximum_matching(confluence, 0)
     report = report_for(confluence, m)
-    assert report.cc_max.kind is ComponentKind.IC
-    assert report.cc_max.id == 0
+    assert report.kind(report.cc_max) is ComponentKind.IC
+    assert report.cc_max == 0
 
 
 def test_sizes_sum_and_purity_random():
@@ -100,30 +109,35 @@ def test_sizes_sum_and_purity_random():
         m = maximum_matching(net, 0)
         ig = build_input_graph(net, m)
         report = report_for(net, m, ig)
-        linked = {x for u in unsaturated_nodes(net, m)
+        linked = {x for u in unsaturated_nodes(m).tolist()
                   for x in net.successors(u).tolist()}
-        assert sum(c.size for c in report.components) == net.n
-        for comp in report.components:
-            inside = comp.members <= ig.possible_inputs
-            outside = comp.members.isdisjoint(ig.possible_inputs)
+        possible = node_set(ig.possible_inputs)
+        comps = component_sets(report.comp_of)
+        assert sum(map(len, comps)) == net.n
+        assert report.sizes.tolist() == list(map(len, comps))
+        for ident, members in enumerate(comps):
+            inside = members <= possible
+            outside = members.isdisjoint(possible)
             assert inside or outside
-            assert (comp.kind is ComponentKind.IC) == inside
+            assert (report.kind(ident) is ComponentKind.IC) == inside
             # an IC linked by an unsaturated node would augment the matching
-            assert not (inside and not comp.members.isdisjoint(linked))
+            assert not (inside and not members.isdisjoint(linked))
 
 
 def matching_independent_facts(net, m):
     """Classes, the IC partition and each node's kind under matching ``m``."""
     ig = build_input_graph(net, m)
     report = report_for(net, m, ig)
-    kind_of = {v: c.kind for c in report.components for v in c.members}
-    ics = {c.members for c in report.components if c.kind is ComponentKind.IC}
-    return classify_nodes(ig), ics, kind_of
+    kind_of = [report.kind(i) for i in report.comp_of.tolist()]
+    ics = {members for members, kind in kinds_by_members(report).items()
+           if kind is ComponentKind.IC}
+    return classify_nodes(ig).tolist(), ics, kind_of
 
 
 def mc_partition(net, m):
-    return {c.members for c in report_for(net, m).components
-            if c.kind is not ComponentKind.IC}
+    return {members for members, kind
+            in kinds_by_members(report_for(net, m)).items()
+            if kind is not ComponentKind.IC}
 
 
 def test_kinds_stable_across_matching_seeds():

@@ -1,12 +1,14 @@
 import networkx as nx
+import numpy as np
 import pytest
 
-from netcontrol import (ExchangeError, GenSpec, InternalInvariantError,
-                        Matching, exchange, generate, input_nodes, is_maximum,
-                        maximum_matching, unsaturated_nodes)
+from netcontrol import (COMPONENT_KINDS, ComponentKind, ExchangeError, GenSpec,
+                        InternalInvariantError, Matching, analyze, exchange,
+                        generate, ic_to_smc, input_nodes, is_maximum,
+                        maximum_matching, umc_to_smc, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 
-from conftest import brute_maximum_matchings, random_digraph
+from conftest import brute_maximum_matchings, node_set, random_digraph
 
 
 def nx_matching_size(net: DirectedNetwork) -> int:
@@ -21,7 +23,7 @@ def nx_matching_size(net: DirectedNetwork) -> int:
 def test_dilation_matching_size_and_inputs(dilation_net):
     m = maximum_matching(dilation_net, 0)
     assert m.size == 1
-    mis = input_nodes(dilation_net, m)
+    mis = node_set(input_nodes(m))
     assert len(mis) == 2
     assert dilation_net.id_of("c") in mis
 
@@ -29,31 +31,31 @@ def test_dilation_matching_size_and_inputs(dilation_net):
 def test_path_is_matched_except_head(path4):
     m = maximum_matching(path4, 0)
     assert m.size == 3
-    assert set(input_nodes(path4, m)) == {0}
+    assert node_set(input_nodes(m)) == {0}
 
 
 def test_confluence_brute_force(confluence):
     assert len(brute_maximum_matchings(confluence)[0]) == 1
     m = maximum_matching(confluence, 0)
     assert m.size == 1
-    assert set(input_nodes(confluence, m)) == {confluence.id_of("1"),
-                                               confluence.id_of("2")}
-    assert unsaturated_nodes(confluence, m) == {confluence.id_of("2"),
-                                                confluence.id_of("3")}
+    assert node_set(input_nodes(m)) == {confluence.id_of("1"),
+                                        confluence.id_of("2")}
+    assert node_set(unsaturated_nodes(m)) == {confluence.id_of("2"),
+                                              confluence.id_of("3")}
 
 
 def test_two_cycle_perfectly_matched(two_cycle):
     m = maximum_matching(two_cycle, 0)
     assert m.size == 2
-    mis = input_nodes(two_cycle, m)
+    mis = node_set(input_nodes(m))
     assert mis == frozenset()
-    assert unsaturated_nodes(two_cycle, m) == frozenset()
+    assert node_set(unsaturated_nodes(m)) == frozenset()
 
 
 def test_dilation_unsaturated_under_full_split(dilation_net, dilation_matching):
     # a and b have no out-edges at all, so their out-copies are unmatched
-    assert unsaturated_nodes(dilation_net, dilation_matching) == {dilation_net.id_of("a"),
-                                                        dilation_net.id_of("b")}
+    assert node_set(unsaturated_nodes(dilation_matching)) == {
+        dilation_net.id_of("a"), dilation_net.id_of("b")}
 
 
 def test_matching_size_is_seed_invariant():
@@ -100,7 +102,7 @@ def test_edgeless_and_self_loop_only_networks():
     loops = DirectedNetwork(4, [(v, v) for v in range(4)])
     for order_seed in (0, 3, -3):
         m = maximum_matching(loops, order_seed)
-        assert m.matched_out == {v: v for v in range(4)}
+        assert m.match_out.tolist() == list(range(4))
         assert is_maximum(loops, m)
 
 
@@ -127,15 +129,15 @@ def test_is_maximum_accepts_hk_output():
 
 def test_is_maximum_rejects_smaller_matchings(dilation_net, dilation_matching):
     assert is_maximum(dilation_net, dilation_matching)
-    assert not is_maximum(dilation_net, Matching({}))
+    assert not is_maximum(dilation_net, Matching.from_pairs(dilation_net, []))
 
 
 def test_is_maximum_rejects_any_single_removal():
     net = random_digraph(12, 0.3, 7)
     m = maximum_matching(net, 0)
-    for u in list(m.matched_out):
-        smaller = dict(m.matched_out)
-        del smaller[u]
+    for u in np.flatnonzero(m.match_out >= 0).tolist():
+        smaller = m.match_out.copy()
+        smaller[u] = -1
         assert not is_maximum(net, Matching(smaller))
 
 
@@ -154,7 +156,7 @@ def test_exchange_dilation(dilation_net, dilation_matching):
     assert result.replaced == ids("b")
     assert result.matching.size == 1
     assert is_maximum(dilation_net, result.matching)
-    assert set(input_nodes(dilation_net, result.matching)) == {ids("b"), ids("c")}
+    assert node_set(input_nodes(result.matching)) == {ids("b"), ids("c")}
 
 
 def test_exchange_requires_input_node(path4):
@@ -173,7 +175,7 @@ def test_exchange_star_derived():
     m = Matching.from_pairs(net, [(0, 1)])
     result = exchange(net, m, 2, 0)
     assert result.replaced == 1
-    assert result.matching.matched_out[0] == 2
+    assert result.matching.match_out[0] == 2
 
 
 def test_exchange_detects_non_maximum_matching():
@@ -189,13 +191,13 @@ def test_exchange_one_node_difference_everywhere():
     for seed in range(10):
         net = random_digraph(14, 0.2, seed)
         m = maximum_matching(net, 0)
-        before = set(input_nodes(net, m))
+        before = node_set(input_nodes(m))
         for node in sorted(before):
             partners = set()
             for via in net.predecessors(node).tolist():
                 result = exchange(net, m, node, via)
                 assert is_maximum(net, result.matching)
-                after = set(input_nodes(net, result.matching))
+                after = node_set(input_nodes(result.matching))
                 assert before - after == {node}
                 assert len(after - before) == 1
                 partners.update(after - before)
@@ -218,3 +220,48 @@ def test_self_loop_is_matchable():
     m = maximum_matching(net, 0)
     assert m.size == 1
     assert is_maximum(net, m)
+
+
+def test_matching_arrays_are_int32_read_only_and_inverse():
+    nets = [random_digraph(40, 0.08, seed) for seed in range(5)]
+    nets.append(generate(GenSpec(model="sf", n=500, avg_degree=4, seed=1)))
+    for net in nets:
+        for order_seed in (0, 3):
+            m = maximum_matching(net, order_seed)
+            for array in (m.match_out, m.match_in):
+                assert array.dtype == np.int32 and array.shape == (net.n,)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = -1
+            u = np.flatnonzero(m.match_out >= 0)
+            v = np.flatnonzero(m.match_in >= 0)
+            assert u.size == v.size == m.size
+            assert np.array_equal(m.match_in[m.match_out[u]], u)
+            assert np.array_equal(m.match_out[m.match_in[v]], v)
+    with pytest.raises(ValueError):
+        Matching(np.array([1, 1, -1]))  # two sources on one target
+    with pytest.raises(ValueError):
+        Matching(np.array([0, 3, -1]))  # partner out of range
+    with pytest.raises(ValueError):
+        Matching(np.array([2 ** 32, -1, -1]))  # out of range, 0 as int32
+
+
+def test_exchange_and_saturation_plans_leave_their_matching_unchanged():
+    net = generate(GenSpec(model="sf", n=400, avg_degree=3, seed=2))
+    analysis = analyze(net)
+    m = analysis.matching
+    kept = m.match_out.copy(), m.match_in.copy()
+    inputs = input_nodes(m)
+    node = int(inputs[np.diff(net.in_ptr)[inputs] > 0][0])
+    results = [exchange(net, m, node, int(net.predecessors(node)[0])).matching]
+    report = analysis.report
+    for kind, build in ((ComponentKind.IC, ic_to_smc),
+                        (ComponentKind.UMC, umc_to_smc)):
+        code = COMPONENT_KINDS.index(kind)
+        ident = int(np.flatnonzero(report.kinds == code)[0])
+        results.append(build(net, m, report.component(ident)).matching_after)
+    for after in results:
+        assert after is not m and not np.array_equal(after.match_out,
+                                                     m.match_out)
+        assert np.array_equal(m.match_out, kept[0])
+        assert np.array_equal(m.match_in, kept[1])

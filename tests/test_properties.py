@@ -2,6 +2,7 @@
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from netcontrol import (Matching, NotMaximumMatchingError, build_input_graph,
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
 
-from conftest import adjacency_edges, report_for
+from conftest import (adjacency_edges, class_names, component_sets, node_set,
+                      report_for)
 
 
 @st.composite
@@ -29,8 +31,8 @@ def digraphs(draw, max_nodes=8):
 def test_matching_is_maximum_and_counts_align(net):
     m = maximum_matching(net, 0)
     assert is_maximum(net, m)
-    assert len(input_nodes(net, m)) == net.n - m.size
-    assert len(unsaturated_nodes(net, m)) == net.n - m.size
+    assert len(node_set(input_nodes(m))) == net.n - m.size
+    assert len(node_set(unsaturated_nodes(m))) == net.n - m.size
 
 
 @given(digraphs(), st.integers(min_value=1, max_value=1000))
@@ -41,19 +43,20 @@ def test_matching_number_is_seed_invariant(net, seed):
 @given(digraphs())
 def test_exchange_swaps_exactly_one_node(net):
     m = maximum_matching(net, 0)
-    before = set(input_nodes(net, m))
+    before = node_set(input_nodes(m))
     for node in before:
         for via in net.predecessors(node).tolist():
             result = exchange(net, m, node, via)
             assert is_maximum(net, result.matching)
-            after = set(input_nodes(net, result.matching))
+            after = node_set(input_nodes(result.matching))
             assert len(before ^ after) == 2
             assert node in before - after
 
 
 @given(digraphs())
 def test_always_input_iff_no_in_edge(net):
-    truth = classify_exhaustive(net)
+    truth = class_names(classify_exhaustive(net))
+    assert len(truth) == net.n
     for v in range(net.n):
         in_every = truth[v].value == "critical"
         assert in_every == (net.in_degree(v) == 0)
@@ -63,26 +66,28 @@ def test_always_input_iff_no_in_edge(net):
 def test_pipeline_matches_oracle(net):
     m = maximum_matching(net, 0)
     ig = build_input_graph(net, m)
-    assert classify_nodes(ig) == classify_exhaustive(net)
+    assert np.array_equal(classify_nodes(ig), classify_exhaustive(net))
     union = frozenset().union(*enumerate_maximum_matchings(net).input_sets)
-    assert ig.possible_inputs == union
+    assert node_set(ig.possible_inputs) == union
 
 
 @given(digraphs())
 def test_structural_invariants(net):
     m = maximum_matching(net, 0)
     ig = build_input_graph(net, m)
-    poss = ig.possible_inputs
+    poss = node_set(ig.possible_inputs)
     possible, redundant = adjacency_edges(ig)
     assert all(src in poss and dst in poss for src, dst, _ in possible)
     assert not any(src in poss or dst in poss for src, dst, _ in redundant)
     assert ig.edge_count <= net.edge_count
     report = report_for(net, m, ig)
-    assert sum(c.size for c in report.components) == net.n
-    for comp in report.components:
-        inside = comp.members <= poss
-        assert inside or comp.members.isdisjoint(poss)
-        assert (comp.kind.value == "IC") == inside
+    comps = component_sets(report.comp_of)
+    assert sum(map(len, comps)) == net.n
+    assert report.sizes.tolist() == list(map(len, comps))
+    for ident, members in enumerate(comps):
+        inside = members <= poss
+        assert inside or members.isdisjoint(poss)
+        assert (report.kind(ident).value == "IC") == inside
 
 
 @settings(max_examples=40)
@@ -90,7 +95,7 @@ def test_structural_invariants(net):
 def test_classification_seed_stable(net, seed):
     base = classify_nodes(build_input_graph(net, maximum_matching(net, 0)))
     other = classify_nodes(build_input_graph(net, maximum_matching(net, seed)))
-    assert base == other
+    assert np.array_equal(base, other)
 
 
 def _closure_reference(net, m):
@@ -99,15 +104,15 @@ def _closure_reference(net, m):
     Returns the possible inputs and the possible-side and redundant-side
     ``(src, dst, witness)`` edges, or raises for a non-maximum matching.
     """
-    matched_out, matched_in = m.matched_out, m.matched_in
-    possible = set(v for v in range(net.n) if v not in matched_in)
+    match_out, match_in = m.match_out.tolist(), m.match_in.tolist()
+    possible = set(v for v in range(net.n) if match_in[v] < 0)
     queue = deque(sorted(possible))
     possible_edges = []
     while queue:
         x = queue.popleft()
         for c in net.predecessors(x).tolist():
-            b = matched_out.get(c)
-            if b is None:
+            b = match_out[c]
+            if b < 0:
                 raise NotMaximumMatchingError("augmenting path")
             if b == x:
                 continue
@@ -119,7 +124,7 @@ def _closure_reference(net, m):
     for x in range(net.n):
         if x in possible:
             continue
-        w = matched_in[x]
+        w = match_in[x]
         for c in net.successors(w).tolist():
             if c != x:
                 assert c not in possible
@@ -162,18 +167,19 @@ def test_array_closure_and_components_match_references(net, seed):
     m = maximum_matching(net, seed)
     ig = build_input_graph(net, m)
     possible, possible_edges, redundant_edges = _closure_reference(net, m)
-    assert ig.possible_inputs == possible
+    assert node_set(ig.possible_inputs) == possible
     got_possible, got_redundant = adjacency_edges(ig)
     assert sorted(got_possible) == sorted(possible_edges)
     assert sorted(got_redundant) == sorted(redundant_edges)
-    assert ([c.members for c in find_components(ig)]
-            == _components_reference(net.n, possible_edges + redundant_edges))
-    assert [c.id for c in find_components(ig)] == \
-        list(range(len(find_components(ig))))
+    reference = _components_reference(net.n, possible_edges + redundant_edges)
+    comp_of = find_components(ig)
+    assert component_sets(comp_of) == reference
+    assert set(comp_of.tolist()) == set(range(len(reference)))
     # dropping a matched pair raises in both exactly when it is not maximum
-    for drop in list(m.matched_out)[:3]:
-        smaller = Matching({u: v for u, v in m.matched_out.items()
-                            if u != drop})
+    for drop in np.flatnonzero(m.match_out >= 0)[:3].tolist():
+        match_out = m.match_out.copy()
+        match_out[drop] = -1
+        smaller = Matching(match_out)
         try:
             _closure_reference(net, smaller)
         except NotMaximumMatchingError:
