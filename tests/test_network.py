@@ -81,6 +81,33 @@ def test_write_sorts_by_ids():
     assert write_edge_list(net) == "b\tc\na\tb\na\tc\n"
 
 
+_LABELS = st.one_of(
+    st.text(max_size=4), st.integers(0, 10 ** 7).map(str),
+    st.sampled_from(["", "a", "ü", "日本", "\U0001f600", "\ud800", "\x00",
+                     "\n", "\t", "#", "a b", "\ufeffx", "\x7f\x80"]))
+
+
+@st.composite
+def _labelled_networks(draw):
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=12, unique=True))
+    ends = st.integers(0, len(labels) - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=40))
+    return DirectedNetwork(len(labels), pairs, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_networks())
+def test_write_equals_the_per_edge_join(net):
+    labels = net.labels
+    text = write_edge_list(net)
+    assert text == "".join(f"{labels[u]}\t{labels[v]}\n" for u, v in net.edges)
+    if net.edge_count and all(lab.split() == [lab] and lab[0] not in "#\ufeff"
+                              for lab in labels):
+        back = load_edge_list(text)
+        assert ({(back.labels[u], back.labels[v]) for u, v in back.edges}
+                == {(labels[u], labels[v]) for u, v in net.edges})
+
+
 @pytest.mark.parametrize("text", ["c a\nc b\n", "1 2\n2 3\n3 4\n",
                                   "1 3\n2 3\n", "c1 u\nc1 b\nc1 a\nw a\n",
                                   "1 2\n2 1\n"])
@@ -383,6 +410,8 @@ def _line(draw, tokens, separators, counts, endings):
 
 _PAIR_LINE = _line(st.sampled_from(_SMALL), st.sampled_from([" ", "\t", "  "]),
                    [2], st.sampled_from(["\n", "\n", "\r\n"]))
+_WORD_LINE = _line(st.sampled_from(["a", "b"] + _SMALL[:3]),
+                   st.sampled_from([" ", "\t"]), [2], st.just("\n"))
 _ODD_LINE = st.one_of(
     _line(st.sampled_from(_SMALL + _ODD), st.sampled_from(_SEPARATORS),
           [0, 1, 2, 2, 3], st.sampled_from(["\n", "\r\n", "\r", ""])),
@@ -396,6 +425,9 @@ def _edge_lists(draw):
     if draw(st.booleans()):
         head += f"# nodes: {draw(st.sampled_from([0, 11, 12, 14, 14]))}\n"
     lines = draw(st.lists(_PAIR_LINE, max_size=30))
+    if lines and draw(st.booleans()):  # a few word lines, then lines again
+        lines += draw(st.lists(_WORD_LINE, max_size=3))
+        lines += lines[draw(st.integers(0, len(lines) - 1)):]
     for line in draw(st.lists(_ODD_LINE, max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), line)
     tail = draw(st.sampled_from(["", "", "# end", "1 #"]))  # no final "\n"

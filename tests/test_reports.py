@@ -48,7 +48,20 @@ json_values = st.recursive(
     max_leaves=30)
 
 
+@st.composite
+def long_records(draw):
+    """A long list of flat records, at times with one nested record."""
+    shapes = draw(st.lists(st.dictionaries(st.text(max_size=2), scalars,
+                                           max_size=3), min_size=1, max_size=4))
+    rows = [dict(shapes[i % len(shapes)], id=i)
+            for i in range(draw(st.integers(2, 3000)))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))]["members"] = draw(
+            st.sampled_from([[], {}, ["x"], {"a": None}, ({"t": 1},)]))
+    return {"components": rows}
+
+
 @settings(max_examples=300, deadline=None)
-@given(json_values)
+@given(json_values | long_records())
 def test_any_json_value_matches_json_dumps(payload):
     assert to_json(payload) == _reference(payload)
