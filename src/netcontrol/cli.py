@@ -212,11 +212,11 @@ def _cmd_components(args) -> int:
     include = args.members or analysis.network.n <= reports.MEMBER_LIST_LIMIT
     if args.format == "json":
         payload = reports.component_report_dict(
-            analysis.report, analysis.network.labels, include)
+            analysis.report, analysis.network, include)
         _emit(reports.to_json(payload), args.output)
     else:
         _emit(reports.components_tsv(
-            analysis.report, analysis.network.labels, include), args.output)
+            analysis.report, analysis.network, include), args.output)
     return EXIT_OK
 
 

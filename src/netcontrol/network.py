@@ -9,11 +9,13 @@ edges are collapsed (and counted); self-loops are stored and counted by
 
 The edge set is stored once, as sorted compressed sparse rows (int32 ids,
 int64 offsets) in both directions, which every stage of the analysis reads.
-Integer labels are read by a numpy tokenizer over the file's bytes; other
-labels are split and interned as strings. On ER N=10^5, k=10 (2.0 GHz
-Xeon) loading the file takes about 0.2 s with its ``# nodes:`` header,
-0.35-0.4 s without it and 0.8 s with string labels; the constructor is
-0.05-0.07 s of each. Writing it back takes about 0.04 s.
+The file is read in raw character chunks cut at line ends. Integer labels
+are read by a numpy tokenizer over the chunk's bytes; other labels are split
+and interned as strings. A network whose labels are its ids (``# nodes:``
+files, generated networks) builds no label strings unless they are read.
+On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.1 s with
+its ``# nodes:`` header, 0.3 s without it and 0.7-0.8 s with string labels;
+the constructor is 0.025 s of each. Writing it back takes about 0.03 s.
 """
 
 from __future__ import annotations
@@ -85,17 +87,21 @@ class DirectedNetwork:
         Repeated input edges dropped here, the one place that deduplicates.
     """
 
-    __slots__ = ("n", "labels", "out_ptr", "out_idx", "in_ptr", "in_idx",
+    __slots__ = ("n", "_labels", "out_ptr", "out_idx", "in_ptr", "in_idx",
                  "duplicates_collapsed", "_label_to_id")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                  labels: Iterable[str] | None = None):
-        """Build from ``edges``, a sequence of pairs or an ``(L, 2)`` array."""
+        """Build from ``edges``, a sequence of pairs or an ``(L, 2)`` array.
+
+        Without ``labels`` each node's label is its id in decimal; that
+        table is built on the first read of :attr:`labels`.
+        """
         self.n = n
         pairs = np.asarray(edges if hasattr(edges, "__len__") else list(edges),
                            dtype=np.int64).reshape(-1, 2)
-        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        if bad.any():
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
             u, v = pairs[bad.argmax()].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         # One sort of the keys u*n+v drops duplicates and orders the rows.
@@ -110,13 +116,21 @@ class DirectedNetwork:
         self.out_idx = dst.astype(np.int32)
         self.in_ptr = _offsets(dst, n)
         self.in_idx = (np.sort(dst * n + src) % n).astype(np.int32)
-        self.labels = tuple(map(str, labels)) if labels is not None \
-            else tuple(map(str, range(n)))
-        if len(self.labels) != n:
-            raise ValueError("label table size does not match node count")
-        if labels is not None and len(set(self.labels)) != n:
-            raise ValueError("duplicate labels in label table")
+        self._labels = None
+        if labels is not None:
+            self._labels = tuple(map(str, labels))
+            if len(self._labels) != n:
+                raise ValueError("label table size does not match node count")
+            if len(set(self._labels)) != n:
+                raise ValueError("duplicate labels in label table")
         self._label_to_id = None  # built by id_of
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Label of each node, by id; the decimal ids if none were given."""
+        if self._labels is None:
+            self._labels = tuple(map(str, range(self.n)))
+        return self._labels
 
     def edge_sources(self) -> np.ndarray:
         """Source id of each edge, aligned with ``out_idx``."""
@@ -170,14 +184,16 @@ class DirectedNetwork:
                 raise ValueError(f"edge ({u}, {v}) already present")
         pairs = np.column_stack((self.edge_sources(), self.out_idx))
         return DirectedNetwork(self.n, np.concatenate((pairs, extra)),
-                               self.labels)
+                               self._labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedNetwork):
             return NotImplemented
-        return (self.n == other.n and self.labels == other.labels
+        return (self.n == other.n
                 and np.array_equal(self.out_ptr, other.out_ptr)
-                and np.array_equal(self.out_idx, other.out_idx))
+                and np.array_equal(self.out_idx, other.out_idx)
+                and (self._labels is other._labels
+                     or self.labels == other.labels))
 
     def __hash__(self):
         return hash((self.n, self.edge_count, self.labels))
@@ -187,24 +203,22 @@ class DirectedNetwork:
 
 
 def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
-    """The labels of ``text`` as int64 values, when the bytes decide them.
+    """The labels of ``text`` as integer values, when the bytes decide them.
 
     That is when ``text`` holds only lines of zero or two canonical decimal
     labels (at most 18 digits, no leading zero, below ``limit`` if given),
     split by spaces, tabs and carriage returns. Returns None otherwise, and
-    the line parser takes the text.
+    the line parser takes the text. The values are int32 when every label
+    has at most 9 digits, else int64.
     """
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    digit = (buf - 48) < 10
-    other = ~digit
-    for blank in b" \t\r\n":
-        other &= buf != blank
-    if other.any():
+    raw = text.encode("ascii")
+    if raw.translate(None, b"0123456789 \t\r\n"):
         return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
     padded = np.zeros(buf.size + 2, dtype=bool)
-    padded[1:-1] = digit
+    np.greater(buf, 47, out=padded[1:-1])  # digits: the bytes above blanks
     bounds = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     if not starts.size:
@@ -216,16 +230,49 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
     # Tokens per "\n"-ended line, and on the text after the last "\n".
     per_line = np.diff(np.searchsorted(starts, np.flatnonzero(buf == 10)),
                        prepend=0, append=starts.size)
-    if ((per_line != 0) & (per_line != 2)).any():
+    if ((per_line | 2) != 2).any():
         return None
-    values = np.zeros(starts.size, dtype=np.int64)
+    dtype = np.int32 if width <= 9 else np.int64
+    values = np.zeros(starts.size, dtype=dtype)
+    shortest = int(lengths.min())
+    place = ends - 1
     for j in range(width):  # the digit j places left of each token's end
-        values += (buf[ends - 1 - j] - 48) * (lengths > j) * np.int64(10 ** j)
+        digits = buf[place] - 48
+        if j >= shortest:  # tokens of j digits or fewer have none here
+            digits *= lengths > j
+        values += np.multiply(digits, 10 ** j, dtype=dtype)
+        place -= 1
     return values if limit is None or values.max() < limit else None
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, split at "\n" only, without their "\n"."""
+    return text.removesuffix("\n").split("\n")
+
+
+def _chunks(fh: TextIO):
+    r"""The text of ``fh`` in chunks of whole lines, one leading BOM dropped.
+
+    Each chunk but the last ends with "\n"; the last is the text after the
+    final "\n", maybe empty.
+    """
+    pending: list[str] = []  # what was read after the last "\n"
+    bom = "\ufeff"
+    while chunk := fh.read(_CHUNK_CHARS):
+        if bom:
+            chunk, bom = chunk.removeprefix(bom), ""
+        end = chunk.rfind("\n") + 1
+        if end:
+            pending.append(chunk[:end])
+            yield "".join(pending)
+            pending = [chunk[end:]]
+        else:
+            pending.append(chunk)
+    yield "".join(pending)
+
+
 def load_edge_list(source: str | TextIO) -> DirectedNetwork:
-    """Parse a whitespace-separated edge list into a network.
+    r"""Parse a whitespace-separated edge list into a network.
 
     Each non-comment line holds exactly two node labels (source, target).
     Lines starting with ``#`` are comments; a leading ``# nodes: N``
@@ -234,16 +281,19 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     collapsed with a warning. Raises :class:`EdgeListParseError` on
     malformed lines or empty input.
 
-    Input is read in batches of about a million characters. A batch's
-    lines up to its last ``#`` are parsed line by line. The rest is
-    tokenized as bytes when it holds only integer labels and blanks
-    (:func:`_integers`, a few numpy passes plus one per digit position),
-    else split at once as strings; the line-by-line parser reports any
-    error. Under ``# nodes:`` the labels are the ids. Otherwise ids follow
-    first appearance: a batch's distinct integers that no earlier batch
-    interned go through ``label_to_id``, the one interning table, in the
-    order they first occur; a sorted array of the integers interned so far
-    gives the others their ids.
+    Input is read in chunks of about a million characters, each cut after
+    its last "\n" (the rest starts the next chunk), so no Python string is
+    made per line. A chunk's lines up to its last ``#`` are split and
+    parsed line by line. The rest is tokenized as bytes when it holds only
+    integer labels and blanks (:func:`_integers`, a few numpy passes plus
+    one per digit position), else split at once as strings; when that does
+    not give two labels per line, the line-by-line parser reports the
+    error. Under ``# nodes:`` the labels are the ids, and the network's
+    label table is built only when read. Otherwise ids follow first
+    appearance: a chunk's distinct integers that no earlier chunk interned
+    go through ``label_to_id``, the one interning table, in the order they
+    first occur; a sorted array of the integers interned so far gives the
+    others their ids.
     """
     fh = source if hasattr(source, "read") else io.StringIO(source)
     label_to_id: dict[str, int] = {}
@@ -304,7 +354,7 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
         at = np.minimum(known.searchsorted(uniq), known.size - 1)
         ids = known_ids[at]
         new = known[at] != uniq
-        order = inverse[first_of_each(inverse, np.empty_like(uniq))]
+        order = inverse[first_of_each(inverse, np.empty(uniq.size, np.intp))]
         order = order[new[order]]
         ids[order] = [intern(tok, len(label_to_id))
                       for tok in map(str, uniq[order].tolist())]
@@ -313,11 +363,12 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
         known_ids = np.insert(known_ids, at, ids[new])
         return ids[inverse]
 
-    def at_once(lines: list[str], text: str) -> np.ndarray:
-        """Ids of ``lines``, which hold no "#"; ``text`` is their join."""
+    def at_once(text: str) -> np.ndarray:
+        """Ids of the lines of ``text``, which hold no "#"."""
         nonlocal blank, lineno
         values = _integers(text, declared_n)
         if values is None:
+            lines = _lines(text)
             if (declared_n is not None or
                     not set(map(len, map(str.split, lines))) <= {0, 2}):
                 return np.array(by_line(lines), dtype=np.int32)
@@ -329,21 +380,18 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
         else:
             ids = values
         blank = blank and not ids.size
-        lineno += len(lines)
+        lineno += text.count("\n")  # no line follows an unended last line
         return ids.astype(np.int32, copy=False)
 
     parts: list[np.ndarray] = []
-    while lines := fh.readlines(_CHUNK_CHARS):
-        if not parts:
-            lines[0] = lines[0].removeprefix("\ufeff")
-        text = "".join(lines)
+    for text in _chunks(fh):
         cut = text.rfind("#")
-        hashed = start = 0
+        start = 0
         if cut >= 0:  # the lines up to the one holding the last "#"
-            hashed = text.count("\n", 0, cut) + 1
             start = text.find("\n", cut) + 1 or len(text)
-        parts.append(np.array(by_line(lines[:hashed]), dtype=np.int32))
-        parts.append(at_once(lines[hashed:], text[start:]))
+            parts.append(np.array(by_line(_lines(text[:start])),
+                                  dtype=np.int32))
+        parts.append(at_once(text[start:]))
 
     if blank:
         raise EdgeListParseError("empty input")
@@ -368,19 +416,32 @@ def write_edge_list(net: DirectedNetwork) -> str:
     The labels are encoded once, as the UTF-8 rows of a byte table: each
     row holds a label, then 0xFF padding (a byte UTF-8 never uses), then
     the separator. A line is the row of its source with a tab and the row
-    of its target with a newline, and one pass drops the padding.
+    of its target with a newline, and one pass drops the padding. A network
+    whose labels are its ids gets their digits from numpy, with no string
+    per node.
     """
-    labels = net.labels
-    text = "".join(labels)
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if data.size == len(text):  # ASCII: a byte per character
-        sizes = map(len, labels)
+    if net._labels is None:
+        ids = np.arange(net.n)
+        sizes = 1 + np.searchsorted(10 ** np.arange(1, 19), ids, side="right")
+        width = int(sizes.max(initial=0)) + 1
+        targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
+        for j in range(width - 1):  # the digit j places left of each end
+            has = ids[10 ** j if j else 0:]  # the ids with more than j digits
+            targets[has, sizes[has] - 1 - j] = has // 10 ** j % 10 + 48
     else:
-        sizes = (len(lab.encode("utf-8", "surrogatepass")) for lab in labels)
-    sizes = np.fromiter(sizes, dtype=np.int64, count=net.n)
-    width = int(sizes.max(initial=0)) + 1
-    targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
-    targets[np.arange(width) < sizes[:, None]] = data
+        labels = net.labels
+        text = "".join(labels)
+        data = np.frombuffer(text.encode("utf-8", "surrogatepass"),
+                             dtype=np.uint8)
+        if data.size == len(text):  # ASCII: a byte per character
+            sizes = map(len, labels)
+        else:
+            sizes = (len(lab.encode("utf-8", "surrogatepass"))
+                     for lab in labels)
+        sizes = np.fromiter(sizes, dtype=np.int64, count=net.n)
+        width = int(sizes.max(initial=0)) + 1
+        targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
+        targets[np.arange(width) < sizes[:, None]] = data
     targets[:, -1] = ord("\n")
     sources = targets.copy()
     sources[:, -1] = ord("\t")

@@ -15,6 +15,7 @@ import numpy as np
 from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
+from .network import DirectedNetwork
 from .pipeline import NetworkAnalysis
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
@@ -74,7 +75,7 @@ def _has_container(types) -> bool:
     return any(issubclass(t, (dict, list, tuple)) for t in types)
 
 
-def component_report_dict(report: ComponentReport, labels,
+def component_report_dict(report: ComponentReport, net: DirectedNetwork,
                           include_members: bool) -> dict:
     names = [kind.value for kind in COMPONENT_KINDS]
     kinds = map(names.__getitem__, report.kinds.tolist())
@@ -82,7 +83,7 @@ def component_report_dict(report: ComponentReport, labels,
              in enumerate(zip(report.sizes.tolist(), kinds))]
     if include_members:  # labels of the members of each, by ascending id
         order = np.argsort(report.comp_of, kind="stable").tolist()
-        members = list(map(labels.__getitem__, order))
+        members = list(map(net.labels.__getitem__, order))
         bounds = np.cumsum(report.sizes).tolist()
         for entry, lo, hi in zip(comps, [0, *bounds], bounds):
             entry["members"] = members[lo:hi]
@@ -127,7 +128,7 @@ def analysis_record(analysis: NetworkAnalysis,
         "possible_input_percent": round_percent(int(np.count_nonzero(
             analysis.input_graph.possible_inputs)) / net.n),
         "components": component_report_dict(
-            analysis.report, net.labels, include_members),
+            analysis.report, net, include_members),
     }
     if include_members:
         record["mis"]["members"] = list(map(
@@ -195,10 +196,10 @@ def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
     return payload
 
 
-def components_tsv(report: ComponentReport, labels,
+def components_tsv(report: ComponentReport, net: DirectedNetwork,
                    include_members: bool) -> str:
     lines = ["# id\tsize\tkind" + ("\tmembers" if include_members else "")]
-    for c in component_report_dict(report, labels, include_members)[
+    for c in component_report_dict(report, net, include_members)[
             "components"]:
         lines.append(f"{c['id']}\t{c['size']}\t{c['kind']}" + (
             "\t" + ",".join(c["members"]) if include_members else ""))

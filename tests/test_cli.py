@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcontrol.cli import main
 
@@ -432,3 +438,31 @@ def test_unwritable_output_exits_2(dilation_file, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {missing}")
         assert "Traceback" not in err
+
+
+# Pieces of hostile edge lists: a BOM, odd line ends and blanks, NUL, a byte
+# UTF-8 never uses, U+2028, digit runs past 18 digits, negative labels and
+# small "# nodes:" headers (each ends its line, so no piece can make it
+# declare more nodes).
+_PIECES = [b"\xef\xbb\xbf", b"\r", b"\n", b"\r\n", b"\t", b" ", b"\x00",
+           b"\xff", "\u2028".encode(), b"\x0b", b"\x0c", b"\x1c", b"0", b"1",
+           b"7", b"12", b"-1", b"x", b"\xce\xb1", b"9" * 19, b"1" * 25,
+           b"# nodes: 3\n", b"# nodes: 0\r\n", b"# nodes: 12\r", b"# c\n"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_hostile_files_exit_0_or_2_without_traceback(pieces):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"".join(pieces))
+        for command in ("analyze", "classify", "inputgraph"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+    finally:
+        os.unlink(path)

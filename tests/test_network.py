@@ -357,7 +357,8 @@ def test_integer_tokenizer_reads_blanks_and_bounds():
 def _reference_parse(text: str):
     """Naive line-by-line parser: ``(labels, pairs)`` or ``(message, line)``.
 
-    Lines end at "\n" only, as ``readlines`` splits a string source; with
+    Lines end at "\n" only, as the loader cuts the text it reads (a file
+    opened in text mode has turned "\r\n" and "\r" into "\n" before); with
     ``# nodes: N`` the labels must be among ``str(0) .. str(N - 1)``.
     """
     labels: dict[str, int] = {}
@@ -451,3 +452,69 @@ def test_batched_parse_equals_naive_reference(text, chunk):
     assert net.labels == labels
     assert net == DirectedNetwork(len(labels), pairs, labels)
     assert net.duplicates_collapsed == len(pairs) - len(set(pairs))
+
+
+def _outcome(load):
+    """What ``load()`` gives: the labels and edges, or the error and line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            net = load()
+        except EdgeListParseError as exc:
+            return str(exc), exc.line
+    return net.labels, net.edges
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeffα β\r\nβ €\r€ \U0001d521\r\n# note\r"
+    "\U0001d521 α\n\r\nβ \U0001d521",
+    "\ufeff# nodes: 6\r\n0 1\r1 2\r\n2 3\n\r3 4\r\n5 0",
+    "\ufeff10 20\r\n20 30\r30 10\r\n\r",
+    "α β\r\n€\r\nβ € \U0001d521\r\n",
+    "1 2\r3 4\r\n5\r\n",
+    "# nodes: 3\r0 1\r\n1 3\r",
+], ids=["utf8-labels", "declared", "integers", "utf8-error", "int-error",
+        "range-error"])
+def test_file_loads_like_its_text_with_newline_endings(tmp_path, text):
+    from netcontrol import cli
+    path = tmp_path / "net.txt"
+    path.write_bytes(text.encode("utf-8"))
+    unix = text.replace("\r\n", "\n").replace("\r", "\n")
+    expected = _outcome(lambda: load_edge_list(io.StringIO(unix)))
+
+    def decoding(size):  # the file's decoder reads ``size`` bytes at a time
+        def opener(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            fh._CHUNK_SIZE = size
+            return fh
+        return opener
+
+    # Reads of a few characters or bytes cut "\r\n" pairs and multi-byte
+    # characters at every place.
+    for chars in (1, 2, 3, 4, 5, 7, 11, 1 << 20):
+        for size in (1, 2, 3, 8192):
+            with mock.patch.object(network, "_CHUNK_CHARS", chars), \
+                    mock.patch.object(cli, "open", decoding(size),
+                                      create=True):
+                assert _outcome(lambda: cli._load(str(path))) == expected
+
+
+def test_id_labels_are_built_on_first_read():
+    from netcontrol.generators import GenSpec, generate
+    declared = load_edge_list("# nodes: 5\n0 1\n3 2\n")
+    generated = generate(GenSpec(model="er", n=30, avg_degree=3, seed=1))
+    for net in (declared, generated):
+        assert net._labels is None
+        ids = tuple(map(str, range(net.n)))
+        explicit = DirectedNetwork(net.n, net.edges, ids)
+        grown = net.with_edges([(4, 0)])
+        assert grown._labels is None and grown.has_edge(4, 0)
+        assert net.id_of("4") == 4 and net._labels == ids
+        assert net == explicit and hash(net) == hash(explicit)
+        assert net.labels == ids and net.id_of("0") == 0
+        again = net.with_edges([(4, 0)])
+        assert again._labels == ids and again == grown
+        assert hash(again) == hash(grown)
+    fresh = load_edge_list("# nodes: 3\n0 1\n")
+    assert fresh == load_edge_list("# nodes: 3\n0 1\n")
+    assert fresh._labels is None
