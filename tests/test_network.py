@@ -499,6 +499,20 @@ def test_file_loads_like_its_text_with_newline_endings(tmp_path, text):
                 assert _outcome(lambda: cli._load(str(path))) == expected
 
 
+def test_lines_end_at_newline_only(tmp_path):
+    # A handle opened with newline="" keeps a lone "\r", which is then a
+    # blank inside a line, as in string input.
+    text = "1 2\r3 4\r"
+    path = tmp_path / "net.txt"
+    path.write_bytes(text.encode("ascii"))
+    expected = ("line 1: expected two node labels, got 4", 1)
+    assert _outcome(lambda: load_edge_list(text)) == expected
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert _outcome(lambda: load_edge_list(fh)) == expected
+    with open(path, encoding="utf-8") as fh:  # newline=None translates
+        assert load_edge_list(fh).edge_count == 2
+
+
 def test_id_labels_are_built_on_first_read():
     from netcontrol.generators import GenSpec, generate
     declared = load_edge_list("# nodes: 5\n0 1\n3 2\n")
@@ -515,6 +529,3 @@ def test_id_labels_are_built_on_first_read():
         again = net.with_edges([(4, 0)])
         assert again._labels == ids and again == grown
         assert hash(again) == hash(grown)
-    fresh = load_edge_list("# nodes: 3\n0 1\n")
-    assert fresh == load_edge_list("# nodes: 3\n0 1\n")
-    assert fresh._labels is None
