@@ -112,6 +112,13 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     from the out-copies and scans adjacency lists in ascending id order;
     any other seed applies a seeded shuffle to both, which changes which
     maximum matching is found but never its size.
+
+    Seed 0 is separable over disjoint parts: on a disjoint union each
+    part's roots, claims and flips are, in order, those it makes alone,
+    and a part that is done only repeats its last, empty phase. ``sweep``
+    relies on this to match many networks at once
+    (:func:`~netcontrol.pipeline.part_reports`). A nonzero seed shuffles
+    across parts and is not separable.
     """
     n = net.n
     indptr, indices = net.out_ptr, net.out_idx

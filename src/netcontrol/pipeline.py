@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .components import ComponentReport, component_report
+from .components import ComponentReport, component_report, largest_component
 from .input_graph import InputGraph, build_input_graph, classify_nodes
 from .matching import (Matching, input_nodes, maximum_matching,
                        unsaturated_nodes)
@@ -45,3 +46,38 @@ def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
         classes=classify_nodes(ig),
         report=component_report(net, ig, inputs, unsaturated),
     )
+
+
+def part_reports(analysis: NetworkAnalysis, bounds: list[int]
+                 ) -> Iterator[tuple[np.ndarray, ComponentReport]]:
+    """Each part's possible-input mask and component report, from a union.
+
+    ``analysis`` is the seed-0 analysis of a
+    :meth:`DirectedNetwork.disjoint_union` whose part ``i`` holds the
+    nodes from ``bounds[i]`` up to ``bounds[i + 1]``, at least one. Both
+    equal those of analysing the part alone. The seed-0 matcher is
+    separable over parts (:func:`maximum_matching`), and the closure and
+    the components are fixpoints within each part. Component ids follow
+    the smallest member, so part ``i``'s components are the ids from
+    ``comp_of[bounds[i]]`` up to that of the next part's first node.
+    """
+    if analysis.seed:
+        raise ValueError("a nonzero matching seed is not separable over parts")
+    net, report = analysis.network, analysis.report
+    starts = report.comp_of[bounds[:-1]].tolist() + [report.component_count]
+    for lo, hi, c0, c1 in zip(bounds, bounds[1:], starts, starts[1:]):
+        comp_of = report.comp_of[lo:hi] - c0
+        comp_of.flags.writeable = False
+        sizes, kinds = report.sizes[c0:c1], report.kinds[c0:c1]
+        edges = int(net.out_ptr[hi] - net.out_ptr[lo])
+        yield analysis.input_graph.possible_inputs[lo:hi], ComponentReport(
+            n=hi - lo,
+            edge_count=edges,
+            avg_degree=2.0 * edges / (hi - lo),
+            mis_size=int(np.count_nonzero(analysis.matching.match_in[lo:hi]
+                                          < 0)),
+            comp_of=comp_of,
+            sizes=sizes,
+            kinds=kinds,
+            cc_max=largest_component(sizes, kinds),
+        )

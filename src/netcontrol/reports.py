@@ -219,9 +219,8 @@ SWEEP_HEADER = "model,N,k,seed,cc_max_frac,cc_count,n_p,cc_kind"
 
 
 def sweep_row(model: str, n: int, k: float, seed: int,
-              analysis: NetworkAnalysis) -> str:
-    report = analysis.report
-    n_p = int(np.count_nonzero(analysis.input_graph.possible_inputs)) / n
+              possible_inputs: np.ndarray, report: ComponentReport) -> str:
+    n_p = int(np.count_nonzero(possible_inputs)) / n
     return ",".join([
         model,
         str(n),

@@ -411,6 +411,9 @@ def test_stray_value_error_exits_5(dilation_file, capsys, monkeypatch):
      "--replicates", "0"),
     ("sweep", "--model", "er", "-n", "10", "--k-list", ","),
     ("sweep", "--model", "er", "-n", "10", "--k-list", ""),
+    # k*N/2 overflows to infinity before it can become an edge count
+    ("generate", "--model", "er", "-n", "100", "-k", "1e308"),
+    ("sweep", "--model", "er", "-n", "100", "--k-list", "1e308"),
 ])
 def test_bad_generator_arguments_exit_2(argv, capsys):
     assert main(list(argv)) == 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from netcontrol import GenSpec, GenerationError, er_directed, scale_free_directed
-from netcontrol.generators import _rejection_sample
+from netcontrol.generators import (_rejection_sample, _static_weights,
+                                   _weighted_draw)
 from netcontrol.network import write_edge_list
 
 
@@ -180,3 +181,43 @@ def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
     else:
         assert batched.tolist() == [list(e) for e in reference]
 
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 2000])
+@pytest.mark.parametrize("gamma", [2.05, 3.0, 7.0])
+def test_weighted_draw_equals_generator_choice(n, gamma):
+    p = _static_weights(n, gamma)
+    draw = _weighted_draw(p)
+    for seed in range(4):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 1024, 5000):
+            got = draw(ours, size)
+            want = theirs.choice(n, size=size, p=p)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert ours.random() == theirs.random()  # same stream consumed
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize("p", [
+    np.full(7, 1 / 7),
+    np.array([0.5, 0.0, 0.25, 0.0, 0.125, 0.125]),  # empty steps
+    _static_weights(300, 3.0),
+])
+def test_weighted_draw_on_the_cdf_steps(p):
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    # uniforms on and just below every step, where ``<`` and ``<=`` differ
+    u = np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0),
+                        [0.0, np.nextafter(1.0, 0)]))
+    np.testing.assert_array_equal(_weighted_draw(p)(_FixedUniforms(u), u.size),
+                                  cdf.searchsorted(u, side="right"))

@@ -1,0 +1,89 @@
+"""A disjoint union analysed once gives each part's own analysis."""
+
+import numpy as np
+import pytest
+from conftest import random_digraph
+
+from netcontrol import DirectedNetwork, GenSpec, analyze, generate, reports
+from netcontrol.cli import main
+from netcontrol.pipeline import part_reports
+
+
+def _parts():
+    return [
+        generate(GenSpec(model="er", n=300, avg_degree=4, seed=1)),
+        generate(GenSpec(model="sf", n=300, avg_degree=6, seed=2)),
+        generate(GenSpec(model="er", n=7, avg_degree=0, seed=3)),  # edgeless
+        DirectedNetwork(5, [(0, 1), (1, 2), (2, 0), (3, 1)]),  # 4 isolated
+        random_digraph(40, 0.05, seed=4),
+        generate(GenSpec(model="sf", n=200, avg_degree=2, seed=5)),
+    ]
+
+
+def test_union_is_the_parts_side_by_side():
+    nets = _parts()
+    union = DirectedNetwork.disjoint_union(nets)
+    bounds = np.cumsum([0] + [g.n for g in nets])
+    assert union.n == bounds[-1]
+    assert union.edge_count == sum(g.edge_count for g in nets)
+    joined = np.concatenate([np.column_stack((g.edge_sources(), g.out_idx)) + lo
+                             for g, lo in zip(nets, bounds)])
+    assert union == DirectedNetwork(union.n, joined)
+    assert DirectedNetwork.disjoint_union(nets[:1]) is nets[0]
+
+
+def test_union_analysis_equals_each_part_alone():
+    nets = _parts()
+    bounds = np.cumsum([0] + [g.n for g in nets]).tolist()
+    whole = analyze(DirectedNetwork.disjoint_union(nets))
+    match_out = whole.matching.match_out
+    comp_of = whole.report.comp_of
+    rows = list(part_reports(whole, bounds))
+    assert len(rows) == len(nets)
+    for net, lo, hi, (possible, report) in zip(nets, bounds, bounds[1:],
+                                                rows):
+        alone = analyze(net)
+        own = match_out[lo:hi]
+        np.testing.assert_array_equal(np.where(own >= 0, own - lo, -1),
+                                      alone.matching.match_out)
+        np.testing.assert_array_equal(possible,
+                                      alone.input_graph.possible_inputs)
+        c0 = comp_of[lo]
+        c1 = comp_of[hi] if hi < whole.network.n else comp_of.max() + 1
+        np.testing.assert_array_equal(comp_of[lo:hi] - c0,
+                                      alone.report.comp_of)
+        np.testing.assert_array_equal(whole.report.sizes[c0:c1],
+                                      alone.report.sizes)
+        np.testing.assert_array_equal(whole.report.kinds[c0:c1],
+                                      alone.report.kinds)
+        for field in ("n", "edge_count", "avg_degree", "mis_size", "cc_max"):
+            assert getattr(report, field) == getattr(alone.report, field)
+        for field in ("comp_of", "sizes", "kinds"):
+            np.testing.assert_array_equal(getattr(report, field),
+                                          getattr(alone.report, field))
+
+
+@pytest.mark.parametrize("model", ["er", "sf"])
+def test_sweep_split_across_unions_equals_per_network_rows(
+        model, monkeypatch, capsys):
+    n, k, seeds = 200, 4, range(3, 6)
+    # room for two replicates: three are analysed as a union of two and one
+    monkeypatch.setattr("netcontrol.cli._UNION_SIZE", 2 * n * k // 2)
+    assert main(["sweep", "--model", model, "-n", str(n), "--k-list", "4",
+                 "--replicates", "3", "--seed-base", "3"]) == 0
+    want = [reports.SWEEP_HEADER]
+    for seed in seeds:
+        alone = analyze(generate(GenSpec(model=model, n=n, avg_degree=k,
+                                         seed=seed)))
+        want.append(reports.sweep_row(model, n, k, seed,
+                                      alone.input_graph.possible_inputs,
+                                      alone.report))
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_part_reports_refuse_a_shuffled_matching():
+    nets = _parts()[:2]
+    bounds = [0, nets[0].n, nets[0].n + nets[1].n]
+    whole = analyze(DirectedNetwork.disjoint_union(nets), seed=3)
+    with pytest.raises(ValueError, match="not separable"):
+        list(part_reports(whole, bounds))
