@@ -15,7 +15,7 @@ net = generate(GenSpec(model="sf", n=2000, avg_degree=10, seed=0))
 before = analyze(net)
 giant = before.report.component(before.report.cc_max)
 print(f"start: giant {giant.kind.value} with {giant.size}/{net.n} nodes, "
-      f"{before.report.mis_size} input nodes")
+      f"{before.input_set.size} input nodes")
 
 plan1 = ic_to_smc(net, before.matching, giant)
 net2 = apply_plan(net, plan1)

@@ -213,12 +213,10 @@ def _cmd_components(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     include = args.members or analysis.network.n <= reports.MEMBER_LIST_LIMIT
     if args.format == "json":
-        payload = reports.component_report_dict(
-            analysis.report, analysis.network, include)
+        payload = reports.component_report_dict(analysis, include)
         _emit(reports.to_json(payload), args.output)
     else:
-        _emit(reports.components_tsv(
-            analysis.report, analysis.network, include), args.output)
+        _emit(reports.components_tsv(analysis, include), args.output)
     return EXIT_OK
 
 
@@ -250,8 +248,8 @@ def _cmd_alter(args) -> int:
     }
     if args.output:
         prefix = Path(args.output)
-        _write(prefix.with_suffix(".plan.json"),
-               reports.to_json(payload["plan"]))
+        _write(prefix.with_suffix(".plan.json"), reports.to_json(
+            {**payload["plan"], "goal_attained": payload["goal_attained"]}))
         _write(prefix.with_suffix(".added.tsv"),
                reports.additions_tsv(plan, labels))
         _write(prefix.with_suffix(".before.json"),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -73,37 +74,30 @@ def find_components(ig: InputGraph) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ComponentReport:
-    """Whole-network summary: stats, input-set density, component census.
+    """The component census of one network.
 
     ``comp_of`` is each node's component id; ``sizes`` and ``kinds`` (int8
-    codes into :data:`COMPONENT_KINDS`) are indexed by component id, and
-    ``cc_max`` is the largest one's. Members are gathered only on request.
+    codes into :data:`COMPONENT_KINDS`) are indexed by component id.
+    Members are gathered only on request. Node, edge and input counts live
+    on the network and the matching the census was taken from.
     """
 
-    n: int
-    edge_count: int
-    avg_degree: float
-    mis_size: int
     comp_of: np.ndarray
     sizes: np.ndarray
     kinds: np.ndarray
-    cc_max: int
 
-    @property
-    def perfectly_matched(self) -> bool:
-        return self.mis_size == 0
+    @cached_property
+    def cc_max(self) -> int:
+        """Id of the largest component, by :func:`largest_component`."""
+        return largest_component(self.sizes, self.kinds)
 
     @property
     def component_count(self) -> int:
         return self.sizes.size
 
     @property
-    def n_mis_fraction(self) -> float:
-        return self.mis_size / self.n
-
-    @property
     def cc_max_fraction(self) -> float:
-        return int(self.sizes[self.cc_max]) / self.n
+        return int(self.sizes[self.cc_max]) / self.comp_of.size
 
     def kind(self, ident: int) -> ComponentKind:
         return COMPONENT_KINDS[self.kinds[ident]]
@@ -122,7 +116,7 @@ class ComponentReport:
 def component_report(net: DirectedNetwork, ig: InputGraph,
                      inputs: np.ndarray,
                      unsaturated: np.ndarray) -> ComponentReport:
-    """Classify every component and assemble the summary report.
+    """Find and classify every component: the census of ``net``.
 
     ``inputs`` and ``unsaturated`` are the ids of the input and unsaturated
     nodes of the maximum matching ``ig`` was built from. Class purity and
@@ -142,16 +136,7 @@ def component_report(net: DirectedNetwork, ig: InputGraph,
     kinds = np.where(touched(inputs), 0,  # codes of IC, UMC, SMC
                      np.where(touched(linked), 1, 2)).astype(np.int8)
     sizes.flags.writeable = kinds.flags.writeable = False
-    return ComponentReport(
-        n=net.n,
-        edge_count=net.edge_count,
-        avg_degree=2.0 * net.edge_count / net.n,
-        mis_size=inputs.size,
-        comp_of=comp_of,
-        sizes=sizes,
-        kinds=kinds,
-        cc_max=largest_component(sizes, kinds),
-    )
+    return ComponentReport(comp_of, sizes, kinds)
 
 
 def largest_component(sizes: np.ndarray, kinds: np.ndarray,

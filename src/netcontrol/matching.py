@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -49,25 +48,9 @@ class Matching:
         out.flags.writeable = match_in.flags.writeable = False
         self.match_out, self.match_in, self.size = out, match_in, matched.size
 
-    @classmethod
-    def from_pairs(cls, net: DirectedNetwork,
-                   pairs: Iterable[tuple[NodeId, NodeId]]) -> "Matching":
-        match_out = np.full(net.n, -1, dtype=np.int32)
-        for u, v in pairs:
-            match_out[u] = v
-        m = cls(match_out)
-        m.validate(net)
-        return m
-
     def pairs(self) -> tuple[tuple[NodeId, NodeId], ...]:
         u = np.flatnonzero(self.match_out >= 0)
         return tuple(zip(u.tolist(), self.match_out[u].tolist()))
-
-    def validate(self, net: DirectedNetwork) -> None:
-        """Raise ``ValueError`` unless every matched pair is a network edge."""
-        for u, v in self.pairs():
-            if not net.has_edge(u, v):
-                raise ValueError(f"matched pair ({u}, {v}) is not an edge")
 
     def __eq__(self, other):
         if not isinstance(other, Matching):

@@ -166,11 +166,6 @@ class DirectedNetwork:
                          np.diff(self.out_ptr))
 
     @property
-    def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
-        """Distinct (src, dst) pairs in (src, dst) order."""
-        return tuple(zip(self.edge_sources().tolist(), self.out_idx.tolist()))
-
-    @property
     def edge_count(self) -> int:
         return self.out_idx.size
 
@@ -188,12 +183,6 @@ class DirectedNetwork:
         targets = self.successors(u)
         i = int(targets.searchsorted(v))
         return i < targets.size and int(targets[i]) == v
-
-    def in_degree(self, v: NodeId) -> int:
-        return int(self.in_ptr[v + 1] - self.in_ptr[v])
-
-    def out_degree(self, v: NodeId) -> int:
-        return int(self.out_ptr[v + 1] - self.out_ptr[v])
 
     def self_loop_count(self) -> int:
         return int(np.count_nonzero(self.edge_sources() == self.out_idx))

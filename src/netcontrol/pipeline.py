@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .components import ComponentReport, component_report, largest_component
+from .components import ComponentReport, component_report
 from .input_graph import InputGraph, build_input_graph, classify_nodes
 from .matching import (Matching, input_nodes, maximum_matching,
                        unsaturated_nodes)
@@ -50,7 +50,7 @@ def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
 
 def part_reports(analysis: NetworkAnalysis, bounds: list[int]
                  ) -> Iterator[tuple[np.ndarray, ComponentReport]]:
-    """Each part's possible-input mask and component report, from a union.
+    """Each part's possible-input mask and component census, from a union.
 
     ``analysis`` is the seed-0 analysis of a
     :meth:`DirectedNetwork.disjoint_union` whose part ``i`` holds the
@@ -63,21 +63,10 @@ def part_reports(analysis: NetworkAnalysis, bounds: list[int]
     """
     if analysis.seed:
         raise ValueError("a nonzero matching seed is not separable over parts")
-    net, report = analysis.network, analysis.report
+    report = analysis.report
     starts = report.comp_of[bounds[:-1]].tolist() + [report.component_count]
     for lo, hi, c0, c1 in zip(bounds, bounds[1:], starts, starts[1:]):
         comp_of = report.comp_of[lo:hi] - c0
         comp_of.flags.writeable = False
-        sizes, kinds = report.sizes[c0:c1], report.kinds[c0:c1]
-        edges = int(net.out_ptr[hi] - net.out_ptr[lo])
         yield analysis.input_graph.possible_inputs[lo:hi], ComponentReport(
-            n=hi - lo,
-            edge_count=edges,
-            avg_degree=2.0 * edges / (hi - lo),
-            mis_size=int(np.count_nonzero(analysis.matching.match_in[lo:hi]
-                                          < 0)),
-            comp_of=comp_of,
-            sizes=sizes,
-            kinds=kinds,
-            cc_max=largest_component(sizes, kinds),
-        )
+            comp_of, report.sizes[c0:c1], report.kinds[c0:c1])

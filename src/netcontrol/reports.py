@@ -15,7 +15,6 @@ import numpy as np
 from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
-from .network import DirectedNetwork
 from .pipeline import NetworkAnalysis
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
@@ -75,8 +74,10 @@ def _has_container(types) -> bool:
     return any(issubclass(t, (dict, list, tuple)) for t in types)
 
 
-def component_report_dict(report: ComponentReport, net: DirectedNetwork,
+def component_report_dict(analysis: NetworkAnalysis,
                           include_members: bool) -> dict:
+    net, report = analysis.network, analysis.report
+    mis_size = analysis.input_set.size
     names = [kind.value for kind in COMPONENT_KINDS]
     kinds = map(names.__getitem__, report.kinds.tolist())
     comps = [{"id": ident, "size": size, "kind": kind} for ident, (size, kind)
@@ -89,12 +90,12 @@ def component_report_dict(report: ComponentReport, net: DirectedNetwork,
             entry["members"] = members[lo:hi]
     cc_max = report.cc_max
     return {
-        "n": report.n,
-        "l": report.edge_count,
-        "avg_degree": round_ratio(report.avg_degree),
-        "n_mis_percent": round_percent(report.n_mis_fraction),
-        "mis_size": report.mis_size,
-        "perfectly_matched": report.perfectly_matched,
+        "n": net.n,
+        "l": net.edge_count,
+        "avg_degree": round_ratio(2.0 * net.edge_count / net.n),
+        "n_mis_percent": round_percent(mis_size / net.n),
+        "mis_size": mis_size,
+        "perfectly_matched": mis_size == 0,
         "component_count": report.component_count,
         "kind_counts": report.kind_counts(),
         "components": comps,
@@ -112,23 +113,23 @@ def analysis_record(analysis: NetworkAnalysis,
     net = analysis.network
     if include_members is None:
         include_members = net.n <= MEMBER_LIST_LIMIT
+    census = component_report_dict(analysis, include_members)
     record = {
         "n": net.n,
         "l": net.edge_count,
-        "avg_degree": round_ratio(analysis.report.avg_degree),
+        "avg_degree": census["avg_degree"],
         "self_loops": net.self_loop_count(),
         "seed": analysis.seed,
         "matching_size": analysis.matching.size,
         "mis": {
-            "size": analysis.report.mis_size,
-            "n_mis_percent": round_percent(analysis.report.n_mis_fraction),
-            "perfectly_matched": analysis.report.perfectly_matched,
+            "size": census["mis_size"],
+            "n_mis_percent": census["n_mis_percent"],
+            "perfectly_matched": census["perfectly_matched"],
         },
         "input_graph_edges": analysis.input_graph.edge_count,
         "possible_input_percent": round_percent(int(np.count_nonzero(
             analysis.input_graph.possible_inputs)) / net.n),
-        "components": component_report_dict(
-            analysis.report, net, include_members),
+        "components": census,
     }
     if include_members:
         record["mis"]["members"] = list(map(
@@ -196,11 +197,9 @@ def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
     return payload
 
 
-def components_tsv(report: ComponentReport, net: DirectedNetwork,
-                   include_members: bool) -> str:
+def components_tsv(analysis: NetworkAnalysis, include_members: bool) -> str:
     lines = ["# id\tsize\tkind" + ("\tmembers" if include_members else "")]
-    for c in component_report_dict(report, net, include_members)[
-            "components"]:
+    for c in component_report_dict(analysis, include_members)["components"]:
         lines.append(f"{c['id']}\t{c['size']}\t{c['kind']}" + (
             "\t" + ",".join(c["members"]) if include_members else ""))
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ def dilation_net():
 @pytest.fixture
 def dilation_matching(dilation_net):
     ids = dilation_net.id_of
-    return Matching.from_pairs(dilation_net, [(ids("c"), ids("b"))])
+    return matching_of(dilation_net, [(ids("c"), ids("b"))])
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def five_node():
 @pytest.fixture
 def five_node_matching(five_node):
     ids = five_node.id_of
-    return Matching.from_pairs(
+    return matching_of(
         five_node, [(ids("c1"), ids("b")), (ids("w"), ids("a"))])
 
 
@@ -69,6 +69,20 @@ def random_digraph(n: int, p: float, seed: int) -> DirectedNetwork:
     return DirectedNetwork(n, edges)
 
 
+def edge_pairs(net: DirectedNetwork) -> tuple[tuple[int, int], ...]:
+    """Distinct (src, dst) pairs of ``net`` in (src, dst) order."""
+    return tuple(zip(net.edge_sources().tolist(), net.out_idx.tolist()))
+
+
+def matching_of(net: DirectedNetwork, pairs) -> Matching:
+    """The matching of ``net`` made of ``pairs``, each an edge of ``net``."""
+    assert is_valid_matching(net, pairs)
+    match_out = np.full(net.n, -1, dtype=np.int32)
+    for u, v in pairs:
+        match_out[u] = v
+    return Matching(match_out)
+
+
 def is_valid_matching(net: DirectedNetwork, pairs) -> bool:
     srcs = [u for u, _ in pairs]
     dsts = [v for _, v in pairs]
@@ -79,7 +93,7 @@ def is_valid_matching(net: DirectedNetwork, pairs) -> bool:
 def brute_maximum_matchings(net: DirectedNetwork):
     """Every maximum matching by subset enumeration; tiny graphs only."""
     assert net.edge_count <= 16, "brute force limited to 16 edges"
-    edges = list(net.edges)
+    edges = edge_pairs(net)
     for size in range(net.edge_count, 0, -1):
         found = [combo for combo in combinations(edges, size)
                  if is_valid_matching(net, combo)]

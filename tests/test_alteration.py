@@ -293,29 +293,49 @@ def eager_cover_plan(net, m, comp, closures):
     return chosen, additions
 
 
-def test_smc_to_ic_full_matches_eager_greedy_random():
-    from netcontrol.alteration import _closure_masks
-    compared = multi_pick = 0
+def random_smcs():
+    """``(net, analysis, comp)`` for every SMC of 200 small random digraphs."""
     for seed in range(200):
         n = 12 + seed % 49
         net = random_digraph(n, (1 + seed % 5) / n, seed)
         analysis = analyze(net)
-        m = analysis.matching
         for comp in components(analysis, ComponentKind.SMC):
-            closures = _closure_masks(analysis.input_graph, comp)
-            chosen, additions = eager_cover_plan(net, m, comp, closures)
-            if additions is None:
-                with pytest.raises(AlterationError):
-                    smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
-                continue
-            plan = smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
-            assert m.match_out[[a.src for a in plan.additions]].tolist() \
-                == chosen
-            assert list(plan.edge_labels) == additions
-            assert np.array_equal(plan.affected, comp.members)
-            compared += 1
-            multi_pick += len(chosen) > 1
+            yield net, analysis, comp
+
+
+def test_smc_to_ic_full_matches_eager_greedy_random():
+    from netcontrol.alteration import _closure_masks
+    compared = multi_pick = 0
+    for net, analysis, comp in random_smcs():
+        m = analysis.matching
+        closures = _closure_masks(analysis.input_graph, comp)
+        chosen, additions = eager_cover_plan(net, m, comp, closures)
+        if additions is None:
+            with pytest.raises(AlterationError):
+                smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+            continue
+        plan = smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+        assert m.match_out[[a.src for a in plan.additions]].tolist() \
+            == chosen
+        assert list(plan.edge_labels) == additions
+        assert np.array_equal(plan.affected, comp.members)
+        compared += 1
+        multi_pick += len(chosen) > 1
     assert compared >= 400 and multi_pick >= 25
+
+
+def test_smc_to_ic_single_is_the_first_full_pick_random():
+    compared = 0
+    for net, analysis, comp in random_smcs():
+        m, ig = analysis.matching, analysis.input_graph
+        try:
+            full = smc_to_ic_full(net, m, comp, ig=ig)
+        except AlterationError:
+            continue
+        single = smc_to_ic_single(net, m, comp, ig=ig)
+        assert single.additions == full.additions[:1]
+        compared += 1
+    assert compared >= 400
 
 
 def test_smc_to_ic_full_breaks_ties_to_lowest_id():

@@ -135,6 +135,20 @@ def test_alter_writes_files(confluence_file, tmp_path, capsys):
     assert (tmp_path / "plan.after.json").exists()
 
 
+def test_alter_plan_file_carries_goal_attained(confluence_file, tmp_path,
+                                               capsys):
+    argv = ["alter", confluence_file, "--component", "largest-mc",
+            "--to", "smc"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    printed = json.loads(out)
+    assert main(argv + ["-o", str(tmp_path / "plan")]) == 0
+    written = json.loads((tmp_path / "plan.plan.json").read_text(
+        encoding="utf-8"))
+    assert written == {**printed["plan"],
+                       "goal_attained": printed["goal_attained"]}
+
+
 def test_exchange_roundtrip(dilation_file, capsys):
     code, out = run_cli(capsys, "exchange", dilation_file, "--node", "b")
     assert code == 0

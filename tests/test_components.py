@@ -1,10 +1,11 @@
-from netcontrol import (ComponentKind, Matching, build_input_graph,
-                        classify_nodes, find_components, load_edge_list,
-                        maximum_matching, unsaturated_nodes)
+from netcontrol import (ComponentKind, analyze, build_input_graph,
+                        classify_nodes, find_components, input_nodes,
+                        load_edge_list, maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
-from netcontrol.reports import round_percent
+from netcontrol.reports import component_report_dict, round_percent
 
-from conftest import component_sets, node_set, random_digraph, report_for
+from conftest import (component_sets, matching_of, node_set, random_digraph,
+                      report_for)
 
 
 def members_by_labels(net, comp_of):
@@ -69,8 +70,9 @@ def test_component_ids_deterministic_by_smallest_member(five_node,
 
 def test_report_dilation(dilation_net, dilation_matching):
     report = report_for(dilation_net, dilation_matching)
-    assert report.mis_size == 2
-    assert round_percent(report.n_mis_fraction) == 66.67
+    mis_size = input_nodes(dilation_matching).size
+    assert mis_size == 2
+    assert round_percent(mis_size / dilation_net.n) == 66.67
     assert round_percent(report.cc_max_fraction) == 66.67
     assert report.kind(report.cc_max) is ComponentKind.IC
     assert sum(map(len, component_sets(report.comp_of))) == dilation_net.n
@@ -81,16 +83,16 @@ def test_report_single_isolated_node():
     net = DirectedNetwork(1, [])
     m = maximum_matching(net, 0)
     report = report_for(net, m)
-    assert report.mis_size == 1
-    assert round_percent(report.n_mis_fraction) == 100.0
+    assert input_nodes(m).size == 1
     assert report.kind(report.cc_max) is ComponentKind.IC
 
 
 def test_perfect_matching_report(two_cycle):
-    m = maximum_matching(two_cycle, 0)
-    report = report_for(two_cycle, m)
-    assert report.perfectly_matched
-    assert report.mis_size == 0
+    analysis = analyze(two_cycle)
+    census = component_report_dict(analysis, include_members=False)
+    assert census["perfectly_matched"]
+    assert census["mis_size"] == 0
+    report = analysis.report
     assert all(report.kind(i) is ComponentKind.SMC
                for i in range(report.component_count))
 
@@ -154,8 +156,8 @@ def test_kinds_stable_across_matching_seeds():
 def test_mc_partition_depends_on_the_matching():
     net = load_edge_list("p x\nq x\nq y\nr y\n")
     p, q, r, x, y = map(net.id_of, "pqrxy")
-    via_q = Matching.from_pairs(net, [(p, x), (q, y)])
-    via_r = Matching.from_pairs(net, [(p, x), (r, y)])
+    via_q = matching_of(net, [(p, x), (q, y)])
+    via_r = matching_of(net, [(p, x), (r, y)])
     assert (matching_independent_facts(net, via_q)
             == matching_independent_facts(net, via_r))
     assert mc_partition(net, via_q) == {frozenset({x, y})}

@@ -9,8 +9,8 @@ from netcontrol import (NODE_CLASSES, GenSpec, Matching, NodeClass,
 from netcontrol.oracle import enumerate_maximum_matchings
 
 from conftest import (adjacency_edges, brute_input_sets, class_names,
-                      is_maximum_reference, node_set, random_digraph,
-                      worked_networks)
+                      edge_pairs, is_maximum_reference, matching_of, node_set,
+                      random_digraph, worked_networks)
 
 
 def test_dilation_input_graph(dilation_net, dilation_matching):
@@ -63,8 +63,8 @@ def test_redundant_side_edges():
     # two sources into one chain: 3->1 adjacency on the redundant side
     from netcontrol import load_edge_list
     net = load_edge_list("1 3\n2 3\n2 1\n")
-    m = Matching.from_pairs(net, [(net.id_of("1"), net.id_of("3")),
-                                  (net.id_of("2"), net.id_of("1"))])
+    m = matching_of(net, [(net.id_of("1"), net.id_of("3")),
+                          (net.id_of("2"), net.id_of("1"))])
     ig = build_input_graph(net, m)
     classes = class_names(classify_nodes(ig))
     assert classes[net.id_of("2")].possible_input
@@ -77,7 +77,7 @@ def test_rejects_non_maximum_matching(dilation_net):
     independent alternating search (``is_maximum_reference``) finds an
     augmenting path."""
     with pytest.raises(NotMaximumMatchingError):
-        build_input_graph(dilation_net, Matching.from_pairs(dilation_net, []))
+        build_input_graph(dilation_net, matching_of(dilation_net, []))
     rejected = 0
     for seed in range(25):
         net = random_digraph(9, 0.2, seed)
@@ -209,7 +209,7 @@ def test_possible_input_iff_removing_in_copy_keeps_matching_size(model, n, k):
     graph = nx.Graph()
     left = [("out", u) for u in range(net.n)]
     graph.add_nodes_from(left + [("in", v) for v in range(net.n)])
-    graph.add_edges_from((("out", u), ("in", v)) for u, v in net.edges)
+    graph.add_edges_from((("out", u), ("in", v)) for u, v in edge_pairs(net))
 
     def nu() -> int:
         return len(nx.bipartite.hopcroft_karp_matching(graph, left)) // 2
