@@ -17,7 +17,7 @@ giant = before.report.component(before.report.cc_max)
 print(f"start: giant {giant.kind.value} with {giant.size}/{net.n} nodes, "
       f"{before.input_set.size} input nodes")
 
-plan1 = ic_to_smc(net, before.matching, giant)
+plan1 = ic_to_smc(before, giant)
 net2 = apply_plan(net, plan1)
 middle = analyze(net2)
 plan1 = alteration_report(before, middle, plan1)
@@ -28,8 +28,7 @@ print(f"  input-set size: {plan1.mis_before} -> {plan1.mis_after}")
 giant2 = middle.report.component(middle.report.cc_max)
 print(f"  giant is now {giant2.kind.value} with {giant2.size} nodes")
 
-plan2 = smc_to_ic_single(net2, middle.matching, giant2,
-                         ig=middle.input_graph)
+plan2 = smc_to_ic_single(middle, giant2)
 final = analyze(apply_plan(net2, plan2))
 plan2 = alteration_report(middle, final, plan2)
 addition = plan2.additions[0]

@@ -1,7 +1,9 @@
 """Edge additions that flip the control type of a component.
 
 Three procedures, all returning a plan of new edges rather than mutating
-the network:
+the network. Each reads the network, matching, input and unsaturated sets
+and input graph of ``before``, the analysis its component comes from
+(:class:`~netcontrol.pipeline.NetworkAnalysis`):
 
 * IC -> SMC: match every input node of the component by adding one edge
   from a distinct unsaturated node to each of them.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -30,8 +33,8 @@ import numpy as np
 from .components import ComponentKind, ControlComponent
 from .errors import (AlterationError, InsufficientInputNodesError,
                      InternalInvariantError)
-from .input_graph import InputGraph, build_input_graph
-from .matching import Matching, input_nodes, unsaturated_nodes
+from .input_graph import InputGraph
+from .matching import Matching
 from .network import DirectedNetwork, NodeId, edge_positions
 
 
@@ -76,8 +79,7 @@ def _require_kind(comp: ControlComponent, kind: ComponentKind) -> None:
             f"component {comp.id} is {comp.kind.value}, expected {kind.value}")
 
 
-def ic_to_smc(net: DirectedNetwork, m: Matching,
-              comp: ControlComponent) -> AlterationPlan:
+def ic_to_smc(before, comp: ControlComponent) -> AlterationPlan:
     """Plan edges that match every input node of an input component.
 
     Each input node of the component receives one new edge from a distinct
@@ -85,12 +87,13 @@ def ic_to_smc(net: DirectedNetwork, m: Matching,
     unsaturated node points at them.
     """
     _require_kind(comp, ComponentKind.IC)
-    targets = comp.members[m.match_in[comp.members] < 0].tolist()
+    net = before.network
+    targets = comp.members[before.matching.match_in[comp.members] < 0].tolist()
     if not targets:
         raise AlterationError(f"IC {comp.id} has no input node")
     # Donors with out-edges go first: every unsaturated node left over is
     # then a sink and cannot keep any matched component unsaturated-linked.
-    unsaturated = unsaturated_nodes(m)
+    unsaturated = before.unsaturated
     sink = np.diff(net.out_ptr)[unsaturated] == 0
     donors = np.concatenate((unsaturated[~sink], unsaturated[sink])).tolist()
     if len(donors) < len(targets):
@@ -104,11 +107,10 @@ def ic_to_smc(net: DirectedNetwork, m: Matching,
             raise AlterationError("no feasible addition for input node "
                                   f"{node}")
         pairs.append((src, node))
-    return _saturation_plan(net, m, comp, pairs, "saturate_input")
+    return _saturation_plan(before, comp, pairs, "saturate_input")
 
 
-def umc_to_smc(net: DirectedNetwork, m: Matching,
-               comp: ControlComponent) -> AlterationPlan:
+def umc_to_smc(before, comp: ControlComponent) -> AlterationPlan:
     """Plan edges that saturate every unsaturated node linking the component.
 
     Each unsaturated node with an edge into a member gets one new edge to a
@@ -117,11 +119,12 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
     input nodes run out.
     """
     _require_kind(comp, ComponentKind.UMC)
-    linkers = _linking(net, unsaturated_nodes(m), comp.members).tolist()
+    net = before.network
+    linkers = _linking(net, before.unsaturated, comp.members).tolist()
     if not linkers:
         raise InternalInvariantError(
             f"UMC {comp.id} has no linking unsaturated node")
-    receivers = input_nodes(m).tolist()
+    receivers = before.input_set.tolist()
     pairs = []
     for u in linkers:
         dst = _take(receivers, lambda d: d != u and not net.has_edge(u, d))
@@ -132,12 +135,12 @@ def umc_to_smc(net: DirectedNetwork, m: Matching,
                     EdgeAddition(*pair, "saturate_unsaturated")
                     for pair in pairs])
         pairs.append((u, dst))
-    return _saturation_plan(net, m, comp, pairs, "saturate_unsaturated")
+    return _saturation_plan(before, comp, pairs, "saturate_unsaturated")
 
 
-def _saturation_plan(net, m, comp, pairs, reason) -> AlterationPlan:
+def _saturation_plan(before, comp, pairs, reason) -> AlterationPlan:
     """Plan whose additions ``(src, dst)`` each match src to dst."""
-    match_out = m.match_out.copy()
+    match_out = before.matching.match_out.copy()
     match_out[[u for u, _ in pairs]] = [v for _, v in pairs]
     after = Matching(match_out)
     return AlterationPlan(
@@ -146,43 +149,67 @@ def _saturation_plan(net, m, comp, pairs, reason) -> AlterationPlan:
         additions=tuple(EdgeAddition(*pair, reason) for pair in pairs),
         matching_after=after,
         affected=comp.members,
-        mis_before=net.n - m.size,
-        mis_after=net.n - after.size,
+        mis_before=before.input_set.size,
+        mis_after=before.network.n - after.size,
     )
 
 
-def smc_to_ic_single(net: DirectedNetwork, m: Matching,
-                     comp: ControlComponent,
-                     ig: InputGraph | None = None) -> AlterationPlan:
+def smc_to_ic_single(before, comp: ControlComponent) -> AlterationPlan:
     """Link one input node to the member with the widest forward closure.
 
     That member is the first pick of :func:`smc_to_ic_full`.
     """
-    _require_kind(comp, ComponentKind.SMC)
-    if ig is None:
-        ig = build_input_graph(net, m)
-    closures = _closure_masks(ig, comp)
-    first = next(_greedy_picks(closures, comp.members))
-    additions, covered = _link_edges(net, m, comp, [first], closures)
-    return _adjacency_plan(net, m, comp, additions, covered)
+    return _cover(before, comp, 1)
 
 
-def smc_to_ic_full(net: DirectedNetwork, m: Matching,
-                   comp: ControlComponent,
-                   ig: InputGraph | None = None) -> AlterationPlan:
+def smc_to_ic_full(before, comp: ControlComponent) -> AlterationPlan:
     """Cover every member with links, greedily by uncovered closure size.
 
     The picks are those of :func:`_greedy_picks`. On the largest SMC of a
     saturated SF network (N=6000, k=10; 5.5k-5.8k members, 444-502 picks)
     that is 6.5k-7.3k gain evaluations instead of the eager 2.5M-2.9M.
     """
+    return _cover(before, comp, None)
+
+
+def _cover(before, comp: ControlComponent, picks: int | None
+           ) -> AlterationPlan:
+    """One adjacency-link edge, to an input node, per greedy pick.
+
+    Takes the first ``picks`` picks of :func:`_greedy_picks`, all of them
+    when ``picks`` is None, and links each pick's matched predecessor to
+    the lowest-id input node, other than itself, it has no edge to yet.
+    """
     _require_kind(comp, ComponentKind.SMC)
-    if ig is None:
-        ig = build_input_graph(net, m)
-    closures = _closure_masks(ig, comp)
-    chosen = list(_greedy_picks(closures, comp.members))
-    additions, covered = _link_edges(net, m, comp, chosen, closures)
-    return _adjacency_plan(net, m, comp, additions, covered)
+    closures = _closure_masks(before.input_graph, comp)
+    chosen = list(islice(_greedy_picks(closures, comp.members), picks))
+    receivers = before.input_set.tolist()
+    if not receivers:
+        raise AlterationError("no input node available (perfect matching)")
+    net, match_in = before.network, before.matching.match_in
+    additions = []
+    covered = 0
+    for node in chosen:
+        pred = int(match_in[node])
+        if pred < 0:
+            raise InternalInvariantError(
+                f"member {node} of a matched component has no matched in-edge")
+        dst = next((d for d in receivers
+                    if d != pred and not net.has_edge(pred, d)), None)
+        if dst is None:
+            raise AlterationError(f"no feasible addition for member {node}")
+        additions.append(EdgeAddition(pred, dst, "adjacency_link"))
+        covered |= closures[node]
+    return AlterationPlan(
+        target_component_id=comp.id,
+        requested_kind=ComponentKind.IC,
+        additions=tuple(additions),
+        matching_after=before.matching,  # links never touch the matching
+        affected=comp.members[[bool(covered >> i & 1)
+                               for i in range(comp.size)]],
+        mis_before=before.input_set.size,
+        mis_after=before.input_set.size,
+    )
 
 
 def _greedy_picks(closures: dict[NodeId, int],
@@ -210,42 +237,6 @@ def _greedy_picks(closures: dict[NodeId, int],
             raise InternalInvariantError("greedy cover made no progress")
         yield v
         uncovered &= ~closures[v]
-
-
-def _adjacency_plan(net, m, comp, additions, covered) -> AlterationPlan:
-    mis = net.n - m.size
-    return AlterationPlan(
-        target_component_id=comp.id,
-        requested_kind=ComponentKind.IC,
-        additions=tuple(additions),
-        matching_after=m,  # adjacency links never touch the matching
-        affected=covered,
-        mis_before=mis,
-        mis_after=mis,
-    )
-
-
-def _link_edges(net: DirectedNetwork, m: Matching, comp: ControlComponent,
-                chosen: list[NodeId], closures: dict[NodeId, int]):
-    """One adjacency-link edge per chosen member, all to input nodes."""
-    receivers = input_nodes(m).tolist()
-    if not receivers:
-        raise AlterationError("no input node available (perfect matching)")
-    additions: list[EdgeAddition] = []
-    covered = 0
-    for node in chosen:
-        pred = int(m.match_in[node])
-        if pred < 0:
-            raise InternalInvariantError(
-                f"member {node} of a matched component has no matched in-edge")
-        dst = next((d for d in receivers
-                    if d != pred and not net.has_edge(pred, d)), None)
-        if dst is None:
-            raise AlterationError(f"no feasible addition for member {node}")
-        additions.append(EdgeAddition(pred, dst, "adjacency_link"))
-        covered |= closures[node]
-    return additions, comp.members[[bool(covered >> i & 1)
-                                    for i in range(comp.size)]]
 
 
 def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
@@ -329,18 +320,14 @@ def alteration_report(before, after, plan: AlterationPlan) -> AlterationPlan:
         raise ValueError("before/after analyses cover different networks")
     changed = int(np.count_nonzero(before.input_graph.possible_inputs
                                    != after.input_graph.possible_inputs))
-    mis_before = before.input_set.size
-    mis_after = after.input_set.size
-    if mis_after != plan.mis_after:
+    if after.input_set.size != plan.mis_after:
         raise InternalInvariantError(
-            f"re-analysis found {mis_after} input nodes, plan expected "
-            f"{plan.mis_after}")
+            f"re-analysis found {after.input_set.size} input nodes, plan "
+            f"expected {plan.mis_after}")
     edge_count = before.network.edge_count
     return replace(plan,
                    p=len(plan.additions) / edge_count if edge_count else None,
-                   delta_n_d=changed / n,
-                   mis_before=mis_before,
-                   mis_after=mis_after)
+                   delta_n_d=changed / n)
 
 
 def plan_attains_goal(plan: AlterationPlan, after) -> bool:

@@ -77,8 +77,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "tsv"),
                        default="json" if name == "analyze" else "tsv")
-        p.add_argument("--members", action="store_true",
-                       help="include member lists even on large networks")
+        if name in ("analyze", "components"):
+            p.add_argument("--members", action="store_true",
+                           help="include member lists even on large networks")
 
     p = add("alter", "plan edge additions that flip a component's type")
     p.add_argument("path")
@@ -176,8 +177,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
-    include = True if args.members else None
-    record = reports.analysis_record(analysis, include_members=include)
+    record = reports.analysis_record(analysis, args.members or None)
     if args.format == "json":
         _emit(reports.to_json(record), args.output)
     else:
@@ -211,7 +211,7 @@ def _cmd_inputgraph(args) -> int:
 
 def _cmd_components(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
-    include = args.members or analysis.network.n <= reports.MEMBER_LIST_LIMIT
+    include = args.members or None
     if args.format == "json":
         payload = reports.component_report_dict(analysis, include)
         _emit(reports.to_json(payload), args.output)
@@ -222,15 +222,21 @@ def _cmd_components(args) -> int:
 
 def _cmd_alter(args) -> int:
     net = _load(args.path)
+    try:  # before planning: a prefix with an empty name (".", "/") fails
+        paths = [Path(args.output).with_suffix(suffix) for suffix in
+                 (".plan.json", ".added.tsv", ".before.json", ".after.json")
+                 ] if args.output else []
+    except ValueError as exc:
+        raise _OutputError(f"cannot write {args.output}: {exc}") from exc
     before = analyze(net, args.seed)
     comp = _select_component(before, args.component)
     if args.to == "smc" and comp.kind is ComponentKind.IC:
-        plan = ic_to_smc(net, before.matching, comp)
+        plan = ic_to_smc(before, comp)
     elif args.to == "smc" and comp.kind is ComponentKind.UMC:
-        plan = umc_to_smc(net, before.matching, comp)
+        plan = umc_to_smc(before, comp)
     elif args.to == "ic" and comp.kind is ComponentKind.SMC:
         build = smc_to_ic_full if args.mode == "full" else smc_to_ic_single
-        plan = build(net, before.matching, comp, ig=before.input_graph)
+        plan = build(before, comp)
     else:
         raise AlterationError(
             f"cannot alter a {comp.kind.value} component to {args.to.upper()}"
@@ -239,25 +245,21 @@ def _cmd_alter(args) -> int:
     plan = alteration_report(before, after, plan)
 
     labels = net.labels
-    include = net.n <= reports.MEMBER_LIST_LIMIT
     payload = {
         "plan": reports.plan_dict(plan, labels),
         "goal_attained": plan_attains_goal(plan, after),
-        "before": reports.analysis_record(before, include_members=include),
-        "after": reports.analysis_record(after, include_members=include),
+        "before": reports.analysis_record(before),
+        "after": reports.analysis_record(after),
     }
-    if args.output:
-        prefix = Path(args.output)
-        _write(prefix.with_suffix(".plan.json"), reports.to_json(
-            {**payload["plan"], "goal_attained": payload["goal_attained"]}))
-        _write(prefix.with_suffix(".added.tsv"),
-               reports.additions_tsv(plan, labels))
-        _write(prefix.with_suffix(".before.json"),
-               reports.to_json(payload["before"]))
-        _write(prefix.with_suffix(".after.json"),
-               reports.to_json(payload["after"]))
-    else:
+    if not paths:
         sys.stdout.write(reports.to_json(payload))
+        return EXIT_OK
+    plan_file = {**payload["plan"], "goal_attained": payload["goal_attained"]}
+    for path, text in zip(paths, (
+            reports.to_json(plan_file), reports.additions_tsv(plan, labels),
+            reports.to_json(payload["before"]),
+            reports.to_json(payload["after"]))):
+        _write(path, text)
     return EXIT_OK
 
 

@@ -30,7 +30,8 @@ def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
     """Run the whole pipeline on ``net`` with a seed-determined matching.
 
     Each per-node fact stays in the array it is computed in; the input and
-    unsaturated id arrays are derived here once for the component report.
+    unsaturated id arrays are derived here once, for the component report
+    and for the alteration planners, which take the analysis.
     """
     m = maximum_matching(net, seed)
     ig = build_input_graph(net, m)

@@ -74,9 +74,16 @@ def _has_container(types) -> bool:
     return any(issubclass(t, (dict, list, tuple)) for t in types)
 
 
+def _lists_members(net, include_members: bool | None) -> bool:
+    """The member-list policy: None lists them up to MEMBER_LIST_LIMIT nodes."""
+    return (net.n <= MEMBER_LIST_LIMIT if include_members is None
+            else include_members)
+
+
 def component_report_dict(analysis: NetworkAnalysis,
-                          include_members: bool) -> dict:
+                          include_members: bool | None = None) -> dict:
     net, report = analysis.network, analysis.report
+    include_members = _lists_members(net, include_members)
     mis_size = analysis.input_set.size
     names = [kind.value for kind in COMPONENT_KINDS]
     kinds = map(names.__getitem__, report.kinds.tolist())
@@ -111,8 +118,7 @@ def component_report_dict(analysis: NetworkAnalysis,
 def analysis_record(analysis: NetworkAnalysis,
                     include_members: bool | None = None) -> dict:
     net = analysis.network
-    if include_members is None:
-        include_members = net.n <= MEMBER_LIST_LIMIT
+    include_members = _lists_members(net, include_members)
     census = component_report_dict(analysis, include_members)
     record = {
         "n": net.n,
@@ -197,7 +203,9 @@ def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
     return payload
 
 
-def components_tsv(analysis: NetworkAnalysis, include_members: bool) -> str:
+def components_tsv(analysis: NetworkAnalysis,
+                   include_members: bool | None = None) -> str:
+    include_members = _lists_members(analysis.network, include_members)
     lines = ["# id\tsize\tkind" + ("\tmembers" if include_members else "")]
     for c in component_report_dict(analysis, include_members)["components"]:
         lines.append(f"{c['id']}\t{c['size']}\t{c['kind']}" + (

@@ -243,7 +243,7 @@ def test_criterion_7_alteration_trends():
                     comp = _largest(before, kind)
                     if comp is None:
                         continue
-                    plan = op(net, before.matching, comp)
+                    plan = op(before, comp)
                     after = analyze(apply_plan(net, plan))
                     plan = alteration_report(before, after, plan)
                     assert plan_attains_goal(plan, after)              # (a)
@@ -261,15 +261,14 @@ def test_criterion_7_alteration_trends():
         before = analyze(net)
         giant = before.report.component(before.report.cc_max)
         assert giant.kind is ComponentKind.IC
-        plan1 = ic_to_smc(net, before.matching, giant)
+        plan1 = ic_to_smc(before, giant)
         net2 = apply_plan(net, plan1)
         middle = analyze(net2)
         plan1 = alteration_report(before, middle, plan1)
         assert plan1.delta_n_d >= 0.5
         giant2 = middle.report.component(middle.report.cc_max)
         assert giant2.kind is ComponentKind.SMC
-        plan2 = smc_to_ic_single(net2, middle.matching, giant2,
-                                 ig=middle.input_graph)
+        plan2 = smc_to_ic_single(middle, giant2)
         final = analyze(apply_plan(net2, plan2))
         plan2 = alteration_report(middle, final, plan2)
         assert len(plan2.additions) == 1
@@ -297,8 +296,7 @@ def test_criterion_8_greedy_cover_is_minimum():
                 if comp.kind is not ComponentKind.SMC or comp.size > 10:
                     continue
                 try:
-                    plan = smc_to_ic_full(net, analysis.matching, comp,
-                                          ig=analysis.input_graph)
+                    plan = smc_to_ic_full(analysis, comp)
                 except AlterationError:
                     continue  # no feasible link edge for this component
                 masks = _closure_masks(analysis.input_graph, comp)

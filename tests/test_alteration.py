@@ -7,7 +7,7 @@ from netcontrol import (AlterationError, ComponentKind,
 from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
                                    plan_attains_goal, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from conftest import class_names, node_set, random_digraph, report_for
+from conftest import analysis_of, class_names, node_set, random_digraph
 
 
 def component_of(analysis, node):
@@ -40,7 +40,7 @@ def test_ic_to_smc_dilation(dilation_net):
     before = analyze(dilation_net)
     comp = component_of(before, dilation_net.id_of("a"))
     assert comp.kind is ComponentKind.IC
-    plan = ic_to_smc(dilation_net, before.matching, comp)
+    plan = ic_to_smc(before, comp)
     assert len(plan.additions) == 1
     assert plan.additions[0].reason == "saturate_input"
     assert plan.mis_after == plan.mis_before - 1
@@ -56,14 +56,14 @@ def test_ic_to_smc_requires_ic(confluence):
     before = analyze(confluence)
     umc = largest_of(before, ComponentKind.UMC)
     with pytest.raises(AlterationError):
-        ic_to_smc(confluence, before.matching, umc)
+        ic_to_smc(before, umc)
 
 
 def test_umc_to_smc_confluence(confluence):
     ids = confluence.id_of
     before = analyze(confluence)
     comp = component_of(before, ids("3"))
-    plan = umc_to_smc(confluence, before.matching, comp)
+    plan = umc_to_smc(before, comp)
     assert [(a.src, a.dst) for a in plan.additions] == [(ids("2"), ids("1"))]
     assert plan.additions[0].reason == "saturate_unsaturated"
     after = reanalyzed(confluence, plan)
@@ -80,7 +80,7 @@ def test_umc_to_smc_skips_nonlinking_unsaturated_member(confluence):
     # unnecessary, so exactly one edge is planned
     before = analyze(confluence)
     comp = component_of(before, confluence.id_of("3"))
-    plan = umc_to_smc(confluence, before.matching, comp)
+    plan = umc_to_smc(before, comp)
     assert len(plan.additions) == 1
 
 
@@ -88,7 +88,7 @@ def test_umc_to_smc_requires_umc(path4):
     before = analyze(path4)
     smc = largest_of(before, ComponentKind.SMC)
     with pytest.raises(AlterationError):
-        umc_to_smc(path4, before.matching, smc)
+        umc_to_smc(before, smc)
 
 
 def test_umc_to_smc_insufficient_inputs():
@@ -100,20 +100,17 @@ def test_umc_to_smc_insufficient_inputs():
     comp = component_of(before, net.id_of("x"))
     assert comp.kind is ComponentKind.UMC
     with pytest.raises(InsufficientInputNodesError) as exc_info:
-        umc_to_smc(net, before.matching, comp)
+        umc_to_smc(before, comp)
     assert exc_info.value.partial_additions == ()
 
 
 def test_smc_to_ic_single_five_node(five_node, five_node_matching):
     ids = five_node.id_of
-    before = analyze(five_node)
     # pin the worked matching rather than the seed-0 one
-    from netcontrol import build_input_graph
-    ig = build_input_graph(five_node, five_node_matching)
-    report = report_for(five_node, five_node_matching, ig)
-    comp = report.component(int(report.comp_of[ids("a")]))
+    before = analysis_of(five_node, five_node_matching)
+    comp = component_of(before, ids("a"))
     assert comp.kind is ComponentKind.SMC
-    plan = smc_to_ic_single(five_node, five_node_matching, comp, ig=ig)
+    plan = smc_to_ic_single(before, comp)
     assert len(plan.additions) == 1
     addition = plan.additions[0]
     assert addition.reason == "adjacency_link"
@@ -130,15 +127,14 @@ def test_smc_to_ic_requires_smc(confluence):
     before = analyze(confluence)
     umc = largest_of(before, ComponentKind.UMC)
     with pytest.raises(AlterationError):
-        smc_to_ic_single(confluence, before.matching, umc)
+        smc_to_ic_single(before, umc)
 
 
 def test_smc_to_ic_requires_an_input_node(two_cycle):
     before = analyze(two_cycle)
     smc = largest_of(before, ComponentKind.SMC)
     with pytest.raises(AlterationError, match="no input node"):
-        smc_to_ic_single(two_cycle, before.matching, smc,
-                         ig=before.input_graph)
+        smc_to_ic_single(before, smc)
 
 
 def test_direct_link_to_umc_creates_augmenting_path(confluence):
@@ -161,8 +157,7 @@ def test_smc_to_ic_full_covers_every_member():
     smcs = components(analysis, ComponentKind.SMC)
     assert smcs
     for comp in smcs:
-        plan = smc_to_ic_full(net, analysis.matching, comp,
-                              ig=analysis.input_graph)
+        plan = smc_to_ic_full(analysis, comp)
         after = reanalyzed(net, plan)
         assert plan_attains_goal(plan, after)
         assert all(possible_input(after, v) for v in comp.members.tolist())
@@ -175,10 +170,9 @@ def test_smc_to_ic_on_chain_tails(path4):
     # the head is the only input node AND the matched predecessor of node 1,
     # so that member admits no link edge (it would be a self-loop)
     with pytest.raises(AlterationError, match="no feasible addition"):
-        smc_to_ic_full(path4, before.matching, smcs[0], ig=before.input_graph)
+        smc_to_ic_full(before, smcs[0])
     for comp in smcs[1:]:
-        plan = smc_to_ic_full(path4, before.matching, comp,
-                              ig=before.input_graph)
+        plan = smc_to_ic_full(before, comp)
         assert len(plan.additions) == 1
         after = reanalyzed(path4, plan)
         assert all(possible_input(after, v) for v in comp.members.tolist())
@@ -188,7 +182,7 @@ def test_identity_plan_metrics(dilation_net):
     before = analyze(dilation_net)
     after = analyze(dilation_net)
     comp = largest_of(before, ComponentKind.IC)
-    plan = ic_to_smc(dilation_net, before.matching, comp)
+    plan = ic_to_smc(before, comp)
     identity = plan.__class__(
         target_component_id=comp.id, requested_kind=plan.requested_kind,
         additions=(), matching_after=before.matching,
@@ -211,7 +205,7 @@ def test_saturation_plans_keep_matchings_maximum_random():
                 continue
             comp = min(pool, key=lambda c: (-c.size, c.id))
             try:
-                plan = op(net, before.matching, comp)
+                plan = op(before, comp)
             except AlterationError:
                 continue
             net2 = apply_plan(net, plan)
@@ -234,8 +228,7 @@ def test_adjacency_plans_flip_closures_random():
             continue
         comp = min(pool, key=lambda c: (-c.size, c.id))
         try:
-            plan = smc_to_ic_full(net, before.matching, comp,
-                                  ig=before.input_graph)
+            plan = smc_to_ic_full(before, comp)
         except AlterationError:
             continue  # sole input node coincides with a matched predecessor
         net2 = apply_plan(net, plan)
@@ -312,9 +305,9 @@ def test_smc_to_ic_full_matches_eager_greedy_random():
         chosen, additions = eager_cover_plan(net, m, comp, closures)
         if additions is None:
             with pytest.raises(AlterationError):
-                smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+                smc_to_ic_full(analysis, comp)
             continue
-        plan = smc_to_ic_full(net, m, comp, ig=analysis.input_graph)
+        plan = smc_to_ic_full(analysis, comp)
         assert m.match_out[[a.src for a in plan.additions]].tolist() \
             == chosen
         assert list(plan.edge_labels) == additions
@@ -327,12 +320,11 @@ def test_smc_to_ic_full_matches_eager_greedy_random():
 def test_smc_to_ic_single_is_the_first_full_pick_random():
     compared = 0
     for net, analysis, comp in random_smcs():
-        m, ig = analysis.matching, analysis.input_graph
         try:
-            full = smc_to_ic_full(net, m, comp, ig=ig)
+            full = smc_to_ic_full(analysis, comp)
         except AlterationError:
             continue
-        single = smc_to_ic_single(net, m, comp, ig=ig)
+        single = smc_to_ic_single(analysis, comp)
         assert single.additions == full.additions[:1]
         compared += 1
     assert compared >= 400
@@ -348,7 +340,6 @@ def test_smc_to_ic_full_breaks_ties_to_lowest_id():
     comp = component_of(analysis, ids("a"))
     assert comp.kind is ComponentKind.SMC
     assert node_set(comp.members) == {ids("a"), ids("b")}
-    plan = smc_to_ic_full(net, analysis.matching, comp,
-                          ig=analysis.input_graph)
+    plan = smc_to_ic_full(analysis, comp)
     assert plan.edge_labels == ((ids("c1"), ids("c2")),)
     assert np.array_equal(plan.affected, comp.members)

@@ -457,6 +457,47 @@ def test_unwritable_output_exits_2(dilation_file, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prefix", [".", "/"])
+def test_alter_prefix_with_empty_name_exits_2(dilation_file, prefix, capsys,
+                                              monkeypatch):
+    import netcontrol.cli as cli
+
+    def must_not_plan(*args):
+        raise AssertionError("planned before checking the output prefix")
+
+    monkeypatch.setattr(cli, "analyze", must_not_plan)
+    assert main(["alter", dilation_file, "--to", "smc", "-o", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {prefix}")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "components"])
+def test_members_flag_lists_members_on_large_networks(command, tmp_path,
+                                                      capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("# nodes: 10001\n0 1\n", encoding="utf-8")
+
+    def first_component(*flags):
+        code, out = run_cli(capsys, command, str(path), "--format", "json",
+                            *flags)
+        assert code == 0
+        record = json.loads(out)
+        census = record["components"] if command == "analyze" else record
+        return census["components"][0]
+
+    assert "members" not in first_component()
+    assert first_component("--members")["members"] == ["0"]
+
+
+@pytest.mark.parametrize("command", ["classify", "inputgraph"])
+def test_members_flag_is_only_on_listing_commands(command, dilation_file,
+                                                  capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, dilation_file, "--members"])
+    assert exc.value.code == 1
+
+
 # Pieces of hostile edge lists: a BOM, odd line ends and blanks, NUL, a byte
 # UTF-8 never uses, U+2028, digit runs past 18 digits, negative labels and
 # small "# nodes:" headers (each ends its line, so no piece can make it
@@ -470,16 +511,24 @@ _PIECES = [b"\xef\xbb\xbf", b"\r", b"\n", b"\r\n", b"\t", b" ", b"\x00",
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=40))
 def test_hostile_files_exit_0_or_2_without_traceback(pieces):
+    """Reading commands exit 0 or 2; those that select or alter a
+    component may also find it infeasible (3). None fails internally."""
     fd, path = tempfile.mkstemp(suffix=".txt")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(b"".join(pieces))
-        for command in ("analyze", "classify", "inputgraph"):
+        for argv, codes in (
+                (["analyze"], (0, 2)), (["classify"], (0, 2)),
+                (["inputgraph"], (0, 2)), (["components"], (0, 2, 3)),
+                (["alter", "--to", "smc"], (0, 2, 3)),
+                (["alter", "--component", "largest-smc", "--to", "ic",
+                  "--mode", "full"], (0, 2, 3))):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
-                code = main([command, path])
-            assert code in (0, 2), err.getvalue()
+                code = main([argv[0], path, *argv[1:]])
+            assert code in codes, err.getvalue()
             assert "Traceback" not in err.getvalue()
+            assert "internal error" not in err.getvalue()
     finally:
         os.unlink(path)

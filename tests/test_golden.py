@@ -94,6 +94,10 @@ def _cases():
             lambda p, seed=seed, s=s:
             ["alter", str(p[f"sat{seed}"]), "--component", "largest-smc",
              "--to", "ic", "--mode", "full", *s])
+        cases[f"alter-single-sf-s{seed}"] = (
+            lambda p, seed=seed, s=s:
+            ["alter", str(p[f"sat{seed}"]), "--component", "largest-smc",
+             "--to", "ic", *s])
         for node in EXCHANGE_NODES:
             cases[f"exchange-{node}-sf-s{seed}"] = (
                 lambda p, node=node, s=s:
@@ -118,6 +122,8 @@ DIGESTS = {
     'alter-cover-sf-s3': (0, 'ae0d198602e5112a9542bd458e0188906ed63d8631a219129533e7e2a4b82824'),
     'alter-saturate-sf-s0': (0, 'c95bc7d073a166e050ee4ba23fdb28462d26f745a8b97c63438ed90c3a886e77'),
     'alter-saturate-sf-s3': (0, 'd2404d1c1e9f371d6d8e3a67817f498f7aa5f391eaae4a1f030f6d2939bdb0ec'),
+    'alter-single-sf-s0': (0, '7546913502b66c425ea76d6d61456ec1615f6c7b9612be644affa62757917621'),
+    'alter-single-sf-s3': (0, 'd494125b2edcac4747ac14001f122300dfeb83442ebf24abd848fc3dd7ffb7c7'),
     'analyze-json-er-bare-s0': (0, 'fae9083c7cdb3e9e1e628a8a6ccc91b455823f9c6e1638e2894044dfb8dc46f8'),
     'analyze-json-er-s0': (0, '7b3bd8016677b410484182d8d516ec37b18ee6486375fda2ce81b6b2016d63eb'),
     'analyze-json-er-s3': (0, '45eba4b1380125ffededa71271f00c20dffd81fae7aef3d0c9e4de2e54c18538'),

@@ -255,7 +255,7 @@ def test_exchange_and_saturation_plans_leave_their_matching_unchanged():
                         (ComponentKind.UMC, umc_to_smc)):
         code = COMPONENT_KINDS.index(kind)
         ident = int(np.flatnonzero(report.kinds == code)[0])
-        results.append(build(net, m, report.component(ident)).matching_after)
+        results.append(build(analysis, report.component(ident)).matching_after)
     for after in results:
         assert after is not m and not np.array_equal(after.match_out,
                                                      m.match_out)
