@@ -56,12 +56,11 @@ class ControlComponent:
 def find_components(ig: InputGraph) -> np.ndarray:
     """Component id of every node, ids 0,1,... in order of smallest member."""
     n = ig.network.n
-    ends = np.concatenate((ig.src, ig.dst))
-    other = np.concatenate((ig.dst, ig.src))
     lab = np.arange(n, dtype=np.int32)
     while True:  # a round that lowers no label leaves every edge's ends equal
         before = lab.copy()
-        np.minimum.at(lab, ends, lab[other])
+        np.minimum.at(lab, ig.src, lab[ig.dst])
+        np.minimum.at(lab, ig.dst, lab[ig.src])
         while not np.array_equal(jumped := lab[lab], lab):
             lab = jumped
         if np.array_equal(lab, before):

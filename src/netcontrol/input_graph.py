@@ -100,17 +100,22 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
             f"the matching is not maximum")
 
     candidate = (b >= 0) & (b != a)
-    side_p = np.flatnonzero(candidate & possible[a])
-    side_r = np.flatnonzero(candidate & ~possible[b])
-    keep = np.concatenate((side_p, side_r))
+    side_p = candidate & possible[a]
+    side_r = candidate & ~possible[b]
+    del candidate
+    # Each per-edge array is dropped once its kept entries are gathered.
+    src = np.concatenate((a[side_p], a[side_r]))
+    del a
+    dst = np.concatenate((b[side_p], b[side_r]))
+    del b
     possible.flags.writeable = False
     return InputGraph(
         network=net,
         matching=m,
-        src=a[keep],
-        dst=b[keep],
-        witness=c[keep],
-        possible_edge_count=side_p.size,
+        src=src,
+        dst=dst,
+        witness=np.concatenate((c[side_p], c[side_r])),
+        possible_edge_count=np.count_nonzero(side_p),
         possible_inputs=possible,
     )
 

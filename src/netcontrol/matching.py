@@ -96,9 +96,18 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     any other seed applies a seeded shuffle to both, which changes which
     maximum matching is found but never its size.
 
+    Under seed 0 the first phase, whose one level reaches every edge, is
+    taken in closed form from the in-rows in O(N): each in-copy is claimed
+    by its smallest in-neighbour, and each out-copy is matched to the
+    smallest in-copy it claimed. That is the matching the search finds
+    there, without the level's per-edge arrays, which would set the
+    matcher's memory peak (ER N=10^5, k=10: 21 MB traced with them, 11 MB
+    without, for a 5.6 MB CSR).
+
     Seed 0 is separable over disjoint parts: on a disjoint union each
-    part's roots, claims and flips are, in order, those it makes alone,
-    and a part that is done only repeats its last, empty phase. ``sweep``
+    part's roots, claims and flips are, in order, those it makes alone
+    (the closed first phase is local to each node), and a part that is
+    done only repeats its last, empty phase. ``sweep``
     relies on this to match many networks at once
     (:func:`~netcontrol.pipeline.part_reports`). A nonzero seed shuffles
     across parts and is not separable.
@@ -123,7 +132,19 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     match_in = np.full(n, -1, dtype=np.int32)   # in-copy v -> out-copy u
     parent = np.empty(n, dtype=np.int32)   # in-copy -> out-copy that claimed it
     root_of = np.empty(n, dtype=np.int32)  # out-copy -> root of its tree
-    scratch = np.empty(n, dtype=np.int64)
+    scratch = np.empty(n, dtype=np.intp)  # np.minimum.at is slow on others
+
+    if not order_seed:
+        # The first phase in closed form. Every out-copy is a root and the
+        # first level reaches every edge in (u, v) order, so each in-copy
+        # is claimed by its smallest in-neighbour and each out-copy takes
+        # the smallest in-copy it claimed, a path of one edge.
+        v = np.flatnonzero(np.diff(net.in_ptr)).astype(np.int32)
+        u = net.in_idx[net.in_ptr[v]]
+        first = first_of_each(u, scratch)
+        match_out[u[first]] = v[first]
+        match_in[v[first]] = u[first]
+        del v, u, first
 
     while True:
         frontier = roots[match_out[roots] < 0]
@@ -133,11 +154,11 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
         ends = []
         while frontier.size:
             pos, counts = edge_positions(indptr, frontier)
-            src = np.repeat(frontier, counts)
             dst = indices[pos]
+            del pos
             fresh = ~visited[dst]
             dst = dst[fresh]
-            src = src[fresh]
+            src = np.repeat(frontier, counts)[fresh]
             first = first_of_each(dst, scratch)
             dst = dst[first]
             src = src[first]

@@ -41,11 +41,11 @@ MAX_DECLARED_NODES = 10 ** 7  # bounds the nodes a header makes before any edge
 _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
 
 
-def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
-    """CSR row offsets for edges grouped by ``ids`` (sorted or not)."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=n), out=ptr[1:])
-    return ptr
+def _remainder(keys: np.ndarray, n: int) -> np.ndarray:
+    """``keys % n`` as int32, written without an int64 temporary."""
+    rest = np.empty(keys.size, dtype=np.int32)
+    np.remainder(keys, n, out=rest, casting="unsafe")
+    return rest
 
 
 def edge_positions(ptr: np.ndarray, nodes: np.ndarray):
@@ -99,24 +99,39 @@ class DirectedNetwork:
         table is built on the first read of :attr:`labels`.
         """
         self.n = n
-        pairs = np.asarray(edges if hasattr(edges, "__len__") else list(edges),
-                           dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges if hasattr(edges, "__len__") else list(edges))
+        if pairs.dtype.kind != "i":  # e.g. the floats of an empty list
+            pairs = pairs.astype(np.int64)
+        pairs = pairs.reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
             u, v = pairs[bad.argmax()].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        # One sort of the keys u*n+v drops duplicates and orders the rows.
-        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        # One in-place sort of the keys u*n+v orders the out-rows and puts
+        # duplicates side by side; the same buffer, re-keyed v*n+u and
+        # sorted again, orders the in-rows. Each row starts at key i*n.
+        keys = pairs[:, 0].astype(np.int64)
+        keys *= n
+        keys += pairs[:, 1]
+        keys.sort()
         keep = np.empty(keys.size, dtype=bool)
         keep[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keys = keys[keep]
+        if not keep.all():
+            keys = keys[keep]
+        del keep
         self.duplicates_collapsed = len(pairs) - keys.size
-        src, dst = np.divmod(keys, n)
-        self.out_ptr = _offsets(src, n)
-        self.out_idx = dst.astype(np.int32)
-        self.in_ptr = _offsets(dst, n)
-        self.in_idx = (np.sort(dst * n + src) % n).astype(np.int32)
+        row_starts = np.arange(n + 1, dtype=np.int64) * n
+        self.out_ptr = keys.searchsorted(row_starts)
+        self.out_idx = _remainder(keys, n)
+        src = np.empty(keys.size, dtype=np.int32)
+        np.floor_divide(keys, n, out=src, casting="unsafe")
+        np.multiply(self.out_idx, n, out=keys, dtype=np.int64)
+        keys += src
+        del src
+        keys.sort()
+        self.in_ptr = keys.searchsorted(row_starts)
+        self.in_idx = _remainder(keys, n)
         self._labels = None
         if labels is not None:
             self._labels = tuple(map(str, labels))
@@ -233,9 +248,9 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
     if raw.translate(None, b"0123456789 \t\r\n"):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    padded = np.zeros(buf.size + 2, dtype=bool)
-    np.greater(buf, 47, out=padded[1:-1])  # digits: the bytes above blanks
-    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    kind = np.zeros(buf.size + 2, dtype=np.int8)  # a blank on each side
+    np.greater(buf, 47, out=kind[1:-1])  # 1 for digits: the bytes above blanks
+    bounds = np.flatnonzero(kind[1:] != kind[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     if not starts.size:
         return np.zeros(0, dtype=np.int64)
@@ -243,10 +258,8 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
     width = int(lengths.max())
     if width > 18 or ((buf[starts] == 48) & (lengths > 1)).any():
         return None
-    # Tokens per "\n"-ended line, and on the text after the last "\n".
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(buf == 10)),
-                       prepend=0, append=starts.size)
-    if ((per_line | 2) != 2).any():
+    kind[1:-1] -= buf == 10
+    if not _two_per_line(kind):
         return None
     dtype = np.int32 if width <= 9 else np.int64
     values = np.zeros(starts.size, dtype=dtype)
@@ -259,6 +272,20 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
         values += np.multiply(digits, 10 ** j, dtype=dtype)
         place -= 1
     return values if limit is None or values.max() < limit else None
+
+
+def _two_per_line(kind: np.ndarray) -> bool:
+    r"""Whether each line holds two tokens or none.
+
+    ``kind`` gives each byte's class, 1 for a digit, -1 for "\n" and 0 for
+    another blank, with a blank on each side. In the order the runs of one
+    class open, each token run must have exactly one token run beside it,
+    across a run of other blanks.
+    """
+    runs = np.pad(kind[1:][kind[1:] != kind[:-1]], 2, constant_values=-1)
+    token = runs == 1
+    paired = token[:-2] & (runs[1:-1] == 0) & token[2:]  # with the 2nd next
+    return not (token[2:-2] & (paired[:-2] == paired[2:])).any()
 
 
 def _lines(text: str) -> list[str]:
@@ -418,6 +445,7 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     if not (label_to_id or declared_n):
         raise EdgeListParseError("no nodes found in input")
     pairs = np.concatenate(parts).reshape(-1, 2)
+    del parts
     net = (DirectedNetwork(declared_n, pairs) if declared_n is not None else
            DirectedNetwork(len(label_to_id), pairs, tuple(label_to_id)))
     if net.duplicates_collapsed:

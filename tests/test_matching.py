@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -82,6 +84,37 @@ def test_matching_matches_networkx_on_generated_graphs(model, n, k):
         assert m.size == expected
         assert is_valid_matching(net, m.pairs())
         assert is_maximum(net, m)
+
+
+# sha256 prefixes of match_out under order seeds 0 and 3. Sparse graphs
+# hold nodes with no in-edge and isolated nodes.
+@pytest.mark.parametrize("model,n,k,seed0,seed3", [
+    ("er", 50, 0.5, "c12dc35977ac0477", "6e0898ddbafd3e90"),
+    ("er", 50, 1, "e0e264148f0d6329", "34d967f4c592740a"),
+    ("er", 50, 2, "ae848fe9d8265d4c", "24ef235c08827005"),
+    ("er", 50, 4, "20b6d3f4e1265969", "d150672ea48c9b1c"),
+    ("er", 50, 10, "685081e8b53c5d48", "d67bb9d3f7062073"),
+    ("er", 2000, 0.5, "dff28d3f293e06c6", "400f6090db2989ff"),
+    ("er", 2000, 1, "961968c45b948676", "e055767965f258bb"),
+    ("er", 2000, 2, "7ff0cd2c81dec0d3", "aaef5ae5dbc5a973"),
+    ("er", 2000, 4, "b2dd1623c90d0288", "bcfb1f6d2d156c14"),
+    ("er", 2000, 10, "d898e8e69151d948", "ef76134f28b6d9e3"),
+    ("sf", 50, 0.5, "34ba9f6c33eb34a3", "20c4296d5d35f217"),
+    ("sf", 50, 1, "5fcc1541f888d688", "3bb5c869a32a7756"),
+    ("sf", 50, 2, "8d8c17a6775efd7b", "6bf6e2e915209f24"),
+    ("sf", 50, 4, "29de03af4396ac70", "9675aa71e984961c"),
+    ("sf", 50, 10, "7433c701a8bdc9bb", "9fa041fe9bf71670"),
+    ("sf", 2000, 0.5, "71e38280afcacc3b", "f9264230992ad656"),
+    ("sf", 2000, 1, "4e1b0fcd4d074b32", "112892e2e23fcfae"),
+    ("sf", 2000, 2, "a2a175efc839d204", "32e4760067cef70a"),
+    ("sf", 2000, 4, "91dc9aaf33a7d7ec", "279c8dde0517e1a4"),
+    ("sf", 2000, 10, "fc4e606c24932e4e", "13f0d4e47e82f2de"),
+])
+def test_matchings_are_pinned(model, n, k, seed0, seed3):
+    net = generate(GenSpec(model=model, n=n, avg_degree=k, seed=n + int(10 * k)))
+    digests = [hashlib.sha256(maximum_matching(net, s).match_out.tobytes())
+               .hexdigest()[:16] for s in (0, 3)]
+    assert digests == [seed0, seed3]
 
 
 def test_reverse_chain_needs_one_long_augmenting_path():

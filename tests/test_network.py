@@ -3,6 +3,7 @@ import re
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -316,7 +317,6 @@ def test_batched_parse_equals_line_by_line_reference():
 
 
 def test_constructor_takes_pairs_or_arrays():
-    import numpy as np
     pairs = [(3, 1), (0, 2), (3, 1), (1, 1)]
     from_list = DirectedNetwork(4, pairs)
     from_array = DirectedNetwork(4, np.array(pairs, dtype=np.int32))
@@ -327,6 +327,50 @@ def test_constructor_takes_pairs_or_arrays():
     assert from_array.out_idx.dtype == from_array.in_idx.dtype == np.int32
     with pytest.raises(ValueError, match=r"edge \(4, 0\) out of range"):
         DirectedNetwork(4, np.array([[0, 1], [4, 0]]))
+
+
+def _reference_csr(n, pairs):
+    """The four CSR arrays of ``pairs`` and the duplicates among them."""
+    edges = sorted(set(map(tuple, pairs)))
+    rows = [[v for u, v in edges if u == w] for w in range(n)]
+    cols = [sorted(u for u, v in edges if v == w) for w in range(n)]
+
+    def csr(lists):
+        return [0] + np.cumsum([len(x) for x in lists]).tolist(), sum(lists, [])
+
+    return (*csr(rows), *csr(cols)), len(pairs) - len(edges)
+
+
+@pytest.mark.parametrize("n,pairs", [
+    # ids near n > 46341, so that u*n overflows int32
+    (50_000, [(49_999, 49_998), (3, 49_999), (49_999, 49_998), (7, 7),
+              (0, 49_999), (49_998, 0), (7, 7), (3, 0), (49_999, 3)]),
+    (60, np.random.default_rng(5).integers(0, 60, (400, 2)).tolist()),
+    (1, [(0, 0), (0, 0)]),
+    (1, []),
+    (4, []),
+])
+def test_constructor_builds_the_same_csr_from_every_input_form(n, pairs):
+    expected, duplicates = _reference_csr(n, pairs)
+    forms = [pairs, iter(pairs), np.array(pairs, dtype=np.int64),
+             np.array(pairs, dtype=np.int32).reshape(-1, 2)]
+    for edges in forms:
+        net = DirectedNetwork(n, edges)
+        got = (net.out_ptr, net.out_idx, net.in_ptr, net.in_idx)
+        assert [a.tolist() for a in got] == list(expected)
+        assert [a.dtype for a in got] == [np.int64, np.int32] * 2
+        assert net.duplicates_collapsed == duplicates
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, None])
+def test_constructor_names_the_first_pair_out_of_range(dtype):
+    for n, pairs, bad in [(4, [[0, 1], [4, 0], [5, 5]], r"\(4, 0\)"),
+                          (3, [[1, 2], [0, -1]], r"\(0, -1\)"),
+                          (50_000, [[3, 50_000]], r"\(3, 50000\)")]:
+        edges = pairs if dtype is None else np.array(pairs, dtype=dtype)
+        with pytest.raises(ValueError,
+                           match=rf"^edge {bad} out of range for n={n}$"):
+            DirectedNetwork(n, edges)
 
 
 def test_label_index_is_built_on_first_lookup():
