@@ -134,11 +134,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     root_of = np.empty(n, dtype=np.int32)  # out-copy -> root of its tree
     scratch = np.empty(n, dtype=np.intp)  # np.minimum.at is slow on others
 
-    if not order_seed:
-        # The first phase in closed form. Every out-copy is a root and the
-        # first level reaches every edge in (u, v) order, so each in-copy
-        # is claimed by its smallest in-neighbour and each out-copy takes
-        # the smallest in-copy it claimed, a path of one edge.
+    if not order_seed:  # the first phase in closed form, see above
         v = np.flatnonzero(np.diff(net.in_ptr)).astype(np.int32)
         u = net.in_idx[net.in_ptr[v]]
         first = first_of_each(u, scratch)

@@ -278,9 +278,9 @@ def _two_per_line(kind: np.ndarray) -> bool:
     r"""Whether each line holds two tokens or none.
 
     ``kind`` gives each byte's class, 1 for a digit, -1 for "\n" and 0 for
-    another blank, with a blank on each side. In the order the runs of one
-    class open, each token run must have exactly one token run beside it,
-    across a run of other blanks.
+    another blank, with a blank on each side. Among the runs of one class,
+    in order, each token must then have exactly one other token beside it
+    with only a run of other blanks between them.
     """
     runs = np.pad(kind[1:][kind[1:] != kind[:-1]], 2, constant_values=-1)
     token = runs == 1
