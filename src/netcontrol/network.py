@@ -15,8 +15,15 @@ and interned as strings. A network whose labels are its ids (``# nodes:``
 files, generated networks) builds no label strings unless they are read.
 On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.1 s with
 its ``# nodes:`` header, 0.3 s without it and 0.7-0.8 s with string labels;
-the constructor is 0.025 s of each. Writing it back takes about 0.04 s,
-and 0.02 s more when that builds an id-labelled network's label table.
+the constructor is 0.025-0.03 s of each. Writing it back takes about
+0.04 s, and 0.02 s more when that builds an id-labelled network's label
+table.
+
+The constructor sorts one int64 key per edge in place, once per
+direction, and beside its input holds at most that buffer and two int32
+arrays the size of the edge set: about twice the bytes of the CSR it
+builds. On that network it peaks 10.5 MB above its int32 input for a
+5.6 MB CSR, and loading the file peaks at 15.7 MB (tracemalloc).
 """
 
 from __future__ import annotations
