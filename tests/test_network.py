@@ -1,6 +1,7 @@
 import io
 import re
 import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -332,13 +333,15 @@ def test_constructor_takes_pairs_or_arrays():
 def _reference_csr(n, pairs):
     """The four CSR arrays of ``pairs`` and the duplicates among them."""
     edges = sorted(set(map(tuple, pairs)))
-    rows = [[v for u, v in edges if u == w] for w in range(n)]
-    cols = [sorted(u for u, v in edges if v == w) for w in range(n)]
 
-    def csr(lists):
-        return [0] + np.cumsum([len(x) for x in lists]).tolist(), sum(lists, [])
+    def csr(rows_and_cols):  # sorted (row, column) pairs
+        counts = [0] * n
+        for row, _ in rows_and_cols:
+            counts[row] += 1
+        return [0, *accumulate(counts)], [col for _, col in rows_and_cols]
 
-    return (*csr(rows), *csr(cols)), len(pairs) - len(edges)
+    return ((*csr(edges), *csr(sorted((v, u) for u, v in edges))),
+            len(pairs) - len(edges))
 
 
 @pytest.mark.parametrize("n,pairs", [
