@@ -109,6 +109,10 @@ def test_matching_matches_networkx_on_generated_graphs(model, n, k):
     ("sf", 2000, 2, "a2a175efc839d204", "32e4760067cef70a"),
     ("sf", 2000, 4, "91dc9aaf33a7d7ec", "279c8dde0517e1a4"),
     ("sf", 2000, 10, "fc4e606c24932e4e", "13f0d4e47e82f2de"),
+    ("er", 6000, 10, "82997d093af8c5e9", "c8c230826f5e39e8"),
+    ("er", 6000, 14, "60df4b1edee07056", "1bad0761d6cb265b"),
+    ("sf", 6000, 10, "3d3a191ea3a3768b", "83721c8f172c00a0"),
+    ("sf", 6000, 14, "2631649c249b0f10", "4066e6ab8c097926"),
 ])
 def test_matchings_are_pinned(model, n, k, seed0, seed3):
     net = generate(GenSpec(model=model, n=n, avg_degree=k, seed=n + int(10 * k)))

@@ -133,6 +133,55 @@ def _closure_reference(net, m):
     return possible, possible_edges, redundant_edges
 
 
+def _matching_reference(net):
+    """The seed-0 search of ``maximum_matching`` in plain Python.
+
+    Level-synchronous phases from the free out-copies in id order, each
+    scanning adjacency in ascending order: the first claim of an in-copy
+    wins, a tree stops growing at its first free end, and each phase flips
+    its paths. The first phase is taken in closed form, as there: each
+    in-copy is claimed by its smallest in-neighbour, and each out-copy is
+    matched to the smallest in-copy it claimed.
+    """
+    n = net.n
+    adj = [net.successors(u).tolist() for u in range(n)]
+    match_out, match_in = [-1] * n, [-1] * n
+    for v in range(n):
+        pred = net.predecessors(v).tolist()
+        if pred and match_out[pred[0]] < 0:
+            match_out[pred[0]], match_in[v] = v, pred[0]
+    while True:
+        frontier = [u for u in range(n) if match_out[u] < 0]
+        root_of = {u: u for u in frontier}
+        parent, done, ends = {}, set(), []
+        while frontier:
+            claims = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        claims.append(v)
+            for v in claims:
+                tree = root_of[parent[v]]
+                if match_in[v] < 0 and tree not in done:
+                    done.add(tree)
+                    ends.append(v)
+            frontier = []
+            for v in claims:
+                tree = root_of[parent[v]]
+                if match_in[v] >= 0 and tree not in done:
+                    root_of[match_in[v]] = tree
+                    frontier.append(match_in[v])
+        if not ends:
+            return match_out
+        for v in ends:
+            while v >= 0:
+                u = parent[v]
+                prev = match_out[u]
+                match_out[u], match_in[v] = v, u
+                v = prev
+
+
 def _components_reference(n, edges):
     """The union-find the label propagation replaced, kept as reference."""
     parent = list(range(n))
@@ -160,6 +209,13 @@ def digraphs_with_loops(draw, max_nodes=24):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     return DirectedNetwork(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_loops())
+def test_seed0_matching_matches_reference(net):
+    assert maximum_matching(net, 0).match_out.tolist() == \
+        _matching_reference(net)
 
 
 @settings(max_examples=300, deadline=None)
