@@ -97,7 +97,7 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
         frontier = reached.take(np.flatnonzero(stamp[reached] == order))
         possible[frontier] = True
     del stamp
-    # a is built only now: the closure reads b alone.
+    # a is built after the closure, which reads b alone, to stay off its peak.
     a = np.repeat(np.arange(n, dtype=np.int32), np.diff(net.in_ptr))
 
     # Berge: an unsaturated witness of a possible input ends an augmenting

@@ -93,7 +93,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     Cost: each phase gathers each reached out-copy's edges once, O(L), in
     one round of numpy calls per BFS level. On ER N=10^5, k=10 (generator
     seed 3) that is 10 phases and 134 levels, about 0.17 s on a 2.0 GHz
-    Xeon (0.24 s with a visited mask and a second first-claim pass). Graphs whose augmenting paths are long pay the per-level
+    Xeon. Graphs whose augmenting paths are long pay the per-level
     overhead (about 50 us) per step instead: the reversed double chain
     ``u -> N-1-u``, ``u -> N-2-u`` at N=10^5, whose last augmenting path
     runs through the whole graph, takes 4-5 s. No benchmark workload has
@@ -165,9 +165,6 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
             pos, counts = edge_positions(indptr, frontier)
             dst = indices[pos]
             del pos
-            # Ranks grow through the phase, so an in-copy claimed at an
-            # earlier level keeps its smaller rank, and a fresh one goes to
-            # its first claimant in frontier, then adjacency, order.
             rank = np.arange(base, base + dst.size, dtype=owner.dtype)
             base += dst.size
             np.minimum.at(owner, dst, rank)
