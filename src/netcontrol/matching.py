@@ -15,9 +15,7 @@ fixed Python overhead per level.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -99,43 +97,39 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     runs through the whole graph, takes 4-5 s. No benchmark workload has
     such paths.
 
-    The result is deterministic for a fixed ``order_seed``. Seed 0 starts
-    from the out-copies and scans adjacency lists in ascending id order;
-    any other seed applies a seeded shuffle to both, which changes which
-    maximum matching is found but never its size.
+    The first phase, whose one level reaches every edge, is taken in
+    closed form from the in-rows in O(N): each in-copy is claimed by its
+    smallest in-neighbour, and each out-copy is matched to the smallest
+    in-copy it claimed. That is the matching the search finds there,
+    without the level's per-edge arrays, which would set the matcher's
+    memory peak (ER N=10^5, k=10: 21 MB traced with them, 11 MB without,
+    for a 5.6 MB CSR).
 
-    Under seed 0 the first phase, whose one level reaches every edge, is
-    taken in closed form from the in-rows in O(N): each in-copy is claimed
-    by its smallest in-neighbour, and each out-copy is matched to the
-    smallest in-copy it claimed. That is the matching the search finds
-    there, without the level's per-edge arrays, which would set the
-    matcher's memory peak (ER N=10^5, k=10: 21 MB traced with them, 11 MB
-    without, for a 5.6 MB CSR).
+    The result is deterministic for a fixed ``order_seed``. Seed 0 starts
+    from the free out-copies and scans adjacency rows in ascending id
+    order. Any other seed runs the same search on the nodes relabelled by
+    ``default_rng(abs(order_seed)).permutation(n)`` and maps the matching
+    back, which changes which maximum matching is found but never its size.
 
     Seed 0 is separable over disjoint parts: on a disjoint union each
     part's roots, claims and flips are, in order, those it makes alone
     (the closed first phase is local to each node), and a part that is
     done only repeats its last, empty phase. ``sweep``
     relies on this to match many networks at once
-    (:func:`~netcontrol.pipeline.part_reports`). A nonzero seed shuffles
-    across parts and is not separable.
+    (:func:`~netcontrol.pipeline.part_reports`). A nonzero seed permutes
+    ids across parts and is not separable.
     """
     n = net.n
-    indptr, indices = net.out_ptr, net.out_idx
-    roots = np.arange(n, dtype=np.int32)
-    if order_seed:
-        rng = random.Random(order_seed)
-        order = list(range(n))
-        rng.shuffle(order)
-        flat, bounds = indices.tolist(), indptr.tolist()
-        adj = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        for lst in adj:
-            rng.shuffle(lst)
-        indices = np.fromiter(chain.from_iterable(adj), dtype=np.int32,
-                              count=indices.size)
-        roots = np.array(order, dtype=np.int32)
-        del adj, flat, order
+    if order_seed:  # the seed-0 search on a seeded relabelling, see above
+        new_id = np.random.default_rng(abs(order_seed)).permutation(n)
+        new_id = new_id.astype(np.int32)
+        found = maximum_matching(DirectedNetwork(n, np.column_stack((
+            np.repeat(new_id, np.diff(net.out_ptr)), new_id[net.out_idx]))))
+        old_id = np.full(n + 1, -1, dtype=np.int32)  # found's -1 reads old_id[n]
+        old_id[new_id] = np.arange(n, dtype=np.int32)
+        return Matching(old_id[found.match_out[new_id]])
 
+    indptr, indices = net.out_ptr, net.out_idx
     match_out = np.full(n, -1, dtype=np.int32)  # out-copy u -> in-copy v
     match_in = np.full(n, -1, dtype=np.int32)   # in-copy v -> out-copy u
     parent = np.empty(n, dtype=np.int32)   # in-copy -> out-copy that claimed it
@@ -146,16 +140,16 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     unclaimed = indices.size
     owner = np.empty(n, dtype=np.int32 if unclaimed < 2 ** 31 else np.intp)
 
-    if not order_seed:  # the first phase in closed form, see above
-        v = np.flatnonzero(np.diff(net.in_ptr)).astype(np.int32)
-        u = net.in_idx[net.in_ptr[v]]
-        first = first_of_each(u, scratch)
-        match_out[u[first]] = v[first]
-        match_in[v[first]] = u[first]
-        del v, u, first
+    # The first phase in closed form, see above.
+    v = np.flatnonzero(np.diff(net.in_ptr)).astype(np.int32)
+    u = net.in_idx[net.in_ptr[v]]
+    first = first_of_each(u, scratch)
+    match_out[u[first]] = v[first]
+    match_in[v[first]] = u[first]
+    del v, u, first
 
     while True:
-        frontier = roots[match_out[roots] < 0]
+        frontier = np.flatnonzero(match_out < 0).astype(np.int32)
         root_of[frontier] = frontier
         owner.fill(unclaimed)           # in-copy -> rank of its first claim
         done = np.zeros(n, dtype=bool)  # roots whose tree found a free end

@@ -1,5 +1,7 @@
-from netcontrol import (ComponentKind, analyze, build_input_graph,
-                        classify_nodes, find_components, input_nodes,
+import pytest
+
+from netcontrol import (ComponentKind, GenSpec, analyze, build_input_graph,
+                        classify_nodes, find_components, generate, input_nodes,
                         load_edge_list, maximum_matching, unsaturated_nodes)
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import component_report_dict, round_percent
@@ -151,6 +153,16 @@ def test_kinds_stable_across_matching_seeds():
         for order_seed in range(1, 5):
             m = maximum_matching(net, order_seed)
             assert matching_independent_facts(net, m) == reference
+
+
+@pytest.mark.parametrize("model", ["er", "sf"])
+@pytest.mark.parametrize("k", [2, 4, 6, 10])
+def test_kinds_stable_across_matching_seeds_at_scale(model, k):
+    net = generate(GenSpec(model=model, n=2000, avg_degree=k, seed=k))
+    reference = matching_independent_facts(net, maximum_matching(net, 0))
+    for order_seed in (1, 2, 3, 4, -3):
+        m = maximum_matching(net, order_seed)
+        assert matching_independent_facts(net, m) == reference
 
 
 def test_mc_partition_depends_on_the_matching():

@@ -87,33 +87,41 @@ def test_matching_matches_networkx_on_generated_graphs(model, n, k):
 
 
 # sha256 prefixes of match_out under order seeds 0 and 3. Sparse graphs
-# hold nodes with no in-edge and isolated nodes.
-@pytest.mark.parametrize("model,n,k,seed0,seed3", [
-    ("er", 50, 0.5, "c12dc35977ac0477", "6e0898ddbafd3e90"),
-    ("er", 50, 1, "e0e264148f0d6329", "34d967f4c592740a"),
-    ("er", 50, 2, "ae848fe9d8265d4c", "24ef235c08827005"),
-    ("er", 50, 4, "20b6d3f4e1265969", "d150672ea48c9b1c"),
-    ("er", 50, 10, "685081e8b53c5d48", "d67bb9d3f7062073"),
-    ("er", 2000, 0.5, "dff28d3f293e06c6", "400f6090db2989ff"),
-    ("er", 2000, 1, "961968c45b948676", "e055767965f258bb"),
-    ("er", 2000, 2, "7ff0cd2c81dec0d3", "aaef5ae5dbc5a973"),
-    ("er", 2000, 4, "b2dd1623c90d0288", "bcfb1f6d2d156c14"),
-    ("er", 2000, 10, "d898e8e69151d948", "ef76134f28b6d9e3"),
-    ("sf", 50, 0.5, "34ba9f6c33eb34a3", "20c4296d5d35f217"),
-    ("sf", 50, 1, "5fcc1541f888d688", "3bb5c869a32a7756"),
-    ("sf", 50, 2, "8d8c17a6775efd7b", "6bf6e2e915209f24"),
-    ("sf", 50, 4, "29de03af4396ac70", "9675aa71e984961c"),
-    ("sf", 50, 10, "7433c701a8bdc9bb", "9fa041fe9bf71670"),
-    ("sf", 2000, 0.5, "71e38280afcacc3b", "f9264230992ad656"),
-    ("sf", 2000, 1, "4e1b0fcd4d074b32", "112892e2e23fcfae"),
-    ("sf", 2000, 2, "a2a175efc839d204", "32e4760067cef70a"),
-    ("sf", 2000, 4, "91dc9aaf33a7d7ec", "279c8dde0517e1a4"),
-    ("sf", 2000, 10, "fc4e606c24932e4e", "13f0d4e47e82f2de"),
-    ("er", 6000, 10, "82997d093af8c5e9", "c8c230826f5e39e8"),
-    ("er", 6000, 14, "60df4b1edee07056", "1bad0761d6cb265b"),
-    ("sf", 6000, 10, "3d3a191ea3a3768b", "83721c8f172c00a0"),
-    ("sf", 6000, 14, "2631649c249b0f10", "4066e6ab8c097926"),
-])
+# hold nodes with no in-edge and isolated nodes. The last column is the
+# seed-3 digest first pinned, under the per-row shuffle that nonzero seeds
+# used before they became relabellings; it only names the test case, so a
+# case keeps its id when its seed-3 pin is re-recorded.
+PINS = [
+    ("er", 50, 0.5, "c12dc35977ac0477", "6e0898ddbafd3e90", "6e0898ddbafd3e90"),
+    ("er", 50, 1, "e0e264148f0d6329", "3968093f0fc7f24e", "34d967f4c592740a"),
+    ("er", 50, 2, "ae848fe9d8265d4c", "bc4dde43a52a7ac0", "24ef235c08827005"),
+    ("er", 50, 4, "20b6d3f4e1265969", "9f29176dbebbbfe6", "d150672ea48c9b1c"),
+    ("er", 50, 10, "685081e8b53c5d48", "ec137db43000c81b", "d67bb9d3f7062073"),
+    ("er", 2000, 0.5, "dff28d3f293e06c6", "d7c3a0db53261f7d", "400f6090db2989ff"),
+    ("er", 2000, 1, "961968c45b948676", "101f2ca6c505da54", "e055767965f258bb"),
+    ("er", 2000, 2, "7ff0cd2c81dec0d3", "6c0649c7341876d6", "aaef5ae5dbc5a973"),
+    ("er", 2000, 4, "b2dd1623c90d0288", "fa92710cb5798802", "bcfb1f6d2d156c14"),
+    ("er", 2000, 10, "d898e8e69151d948", "b66386d5dbcf73be", "ef76134f28b6d9e3"),
+    ("sf", 50, 0.5, "34ba9f6c33eb34a3", "c01e273c9877efc0", "20c4296d5d35f217"),
+    ("sf", 50, 1, "5fcc1541f888d688", "6538faa483605fd4", "3bb5c869a32a7756"),
+    ("sf", 50, 2, "8d8c17a6775efd7b", "82a4b77652e11f09", "6bf6e2e915209f24"),
+    ("sf", 50, 4, "29de03af4396ac70", "54d485cd763e4a43", "9675aa71e984961c"),
+    ("sf", 50, 10, "7433c701a8bdc9bb", "b961e7cf8c263640", "9fa041fe9bf71670"),
+    ("sf", 2000, 0.5, "71e38280afcacc3b", "757ac49ba4629dda", "f9264230992ad656"),
+    ("sf", 2000, 1, "4e1b0fcd4d074b32", "9b6a8320a78f8610", "112892e2e23fcfae"),
+    ("sf", 2000, 2, "a2a175efc839d204", "b7be90a1f9162144", "32e4760067cef70a"),
+    ("sf", 2000, 4, "91dc9aaf33a7d7ec", "3fb04e132085678d", "279c8dde0517e1a4"),
+    ("sf", 2000, 10, "fc4e606c24932e4e", "3344910878a6d9c4", "13f0d4e47e82f2de"),
+    ("er", 6000, 10, "82997d093af8c5e9", "18477d7ff5a8fea0", "c8c230826f5e39e8"),
+    ("er", 6000, 14, "60df4b1edee07056", "d4842c88fa3a83c3", "1bad0761d6cb265b"),
+    ("sf", 6000, 10, "3d3a191ea3a3768b", "9365e581b585b4a0", "83721c8f172c00a0"),
+    ("sf", 6000, 14, "2631649c249b0f10", "da82d455bd311493", "4066e6ab8c097926"),
+]
+
+
+@pytest.mark.parametrize(
+    "model,n,k,seed0,seed3", [row[:5] for row in PINS],
+    ids=["-".join(map(str, row[:4] + row[5:])) for row in PINS])
 def test_matchings_are_pinned(model, n, k, seed0, seed3):
     net = generate(GenSpec(model=model, n=n, avg_degree=k, seed=n + int(10 * k)))
     digests = [hashlib.sha256(maximum_matching(net, s).match_out.tobytes())

@@ -49,6 +49,12 @@ def test_matching_peaks_within_three_times_the_csr(er):
     assert traced_peak(maximum_matching, net, 0) <= 3 * csr
 
 
+def test_seeded_matching_peaks_within_four_times_the_csr(er):
+    # a nonzero seed also holds the relabelled network's CSR
+    net, _, csr, _ = er
+    assert traced_peak(maximum_matching, net, 3) <= 4 * csr
+
+
 def test_input_graph_peaks_within_two_and_a_half_times_the_csr(er):
     net, _, csr, m = er
     assert traced_peak(build_input_graph, net, m) <= 2.5 * csr

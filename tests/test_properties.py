@@ -219,6 +219,22 @@ def test_seed0_matching_matches_reference(net):
 
 
 @settings(max_examples=300, deadline=None)
+@given(digraphs_with_loops())
+def test_seeded_matching_is_the_reference_on_its_relabelling(net):
+    for seed in (3, -3, 7):
+        new_id = np.random.default_rng(abs(seed)).permutation(net.n).tolist()
+        relabelled = DirectedNetwork(net.n, [
+            (new_id[u], new_id[v])
+            for u in range(net.n) for v in net.successors(u).tolist()])
+        found = _matching_reference(relabelled)
+        old_id = {new: old for old, new in enumerate(new_id)}
+        expected = [old_id.get(found[new_id[u]], -1) for u in range(net.n)]
+        m = maximum_matching(net, seed)
+        assert m.match_out.tolist() == expected
+        assert maximum_matching(net, -seed) == m
+
+
+@settings(max_examples=300, deadline=None)
 @given(digraphs_with_loops(), st.integers(min_value=0, max_value=5))
 def test_array_closure_and_components_match_references(net, seed):
     m = maximum_matching(net, seed)
