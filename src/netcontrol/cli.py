@@ -39,7 +39,9 @@ EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
 
-_UNION_SIZE = 1 << 15  # most edges, and nodes, of a sweep's joint analysis
+# Most of the sum, over a sweep union's networks, of the larger of edge and
+# node count. Above 2^16 the union's arrays raise the process's peak RSS.
+_UNION_SIZE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,31 +329,40 @@ def _cmd_sweep(args) -> int:
     if args.replicates < 1:
         raise GenerationError(
             f"replicates must be positive, got {args.replicates}")
+    specs = [GenSpec(model=args.model, n=args.nodes, avg_degree=k,
+                     gamma_in=args.gamma_in, gamma_out=args.gamma_out,
+                     seed=seed)
+             for k in k_values
+             for seed in range(args.seed_base,
+                               args.seed_base + args.replicates)]
+    # The grid is cut, in (k, seed) order, into consecutive disjoint unions
+    # of up to _UNION_SIZE (a union may span values of k), each analysed
+    # once, which pays the matcher's fixed cost per BFS level once for all
+    # of its networks (pipeline.part_reports). A network above the cap is
+    # analysed alone.
     rows = [reports.SWEEP_HEADER]
-    for k in k_values:
-        specs = [GenSpec(model=args.model, n=args.nodes, avg_degree=k,
-                         gamma_in=args.gamma_in, gamma_out=args.gamma_out,
-                         seed=seed)
-                 for seed in range(args.seed_base,
-                                   args.seed_base + args.replicates)]
-        # The replicates of one k are analysed as one disjoint union of up
-        # to _UNION_SIZE edges and nodes, which pays the matcher's fixed
-        # cost per BFS level once for all of them (pipeline.part_reports).
-        step = max(1, _UNION_SIZE // max(specs[0].edge_target, args.nodes))
-        for at in range(0, len(specs), step):
-            rows += _sweep_rows(args.model, k, specs[at:at + step])
+    batch, size = [], 0
+    for spec in specs:
+        cost = max(spec.edge_target, spec.n)
+        if batch and size + cost > _UNION_SIZE:
+            rows += _sweep_rows(batch)
+            batch, size = [], 0
+        batch.append(spec)
+        size += cost
+    rows += _sweep_rows(batch)
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
 
-def _sweep_rows(model: str, k: float, specs: list[GenSpec]) -> list[str]:
+def _sweep_rows(specs: list[GenSpec]) -> list[str]:
     """Rows of the networks ``specs`` make, analysed as one union."""
     n = specs[0].n
-    # the replicates are freed once joined, the union on return
+    # the networks are freed once joined, the union on return
     analysis = analyze(DirectedNetwork.disjoint_union(
         [generate(spec) for spec in specs]), seed=0)
     bounds = list(range(0, (len(specs) + 1) * n, n))
-    return [reports.sweep_row(model, n, k, spec.seed, possible, report)
+    return [reports.sweep_row(spec.model, n, spec.avg_degree, spec.seed,
+                              possible, report)
             for spec, (possible, report)
             in zip(specs, part_reports(analysis, bounds))]
 

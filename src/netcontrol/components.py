@@ -61,12 +61,12 @@ def find_components(ig: InputGraph) -> np.ndarray:
         before = lab.copy()
         np.minimum.at(lab, ig.src, lab[ig.dst])
         np.minimum.at(lab, ig.dst, lab[ig.src])
-        while not np.array_equal(jumped := lab[lab], lab):
+        while not np.array_equal(jumped := lab.take(lab), lab):
             lab = jumped
         if np.array_equal(lab, before):
             break
     roots = lab == np.arange(n)
-    ids = (np.cumsum(roots, dtype=np.int32) - 1)[lab]
+    ids = (roots.cumsum(dtype=np.int32) - 1).take(lab)
     ids.flags.writeable = False
     return ids
 

@@ -81,28 +81,29 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     b = match_out[c]
 
     possible = m.match_in < 0
-    frontier = np.flatnonzero(possible)
+    frontier = possible.nonzero()[0]
     stamp = np.empty(n, dtype=np.intp)
     while frontier.size:
         pos, _ = edge_positions(net.in_ptr, frontier)
         reached = b.take(pos)
         del pos
-        fresh = ~possible[reached]  # b < 0 reads possible[-1], masked next
+        fresh = ~possible.take(reached)  # possible[-1] for b < 0, masked next
         fresh &= reached >= 0
-        reached = reached.take(np.flatnonzero(fresh))
+        reached = reached.take(fresh.nonzero()[0])
         # Keep one copy of each node: whichever write lands, exactly one
         # copy reads its own index back.
         order = np.arange(reached.size)
         stamp[reached] = order
-        frontier = reached.take(np.flatnonzero(stamp[reached] == order))
+        frontier = reached.take((stamp.take(reached) == order).nonzero()[0])
         possible[frontier] = True
     del stamp
     # a is built after the closure, which reads b alone, to stay off its peak.
-    a = np.repeat(np.arange(n, dtype=np.int32), np.diff(net.in_ptr))
+    a = np.arange(n, dtype=np.int32).repeat(np.diff(net.in_ptr))
 
     # Berge: an unsaturated witness of a possible input ends an augmenting
     # path; when there is none the matching is maximum.
-    stray = possible[a] & (b < 0)
+    into_p = possible[a]  # edge (c, a) enters a possible input
+    stray = into_p & (b < 0)
     if stray.any():
         i = int(stray.argmax())
         raise NotMaximumMatchingError(
@@ -110,7 +111,8 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
             f"the matching is not maximum")
 
     candidate = (b >= 0) & (b != a)
-    side_p = candidate & possible[a]
+    side_p = candidate & into_p
+    del into_p
     side_r = candidate & ~possible[b]
     del candidate
     # Each per-edge array is dropped once its kept entries are gathered.

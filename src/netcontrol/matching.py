@@ -89,13 +89,15 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     than a boolean mask.
 
     Cost: each phase gathers each reached out-copy's edges once, O(L), in
-    one round of numpy calls per BFS level. On ER N=10^5, k=10 (generator
-    seed 3) that is 10 phases and 134 levels, about 0.17 s on a 2.0 GHz
-    Xeon. Graphs whose augmenting paths are long pay the per-level
-    overhead (about 50 us) per step instead: the reversed double chain
-    ``u -> N-1-u``, ``u -> N-2-u`` at N=10^5, whose last augmenting path
-    runs through the whole graph, takes 4-5 s. No benchmark workload has
-    such paths.
+    one round of numpy calls per BFS level, written with ndarray methods
+    (``take``, ``repeat``, ``nonzero``), whose call overhead on the small
+    arrays of deep levels is below that of the module functions and of
+    fancy indexing. On ER N=10^5, k=10 (generator seed 3) that is 10
+    phases and 134 levels, about 0.14 s on a 2.0 GHz Xeon. Graphs whose
+    augmenting paths are long pay the per-level overhead (about 50 us)
+    per step instead: the reversed double chain ``u -> N-1-u``,
+    ``u -> N-2-u`` at N=10^5, whose last augmenting path runs through the
+    whole graph, takes about 5 s. No benchmark workload has such paths.
 
     The first phase, whose one level reaches every edge, is taken in
     closed form from the in-rows in O(N): each in-copy is claimed by its
@@ -149,34 +151,34 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     del v, u, first
 
     while True:
-        frontier = np.flatnonzero(match_out < 0).astype(np.int32)
+        frontier = (match_out < 0).nonzero()[0].astype(np.int32)
         root_of[frontier] = frontier
-        owner.fill(unclaimed)           # in-copy -> rank of its first claim
-        done = np.zeros(n, dtype=bool)  # roots whose tree found a free end
+        owner.fill(unclaimed)            # in-copy -> rank of its first claim
+        alive = np.ones(n, dtype=bool)   # roots whose tree found no free end
         ends = []
         base = 0
         while frontier.size:
             pos, counts = edge_positions(indptr, frontier)
-            dst = indices[pos]
+            dst = indices.take(pos)
             del pos
             rank = np.arange(base, base + dst.size, dtype=owner.dtype)
             base += dst.size
             np.minimum.at(owner, dst, rank)
-            keep = np.flatnonzero(owner[dst] == rank)
+            keep = (owner.take(dst) == rank).nonzero()[0]
             del rank
             dst = dst.take(keep)
-            src = np.repeat(frontier, counts).take(keep)
+            src = frontier.repeat(counts).take(keep)
             del keep
             parent[dst] = src
-            mate = match_in[dst]
-            tree = root_of[src]
-            free = np.flatnonzero(mate < 0)
+            mate = match_in.take(dst)
+            tree = root_of.take(src)
+            free = (mate < 0).nonzero()[0]
             if free.size:
                 found = tree.take(free)
-                one = first_of_each(found, scratch)
-                done[found[one]] = True
-                ends.append(dst.take(free[one]))
-            grow = np.flatnonzero(~done[tree])  # a free end's tree is done
+                one = first_of_each(found, scratch).nonzero()[0]
+                alive[found.take(one)] = False
+                ends.append(dst.take(free.take(one)))
+            grow = alive.take(tree).nonzero()[0]
             frontier = mate.take(grow)
             root_of[frontier] = tree.take(grow)
         if not ends:

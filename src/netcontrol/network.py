@@ -41,8 +41,8 @@ NodeId = int
 
 # Optional header directive declaring the node count, e.g. "# nodes: 2000".
 # It lets files express isolated nodes, which a bare pair-per-line edge list
-# cannot. Only recognized before the first edge line, and only with integer
-# labels in [0, N).
+# cannot. Only recognized before the first edge line, at most once, and only
+# with integer labels in [0, N).
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*0*(\d+)\s*$")
 MAX_DECLARED_NODES = 10 ** 7  # bounds the nodes a header makes before any edge
 _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
@@ -60,11 +60,13 @@ def edge_positions(ptr: np.ndarray, nodes: np.ndarray):
 
     Returns the positions, row after row, and each row's length.
     """
-    starts = ptr[nodes]
-    counts = ptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    starts -= ends - counts
-    pos = np.repeat(starts, counts)
+    starts = ptr.take(nodes)
+    counts = ptr.take(nodes + 1)
+    counts -= starts
+    ends = counts.cumsum()
+    starts -= ends  # each row's start less its first position in the output
+    starts += counts
+    pos = starts.repeat(counts)
     pos += np.arange(pos.size)
     return pos, counts
 
@@ -77,7 +79,7 @@ def first_of_each(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     rank = np.arange(keys.size)
     scratch[keys] = keys.size
     np.minimum.at(scratch, keys, rank)
-    return scratch[keys] == rank
+    return scratch.take(keys) == rank
 
 
 class DirectedNetwork:
@@ -326,8 +328,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
 
     Each non-comment line holds exactly two node labels (source, target).
     Lines starting with ``#`` are comments; a leading ``# nodes: N``
-    directive declares nodes ``0..N-1``, and every label must then be one of
-    them. One leading byte-order mark is dropped. Duplicate edges are
+    directive, given at most once, declares nodes ``0..N-1``, and every
+    label must then be one of them. One leading byte-order mark is dropped. Duplicate edges are
     collapsed with a warning. Raises :class:`EdgeListParseError` on
     malformed lines or empty input.
 
@@ -368,7 +370,10 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
             if line.startswith("#"):
                 m = _NODES_DIRECTIVE.match(line)
                 if m:
-                    if label_to_id or declared_n:
+                    if declared_n is not None:
+                        raise EdgeListParseError(
+                            "repeated '# nodes:' directive", lineno)
+                    if label_to_id:
                         raise EdgeListParseError(
                             "'# nodes:' directive must precede edges", lineno)
                     digits = m.group(1)  # leading zeros stay outside

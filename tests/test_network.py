@@ -254,7 +254,8 @@ def test_nodes_directive_with_long_or_padded_counts():
     ("a b\r\nc d e\r\n", "expected two node labels, got 3", 2),
     ("\ufeffa b\r\nc d\r\ne f g\r\n", "expected two node labels, got 3", 3),
     ("a b\n# nodes: 3\n", "'# nodes:' directive must precede edges", 2),
-    ("# nodes: 2\n# nodes: 3\n", "'# nodes:' directive must precede edges", 2),
+    ("# nodes: 2\n# nodes: 3\n", "repeated '# nodes:' directive", 2),
+    ("# nodes: 0\n# nodes: 7\n0 6\n", "repeated '# nodes:' directive", 2),
     ("# nodes: 3\n0 1\n1 3\n",
      "label '3' outside declared node range 0..2", 3),
     ("# nodes: 3\n0 x\n", "label 'x' outside declared node range 0..2", 2),
@@ -268,6 +269,7 @@ def test_nodes_directive_with_long_or_padded_counts():
 ], ids=["empty", "blank", "bom-only", "bom-one-token", "comment-only",
         "zero-nodes", "one-token", "three-tokens", "tabs", "crlf",
         "bom-crlf", "misplaced-directive", "second-directive",
+        "second-directive-after-zero",
         "out-of-range", "foreign-label", "padded-label",
         "padded-label-in-range", "non-ascii-digit", "over-limit"])
 def test_parse_errors_keep_message_and_line(text, message, line):
@@ -424,6 +426,8 @@ def _reference_parse(text: str):
         if line.startswith("#"):
             m = re.match(r"^#\s*nodes:\s*0*(\d+)\s*$", line)
             if m:
+                if declared is not None:
+                    return "repeated '# nodes:' directive", lineno
                 if labels:
                     return "'# nodes:' directive must precede edges", lineno
                 declared = int(m.group(1))

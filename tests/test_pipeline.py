@@ -80,6 +80,49 @@ def test_sweep_split_across_unions_equals_per_network_rows(
     assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
+def _analyses(monkeypatch):
+    """(nodes, edges) of each network the sweep analyses, in call order."""
+    calls = []
+
+    def counted(net, seed=0):
+        calls.append((net.n, net.edge_count))
+        return analyze(net, seed)
+
+    monkeypatch.setattr("netcontrol.cli.analyze", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["er", "sf"])
+def test_sweep_union_spanning_two_degrees_equals_per_network_rows(
+        model, monkeypatch, capsys):
+    n, seeds = 200, range(3)
+    # k=2 costs n, k=4 costs 2n: the first union holds the three k=2
+    # networks and one k=4 network, the second the other two k=4 ones
+    monkeypatch.setattr("netcontrol.cli._UNION_SIZE", 5 * n)
+    calls = _analyses(monkeypatch)
+    assert main(["sweep", "--model", model, "-n", str(n), "--k-list", "2,4",
+                 "--replicates", "3"]) == 0
+    assert [nodes for nodes, _ in calls] == [4 * n, 2 * n]
+    want = [reports.SWEEP_HEADER]
+    for k in (2, 4):
+        for seed in seeds:
+            alone = analyze(generate(GenSpec(model=model, n=n, avg_degree=k,
+                                             seed=seed)))
+            want.append(reports.sweep_row(model, n, k, seed,
+                                          alone.input_graph.possible_inputs,
+                                          alone.report))
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_sweep_packs_the_benchmark_grid_into_four_unions(monkeypatch):
+    calls = _analyses(monkeypatch)
+    assert main(["sweep", "--model", "sf", "-n", "2000", "--k-list",
+                 "2,4,6,8,10,12", "--replicates", "5"]) == 0
+    assert len(calls) == 4
+    assert all(nodes <= 1 << 16 and edges <= 1 << 16
+               for nodes, edges in calls)
+
+
 def test_part_reports_refuse_a_shuffled_matching():
     nets = _parts()[:2]
     bounds = [0, nets[0].n, nets[0].n + nets[1].n]
