@@ -335,11 +335,10 @@ def _cmd_sweep(args) -> int:
              for k in k_values
              for seed in range(args.seed_base,
                                args.seed_base + args.replicates)]
-    # The grid is cut, in (k, seed) order, into consecutive disjoint unions
-    # of up to _UNION_SIZE (a union may span values of k), each analysed
-    # once, which pays the matcher's fixed cost per BFS level once for all
-    # of its networks (pipeline.part_reports). A network above the cap is
-    # analysed alone.
+    # Consecutive networks, across values of k, share one disjoint union of
+    # up to _UNION_SIZE, analysed once, which pays the matcher's fixed cost
+    # per BFS level once for all of them (pipeline.part_reports). A network
+    # above the cap is analysed alone.
     rows = [reports.SWEEP_HEADER]
     batch, size = [], 0
     for spec in specs:

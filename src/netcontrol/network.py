@@ -329,9 +329,9 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     Each non-comment line holds exactly two node labels (source, target).
     Lines starting with ``#`` are comments; a leading ``# nodes: N``
     directive, given at most once, declares nodes ``0..N-1``, and every
-    label must then be one of them. One leading byte-order mark is dropped. Duplicate edges are
-    collapsed with a warning. Raises :class:`EdgeListParseError` on
-    malformed lines or empty input.
+    label must then be one of them. One leading byte-order mark is
+    dropped. Duplicate edges are collapsed with a warning. Raises
+    :class:`EdgeListParseError` on malformed lines or empty input.
 
     Lines end at "\n" only; a "\r" is a blank. Open files with the default
     ``newline=None``, which turns "\r\n" and a lone "\r" into "\n"; a

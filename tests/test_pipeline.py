@@ -62,24 +62,6 @@ def test_union_analysis_equals_each_part_alone():
                                           getattr(alone.report, field))
 
 
-@pytest.mark.parametrize("model", ["er", "sf"])
-def test_sweep_split_across_unions_equals_per_network_rows(
-        model, monkeypatch, capsys):
-    n, k, seeds = 200, 4, range(3, 6)
-    # room for two replicates: three are analysed as a union of two and one
-    monkeypatch.setattr("netcontrol.cli._UNION_SIZE", 2 * n * k // 2)
-    assert main(["sweep", "--model", model, "-n", str(n), "--k-list", "4",
-                 "--replicates", "3", "--seed-base", "3"]) == 0
-    want = [reports.SWEEP_HEADER]
-    for seed in seeds:
-        alone = analyze(generate(GenSpec(model=model, n=n, avg_degree=k,
-                                         seed=seed)))
-        want.append(reports.sweep_row(model, n, k, seed,
-                                      alone.input_graph.possible_inputs,
-                                      alone.report))
-    assert capsys.readouterr().out == "\n".join(want) + "\n"
-
-
 def _analyses(monkeypatch):
     """(nodes, edges) of each network the sweep analyses, in call order."""
     calls = []
@@ -93,7 +75,7 @@ def _analyses(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["er", "sf"])
-def test_sweep_union_spanning_two_degrees_equals_per_network_rows(
+def test_sweep_split_across_unions_equals_per_network_rows(
         model, monkeypatch, capsys):
     n, seeds = 200, range(3)
     # k=2 costs n, k=4 costs 2n: the first union holds the three k=2
