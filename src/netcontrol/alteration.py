@@ -182,7 +182,7 @@ def _cover(before, comp: ControlComponent, picks: int | None
     """
     _require_kind(comp, ComponentKind.SMC)
     closures = _closure_masks(before.input_graph, comp)
-    chosen = list(islice(_greedy_picks(closures, comp.members), picks))
+    chosen = list(islice(_greedy_picks(closures, comp.size), picks))
     receivers = before.input_set.tolist()
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
@@ -205,28 +205,36 @@ def _cover(before, comp: ControlComponent, picks: int | None
         requested_kind=ComponentKind.IC,
         additions=tuple(additions),
         matching_after=before.matching,  # links never touch the matching
-        affected=comp.members[[bool(covered >> i & 1)
-                               for i in range(comp.size)]],
+        affected=comp.members[np.unpackbits(
+            np.frombuffer(covered.to_bytes((comp.size + 7) // 8, "little"),
+                          dtype=np.uint8),
+            count=comp.size, bitorder="little").view(bool)],
         mis_before=before.input_set.size,
         mis_after=before.input_set.size,
     )
 
 
 def _greedy_picks(closures: dict[NodeId, int],
-                  members: np.ndarray) -> Iterator[NodeId]:
-    """Members whose closures cover all of ``members``, in greedy order.
+                  size: int) -> Iterator[NodeId]:
+    """Members whose closures cover all ``size`` members, in greedy order.
 
     Each pick is the member whose closure covers the most still-uncovered
-    members, the lowest id on ties (Chvatal's greedy set cover). Gains
-    only shrink as members get covered, so the picks are evaluated lazily
-    (Minoux's accelerated greedy): a heap keeps each member's last gain as
-    an upper bound, and only the head is recomputed until its fresh gain
-    still beats every other bound. The picks are exactly the eager ones.
+    members, the lowest id on ties (Chvatal's greedy set cover). Members of
+    one strongly connected piece share a closure, and two pieces never do,
+    so only the lowest id of each distinct closure is a candidate: the
+    others would tie with it and lose. Gains only shrink as members get
+    covered, so the picks are evaluated lazily (Minoux's accelerated
+    greedy): a heap keeps each candidate's last gain as an upper bound,
+    and only the head is recomputed until its fresh gain still beats every
+    other bound. The picks are exactly the eager ones.
     """
+    candidates: dict[int, NodeId] = {}
+    for v, mask in closures.items():  # members ascending
+        candidates.setdefault(mask, v)
     # Min-heap on (-gain, id): the lowest id wins a gain tie.
-    heap = [(-closures[v].bit_count(), v) for v in members.tolist()]
+    heap = [(-mask.bit_count(), v) for mask, v in candidates.items()]
     heapq.heapify(heap)
-    uncovered = (1 << members.size) - 1
+    uncovered = (1 << size) - 1
     while uncovered:
         _, v = heapq.heappop(heap)
         entry = (-(closures[v] & uncovered).bit_count(), v)

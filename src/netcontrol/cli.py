@@ -14,6 +14,7 @@ import argparse
 import functools
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -122,18 +123,20 @@ class _OutputError(NetcontrolError):
     """An output file could not be written."""
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str | Iterable[str]) -> None:
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write ``text``, or its chunks as they come, to ``output`` or stdout."""
     if output:
         _write(Path(output), text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
 
 
 def _load(path: str) -> DirectedNetwork:
@@ -183,7 +186,7 @@ def _cmd_analyze(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     record = reports.analysis_record(analysis, args.members or None)
     if args.format == "json":
-        _emit(reports.to_json(record), args.output)
+        _emit(reports.json_chunks(record), args.output)
     else:
         flat = {k: v for k, v in record.items() if not isinstance(v, dict)}
         flat["n_mis_percent"] = record["mis"]["n_mis_percent"]
@@ -197,7 +200,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(reports.to_json(reports.classes_dict(analysis)), args.output)
+        _emit(reports.json_chunks(reports.classes_dict(analysis)),
+              args.output)
     else:
         _emit(reports.classes_tsv(analysis), args.output)
     return EXIT_OK
@@ -206,8 +210,8 @@ def _cmd_classify(args) -> int:
 def _cmd_inputgraph(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(reports.to_json(reports.input_graph_dict(analysis.input_graph)),
-              args.output)
+        _emit(reports.json_chunks(
+            reports.input_graph_dict(analysis.input_graph)), args.output)
     else:
         _emit(reports.input_graph_tsv(analysis.input_graph), args.output)
     return EXIT_OK
@@ -218,7 +222,7 @@ def _cmd_components(args) -> int:
     include = args.members or None
     if args.format == "json":
         payload = reports.component_report_dict(analysis, include)
-        _emit(reports.to_json(payload), args.output)
+        _emit(reports.json_chunks(payload), args.output)
     else:
         _emit(reports.components_tsv(analysis, include), args.output)
     return EXIT_OK
@@ -256,13 +260,14 @@ def _cmd_alter(args) -> int:
         "after": reports.analysis_record(after),
     }
     if not paths:
-        sys.stdout.write(reports.to_json(payload))
+        _emit(reports.json_chunks(payload), None)
         return EXIT_OK
     plan_file = {**payload["plan"], "goal_attained": payload["goal_attained"]}
     for path, text in zip(paths, (
-            reports.to_json(plan_file), reports.additions_tsv(plan, labels),
-            reports.to_json(payload["before"]),
-            reports.to_json(payload["after"]))):
+            reports.json_chunks(plan_file),
+            reports.additions_tsv(plan, labels),
+            reports.json_chunks(payload["before"]),
+            reports.json_chunks(payload["after"]))):
         _write(path, text)
     return EXIT_OK
 
@@ -292,7 +297,7 @@ def _cmd_exchange(args) -> int:
                       for v in input_nodes(result.matching).tolist()],
         "matching_size": result.matching.size,
     }
-    _emit(reports.to_json(payload), args.output)
+    _emit(reports.json_chunks(payload), args.output)
     return EXIT_OK
 
 
@@ -315,7 +320,7 @@ def _cmd_oracle_check(args) -> int:
         "distinct_input_sets": len(enum.input_sets),
         "possible_inputs_match_union": enum.in_some_set == set(possible),
     }
-    _emit(reports.to_json(payload), args.output)
+    _emit(reports.json_chunks(payload), args.output)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ JSON is dumped with sorted keys so equal inputs give byte-equal output.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -16,6 +17,7 @@ from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
 from .pipeline import NetworkAnalysis
+from .textrows import byte_table, digit_table, render
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
 
@@ -32,46 +34,182 @@ def round_ratio(value: float) -> float:
 
 
 def to_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
+    return "".join(json_chunks(payload))
+
+
+def json_chunks(payload: dict) -> Iterator[str]:
+    """The text of :func:`to_json`, in consecutive chunks.
 
     ``indent`` drops CPython to its pure-Python encoder. Here the C encoder
     writes each container that holds no container, and each list of such
     dicts, in one call whose item separator carries the newline and
-    indentation: JSON strings never hold a raw newline.
+    indentation: JSON strings never hold a raw newline. :class:`Records`
+    write themselves from their arrays, a slice of rows per chunk.
     """
-    return _indented(payload, "\n") + "\n"
+    yield from _indented(payload, "\n")
+    yield "\n"
 
 
-def _indented(obj, newline: str) -> str:
+def _indented(obj, newline: str) -> Iterator[str]:
     """``obj`` as ``indent=2`` JSON that starts after ``newline``."""
+    if isinstance(obj, Records):
+        yield from obj.json_chunks(newline)
+        return
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     inner = newline + "  "
     types = set(map(type, obj.values() if is_dict else obj))
     if not _has_container(types):
         flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+        yield flat[0] + inner + flat[1:-1] + newline + flat[-1]
+        return
     if (not is_dict and types == {dict} and all(obj)
             and not _has_container({type(v) for rec in obj
                                     for v in rec.values()})):
         # Records: "," + deep + "{" occurs only between two records.
         deep = inner + "  "
         flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
-        return ("[" + inner + "{" + deep + flat[2:-2].replace(
+        yield ("[" + inner + "{" + deep + flat[2:-2].replace(
             "}," + deep + "{", inner + "}," + inner + "{" + deep)
             + inner + "}" + newline + "]")
-    if is_dict:  # non-string keys are written as json writes them
-        items = [json.dumps(k if isinstance(k, str) else json.dumps(k))
-                 + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
-    else:
-        items = [_indented(v, inner) for v in obj]
+        return
     opener, closer = "{}" if is_dict else "[]"
-    return opener + inner + ("," + inner).join(items) + newline + closer
+    yield opener + inner
+    if is_dict:  # non-string keys are written as json writes them
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            yield ("," + inner if i else "") + json.dumps(
+                k if isinstance(k, str) else json.dumps(k)) + ": "
+            yield from _indented(v, inner)
+    else:
+        for i, v in enumerate(obj):
+            if i:
+                yield "," + inner
+            yield from _indented(v, inner)
+    yield newline + closer
 
 
 def _has_container(types) -> bool:
-    return any(issubclass(t, (dict, list, tuple)) for t in types)
+    return any(issubclass(t, (dict, list, tuple, Records)) for t in types)
+
+
+class Records(Sequence):
+    """A list of flat records kept as one array per field.
+
+    ``fields`` holds ``(key, strings, values)`` in TSV column order: record
+    ``i`` maps ``key`` to ``strings[values[i]]``, or to ``int(values[i])``
+    when ``strings`` is None. ``nested``, if given, is a last field
+    ``(key, strings, items, bounds)`` whose value in record ``i`` is the
+    list of ``strings[j]`` for ``j`` in ``items[bounds[i]:bounds[i + 1]]``,
+    never empty. Indexing builds a record's dict; :func:`to_json` and
+    :meth:`tsv_chunks` write the whole list from the arrays
+    (:mod:`~netcontrol.textrows`), a row per record or per nested item.
+    """
+
+    def __init__(self, fields, nested=None):
+        self.fields = fields
+        self.nested = nested
+
+    def __len__(self) -> int:
+        return len(self.fields[0][2])
+
+    def __getitem__(self, i: int) -> dict:
+        i = range(len(self))[i]
+        record = {key: int(values[i]) if strings is None
+                  else strings[values[i]]
+                  for key, strings, values in self.fields}
+        if self.nested:
+            key, strings, items, bounds = self.nested
+            record[key] = list(map(strings.__getitem__,
+                                   items[bounds[i]:bounds[i + 1]].tolist()))
+        return record
+
+    def _rows(self):
+        """The row count and the first and last row of each record; None
+        for both when every row is a whole record."""
+        if not self.nested:
+            return len(self), None, None
+        bounds = self.nested[3]
+        return int(bounds[-1]), bounds[:-1], bounds[1:] - 1
+
+    def json_chunks(self, newline: str) -> Iterator[str]:
+        """The list as ``indent=2`` JSON that starts after ``newline``."""
+        if not len(self):
+            yield "[]"
+            return
+        inner = newline + "  "
+        deep = inner + "  "
+        count, first, last = self._rows()
+        columns, tables = [], {}
+        at = first  # the rows of a key: the first, or after the list the last
+        fields = [*self.fields, self.nested] if self.nested else self.fields
+        for i, (key, strings, values, *bounds) in enumerate(
+                sorted(fields, key=lambda field: field[0])):
+            text = ("," if i else "{") + deep + json.dumps(key) + ": "
+            if bounds:  # the nested list, an item per row
+                columns += [(byte_table([text + "[" + deep + "  "]),
+                             _spread(0, first, count)),
+                            _column(strings, values, None, count, tables,
+                                    True),
+                            (byte_table(["," + deep + "  ", deep + "]"]),
+                             _spread(1, last, count, fill=0))]
+                at = last
+            else:
+                columns += [(byte_table([text]), _spread(0, at, count)),
+                            _column(strings, values, at, count, tables,
+                                    True)]
+        sep = "," + inner
+        columns.append((byte_table([inner + "}" + sep]),
+                        _spread(0, last, count)))
+        yield "[" + inner
+        parts = render(columns, count)
+        part = next(parts)
+        for following in parts:
+            yield part
+            part = following
+        yield part[:-len(sep)] + newline + "]"
+
+    def tsv_chunks(self) -> Iterator[str]:
+        """The list as TSV lines, nested items joined by commas."""
+        count, first, last = self._rows()
+        columns, tables = [], {}
+        for i, (_, strings, values) in enumerate(self.fields):
+            if i:
+                columns.append((byte_table(["\t"]), _spread(0, first, count)))
+            columns.append(_column(strings, values, first, count, tables,
+                                   False))
+        if self.nested:
+            _, strings, items, _ = self.nested
+            columns += [(byte_table(["\t"]), _spread(0, first, count)),
+                        _column(strings, items, None, count, tables, False),
+                        (byte_table([",", "\n"]),
+                         _spread(1, last, count, fill=0))]
+        else:
+            columns.append("\n")
+        return render(columns, count)
+
+
+def _spread(values, at, count: int, fill: int = -1):
+    """``values`` on the rows ``at`` and ``fill`` on the others, or just
+    ``values`` when ``at`` is None: every row."""
+    if at is None:
+        return values
+    rows = np.full(count, fill, dtype=np.int32)
+    rows[at] = values
+    return rows
+
+
+def _column(strings, values, at, count: int, tables: dict, escape: bool):
+    """The cells of a field with ``values`` on the rows ``at``: digits, or
+    rows of its strings' byte table, built once per ``tables``."""
+    if strings is None:
+        ids = np.arange(values.size, dtype=np.int32)
+        return digit_table(values), _spread(ids, at, count)
+    if id(strings) not in tables:
+        tables[id(strings)] = byte_table(strings, escape)
+    return tables[id(strings)], _spread(values, at, count)
 
 
 def _lists_members(net, include_members: bool | None) -> bool:
@@ -80,21 +218,26 @@ def _lists_members(net, include_members: bool | None) -> bool:
             else include_members)
 
 
+def _component_records(analysis: NetworkAnalysis,
+                       include_members: bool) -> Records:
+    """``{"id", "size", "kind"[, "members"]}`` per component, by id; the
+    members are labels by ascending id."""
+    report = analysis.report
+    nested = None
+    if include_members:
+        nested = ("members", analysis.network.labels,
+                  np.argsort(report.comp_of, kind="stable"),
+                  np.concatenate(([0], np.cumsum(report.sizes))))
+    names = tuple(kind.value for kind in COMPONENT_KINDS)
+    return Records([("id", None, np.arange(report.component_count)),
+                    ("size", None, report.sizes),
+                    ("kind", names, report.kinds)], nested)
+
+
 def component_report_dict(analysis: NetworkAnalysis,
                           include_members: bool | None = None) -> dict:
     net, report = analysis.network, analysis.report
-    include_members = _lists_members(net, include_members)
     mis_size = analysis.input_set.size
-    names = [kind.value for kind in COMPONENT_KINDS]
-    kinds = map(names.__getitem__, report.kinds.tolist())
-    comps = [{"id": ident, "size": size, "kind": kind} for ident, (size, kind)
-             in enumerate(zip(report.sizes.tolist(), kinds))]
-    if include_members:  # labels of the members of each, by ascending id
-        order = np.argsort(report.comp_of, kind="stable").tolist()
-        members = list(map(net.labels.__getitem__, order))
-        bounds = np.cumsum(report.sizes).tolist()
-        for entry, lo, hi in zip(comps, [0, *bounds], bounds):
-            entry["members"] = members[lo:hi]
     cc_max = report.cc_max
     return {
         "n": net.n,
@@ -105,7 +248,8 @@ def component_report_dict(analysis: NetworkAnalysis,
         "perfectly_matched": mis_size == 0,
         "component_count": report.component_count,
         "kind_counts": report.kind_counts(),
-        "components": comps,
+        "components": _component_records(
+            analysis, _lists_members(net, include_members)),
         "cc_max": {
             "id": cc_max,
             "size": int(report.sizes[cc_max]),
@@ -177,40 +321,50 @@ def additions_tsv(plan: AlterationPlan, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def input_graph_rows(ig: InputGraph) -> list[tuple[str, str, str, str]]:
-    """``(src, dst, witness, phase)`` labels, phase ``Di`` then ``Dr``.
+def _input_graph_order(ig: InputGraph) -> np.ndarray:
+    """Edge order: phase ``Di`` then ``Dr``, each by (src id, dst id).
 
-    Each phase is sorted by (src id, dst id); no pair occurs twice.
+    No pair occurs twice. Each phase is already in src order, which the
+    stable sort of one int64 key per edge runs through (ER 10^5: 10 ms,
+    against 130 ms for ``lexsort`` over the three columns).
     """
-    redundant = np.arange(ig.edge_count) >= ig.possible_edge_count
-    order = np.lexsort((ig.dst, ig.src, redundant))
-    label = ig.network.labels.__getitem__
-    return list(zip(*(map(label, column[order].tolist())
-                      for column in (ig.src, ig.dst, ig.witness)),
-                    np.where(redundant[order], "Dr", "Di").tolist()))
+    key = ig.src.astype(np.int64) * ig.network.n + ig.dst
+    split = ig.possible_edge_count
+    return np.concatenate((key[:split].argsort(kind="stable"),
+                           key[split:].argsort(kind="stable") + split))
 
 
-def input_graph_tsv(ig: InputGraph) -> str:
-    lines = ["# from\tto\twitness\tphase"]
-    lines += map("\t".join, input_graph_rows(ig))
-    return "\n".join(lines) + "\n"
+def input_graph_tsv(ig: InputGraph) -> Iterator[str]:
+    """The adjacency edges as TSV lines, in chunks."""
+    order = _input_graph_order(ig)
+    labels = ig.network.labels
+    phase = np.arange(ig.edge_count) >= ig.possible_edge_count
+    rows = Records([("src", labels, ig.src[order]),
+                    ("dst", labels, ig.dst[order]),
+                    ("witness", labels, ig.witness[order]),
+                    ("phase", ("Di", "Dr"), phase.view(np.int8))])
+    yield "# from\tto\twitness\tphase\n"
+    yield from rows.tsv_chunks()
 
 
-def input_graph_dict(ig: InputGraph) -> dict[str, list[dict[str, str]]]:
-    payload: dict[str, list[dict[str, str]]] = {"Di": [], "Dr": []}
-    for src, dst, witness, phase in input_graph_rows(ig):
-        payload[phase].append({"src": src, "dst": dst, "witness": witness})
-    return payload
+def input_graph_dict(ig: InputGraph) -> dict[str, Records]:
+    """``{"Di": [...], "Dr": [...]}`` of ``{"src", "dst", "witness"}``."""
+    order = _input_graph_order(ig)
+    labels = ig.network.labels
+    split = ig.possible_edge_count
+    return {phase: Records([(key, labels, column[part])
+                            for key, column in (("src", ig.src),
+                                                ("dst", ig.dst),
+                                                ("witness", ig.witness))])
+            for phase, part in (("Di", order[:split]), ("Dr", order[split:]))}
 
 
 def components_tsv(analysis: NetworkAnalysis,
-                   include_members: bool | None = None) -> str:
+                   include_members: bool | None = None) -> Iterator[str]:
+    """The components as TSV lines in chunks, members joined by commas."""
     include_members = _lists_members(analysis.network, include_members)
-    lines = ["# id\tsize\tkind" + ("\tmembers" if include_members else "")]
-    for c in component_report_dict(analysis, include_members)["components"]:
-        lines.append(f"{c['id']}\t{c['size']}\t{c['kind']}" + (
-            "\t" + ",".join(c["members"]) if include_members else ""))
-    return "\n".join(lines) + "\n"
+    yield "# id\tsize\tkind" + ("\tmembers" if include_members else "") + "\n"
+    yield from _component_records(analysis, include_members).tsv_chunks()
 
 
 def classes_tsv(analysis: NetworkAnalysis) -> str:

@@ -330,6 +330,24 @@ def test_smc_to_ic_single_is_the_first_full_pick_random():
     assert compared >= 400
 
 
+def test_smc_to_ic_single_affects_the_closure_of_its_pick_random():
+    # the full cover affects every member; one link only its pick's closure
+    from netcontrol import control_reachable_from
+    compared = strict = 0
+    for net, analysis, comp in random_smcs():
+        try:
+            plan = smc_to_ic_single(analysis, comp)
+        except AlterationError:
+            continue
+        pick = int(analysis.matching.match_out[plan.additions[0].src])
+        reach = np.intersect1d(control_reachable_from(analysis.input_graph,
+                                                      pick), comp.members)
+        assert np.array_equal(plan.affected, reach)
+        compared += 1
+        strict += reach.size < comp.size
+    assert compared >= 400 and strict >= 25
+
+
 def test_smc_to_ic_full_breaks_ties_to_lowest_id():
     # a and b close over each other (a -> b via c2, b -> a via c1), so both
     # closures are {a, b}; the cover must pick a, the lower id, and link

@@ -3,16 +3,19 @@
 On ER N=10^5, k=10 the network's four CSR arrays take 5.6 MB. Each bound
 is a small multiple of those bytes: room for a few int32 arrays the size
 of the edge set, but not for int64 copies of the edges at every step.
+A list output is bounded by the bytes it writes as well: it may hold its
+text twice (the chunks and their join), but not a Python object per row.
 """
 
 import tracemalloc
 
 import pytest
 
-from netcontrol import (GenSpec, build_input_graph, generate, input_nodes,
-                        maximum_matching, unsaturated_nodes)
+from netcontrol import (GenSpec, analyze, build_input_graph, generate,
+                        input_nodes, maximum_matching, unsaturated_nodes)
 from netcontrol.components import component_report
 from netcontrol.network import load_edge_list, write_edge_list
+from netcontrol.reports import analysis_record, input_graph_tsv, to_json
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +33,15 @@ def er(tmp_path_factory):
 
 def traced_peak(stage, *args) -> int:
     """Peak bytes allocated while ``stage(*args)`` runs, result included."""
+    return traced(stage, *args)[0]
+
+
+def traced(stage, *args):
+    """The peak of :func:`traced_peak` and the result of ``stage(*args)``."""
     tracemalloc.start()
     try:
-        stage(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = stage(*args)
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
@@ -65,3 +73,20 @@ def test_component_report_peaks_within_the_csr(er):
     ig = build_input_graph(net, m)
     assert traced_peak(component_report, net, ig, input_nodes(m),
                        unsaturated_nodes(m)) <= csr
+
+
+def test_record_json_peaks_within_two_and_a_half_times_its_text():
+    # 200 000 singleton components and no member lists: 15 MB of JSON,
+    # which took 5.8 times its size with a dict per component (2.1 now)
+    analysis = analyze(load_edge_list("# nodes: 200000\n0 1\n"))
+    peak, text = traced(lambda a: to_json(analysis_record(a)), analysis)
+    assert peak <= 2.5 * len(text)
+
+
+def test_input_graph_tsv_peaks_within_twice_the_csr_and_its_text(er):
+    # the first call also builds the 10^5 label strings (1.8 with them,
+    # 1.3 without; 8.1 with a tuple per row)
+    net, _, csr, m = er
+    ig = build_input_graph(net, m)
+    peak, text = traced(lambda g: "".join(input_graph_tsv(g)), ig)
+    assert peak <= 2 * (csr + len(text))

@@ -1,12 +1,18 @@
 """``reports.to_json`` must write exactly what ``json.dumps`` with
-``sort_keys=True, indent=2`` writes."""
+``sort_keys=True, indent=2`` writes, and the list outputs exactly what
+building a dict or a line per row writes."""
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrol.reports import to_json
+from netcontrol import (COMPONENT_KINDS, DirectedNetwork, analyze,
+                        load_edge_list)
+from netcontrol.reports import (MEMBER_LIST_LIMIT, analysis_record,
+                                component_report_dict, components_tsv,
+                                input_graph_dict, input_graph_tsv, to_json)
 
 HOSTILE = ['"', '\\', '\\"', 'q"uote', 'back\\slash', 'ü', 'naïve', '日本',
            '\U0001f600', '\x00', '\x1f', '\x7f', '\n', '\r\n', '\t', '',
@@ -65,3 +71,77 @@ def long_records(draw):
 @given(json_values | long_records())
 def test_any_json_value_matches_json_dumps(payload):
     assert to_json(payload) == _reference(payload)
+
+
+# The list outputs against the dict-per-row and line-join code they replace.
+
+def _reference_components(analysis, members):
+    net, report = analysis.network, analysis.report
+    names = [kind.value for kind in COMPONENT_KINDS]
+    comps = [{"id": i, "size": size, "kind": names[kind]} for i, (size, kind)
+             in enumerate(zip(report.sizes.tolist(), report.kinds.tolist()))]
+    if members:
+        order = np.argsort(report.comp_of, kind="stable").tolist()
+        labels = [net.labels[v] for v in order]
+        bounds = np.cumsum(report.sizes).tolist()
+        for entry, lo, hi in zip(comps, [0, *bounds], bounds):
+            entry["members"] = labels[lo:hi]
+    return comps
+
+
+def _reference_input_graph_rows(ig):
+    redundant = np.arange(ig.edge_count) >= ig.possible_edge_count
+    order = np.lexsort((ig.dst, ig.src, redundant))
+    label = ig.network.labels.__getitem__
+    return list(zip(*(map(label, column[order].tolist())
+                      for column in (ig.src, ig.dst, ig.witness)),
+                    np.where(redundant[order], "Dr", "Di").tolist()))
+
+
+def _hostile_networks():
+    """Digraphs labelled with HOSTILE, then two past the member limit."""
+    yield DirectedNetwork(len(HOSTILE), [], HOSTILE)  # no adjacency edge
+    for seed in range(12):
+        n = len(HOSTILE) + seed
+        labels = HOSTILE + [f"x{i}" for i in range(seed)]
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(rng.integers(0, 3 * n), 2))
+        yield DirectedNetwork(n, edges, labels)
+    n = MEMBER_LIST_LIMIT + 2000
+    labels = HOSTILE + [f"n{i}" for i in range(n - len(HOSTILE))]
+    edges = np.random.default_rng(0).integers(0, n, size=(2 * n, 2))
+    yield DirectedNetwork(n, edges, labels)
+    yield load_edge_list(f"# nodes: {n}\n0 1\n")
+
+
+def test_list_outputs_match_the_per_row_references():
+    cases = 0
+    for net in _hostile_networks():
+        analysis = analyze(net)
+        for members in (True, False, None):
+            listed = net.n <= MEMBER_LIST_LIMIT if members is None else members
+            record = analysis_record(analysis, members)
+            reference = {**record, "components": {
+                **record["components"],
+                "components": _reference_components(analysis, listed)}}
+            assert to_json(record) == _reference(reference)
+            census = component_report_dict(analysis, members)
+            assert list(census["components"]) == reference[
+                "components"]["components"]
+            lines = ["# id\tsize\tkind" + ("\tmembers" if listed else "")]
+            lines += [f"{c['id']}\t{c['size']}\t{c['kind']}" + (
+                "\t" + ",".join(c["members"]) if listed else "")
+                for c in reference["components"]["components"]]
+            assert "".join(components_tsv(analysis, members)) == "\n".join(
+                lines) + "\n"
+        rows = _reference_input_graph_rows(analysis.input_graph)
+        lines = ["# from\tto\twitness\tphase", *map("\t".join, rows)]
+        assert "".join(input_graph_tsv(analysis.input_graph)) == "\n".join(
+            lines) + "\n"
+        phases = {"Di": [], "Dr": []}
+        for src, dst, witness, phase in rows:
+            phases[phase].append({"src": src, "dst": dst, "witness": witness})
+        assert to_json(input_graph_dict(analysis.input_graph)) == _reference(
+            phases)
+        cases += 1
+    assert cases == 15

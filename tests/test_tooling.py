@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from netcontrol import COMPONENT_KINDS, GenSpec, analyze, generate
+
 
 def test_benchmark_span_hooks_resolve_except_the_known_stale_one():
     # perfbench wraps these attributes by name; a renamed or deleted one
@@ -21,3 +25,25 @@ def test_benchmark_span_hooks_resolve_except_the_known_stale_one():
         except AttributeError:
             missing.add(f"{module}.{attr}")
     assert missing == {"netcontrol.pipeline.verify_class_separation"}
+
+
+def test_traced_benchmark_counts_read_the_record(monkeypatch):
+    # A traced benchmark run sums these counts over each op's analyses by
+    # iterating the record's component list; check them against the arrays.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # worker imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  perfbench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    analysis = analyze(generate(GenSpec(model="sf", n=2000, avg_degree=8,
+                                        seed=2)))
+    counts = worker.analysis_counts([analysis])
+    report = analysis.report
+    kinds = np.bincount(report.kinds, minlength=len(COMPONENT_KINDS))
+    assert counts["components.count"] == report.component_count
+    for kind, count in zip(COMPONENT_KINDS, kinds.tolist()):
+        assert counts[f"components.{kind.value.lower()}"] == count
+    assert counts["input_graph.possible_inputs"] == np.count_nonzero(
+        analysis.input_graph.possible_inputs)
+    assert min(kinds) > 0
