@@ -123,20 +123,17 @@ class _OutputError(NetcontrolError):
     """An output file could not be written."""
 
 
-def _write(path: Path, text: str | Iterable[str]) -> None:
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-    except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(text: str | Iterable[str], output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | Path | None) -> None:
     """Write ``text``, or its chunks as they come, to ``output`` or stdout."""
-    if output:
-        _write(Path(output), text)
-    else:
-        sys.stdout.writelines([text] if isinstance(text, str) else text)
+    chunks = [text] if isinstance(text, str) else text
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {output}: {exc}") from exc
 
 
 def _load(path: str) -> DirectedNetwork:
@@ -268,7 +265,7 @@ def _cmd_alter(args) -> int:
             reports.additions_tsv(plan, labels),
             reports.json_chunks(payload["before"]),
             reports.json_chunks(payload["after"]))):
-        _write(path, text)
+        _emit(text, path)
     return EXIT_OK
 
 

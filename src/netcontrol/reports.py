@@ -3,6 +3,12 @@
 All numbers are rounded the same way everywhere: percentages to two
 decimals (half away from zero), plain ratios to six significant digits.
 JSON is dumped with sorted keys so equal inputs give byte-equal output.
+
+The long lists (the components of a record, with or without members, and
+the adjacency edges) are :class:`Records`: one array per field, written
+by :mod:`~netcontrol.textrows` with no Python object per row and handed
+out in chunks (:func:`json_chunks`, :func:`components_tsv`,
+:func:`input_graph_tsv`), which the command line writes as they come.
 """
 
 from __future__ import annotations
@@ -141,30 +147,15 @@ class Records(Sequence):
             return
         inner = newline + "  "
         deep = inner + "  "
-        count, first, last = self._rows()
-        columns, tables = [], {}
-        at = first  # the rows of a key: the first, or after the list the last
         fields = [*self.fields, self.nested] if self.nested else self.fields
-        for i, (key, strings, values, *bounds) in enumerate(
-                sorted(fields, key=lambda field: field[0])):
-            text = ("," if i else "{") + deep + json.dumps(key) + ": "
-            if bounds:  # the nested list, an item per row
-                columns += [(byte_table([text + "[" + deep + "  "]),
-                             _spread(0, first, count)),
-                            _column(strings, values, None, count, tables,
-                                    True),
-                            (byte_table(["," + deep + "  ", deep + "]"]),
-                             _spread(1, last, count, fill=0))]
-                at = last
-            else:
-                columns += [(byte_table([text]), _spread(0, at, count)),
-                            _column(strings, values, at, count, tables,
-                                    True)]
-        sep = "," + inner
-        columns.append((byte_table([inner + "}" + sep]),
-                        _spread(0, last, count)))
+        fields = sorted(fields, key=lambda field: field[0])
+        leads = [("," if i else "{") + deep + json.dumps(key) + ": "
+                 for i, (key, *_) in enumerate(fields)]
+        item, sep = deep + "  ", "," + inner
+        parts = self._render(fields, leads,
+                             ("[" + item, "," + item, deep + "]"),
+                             inner + "}" + sep, True)
         yield "[" + inner
-        parts = render(columns, count)
         part = next(parts)
         for following in parts:
             yield part
@@ -173,21 +164,36 @@ class Records(Sequence):
 
     def tsv_chunks(self) -> Iterator[str]:
         """The list as TSV lines, nested items joined by commas."""
+        fields = [*self.fields, self.nested] if self.nested else self.fields
+        leads = ["\t" if i else "" for i in range(len(fields))]
+        return self._render(fields, leads, ("", ",", ""), "\n", False)
+
+    def _render(self, fields, leads, list_texts, close, escape):
+        """Rows of ``fields``, each value after its lead text.
+
+        A record's values before the nested list go on its first row and
+        those after it on its last. ``list_texts`` are the nested list's
+        opening, the text between two items and its end; ``close`` ends
+        each record.
+        """
         count, first, last = self._rows()
         columns, tables = [], {}
-        for i, (_, strings, values) in enumerate(self.fields):
-            if i:
-                columns.append((byte_table(["\t"]), _spread(0, first, count)))
-            columns.append(_column(strings, values, first, count, tables,
-                                   False))
-        if self.nested:
-            _, strings, items, _ = self.nested
-            columns += [(byte_table(["\t"]), _spread(0, first, count)),
-                        _column(strings, items, None, count, tables, False),
-                        (byte_table([",", "\n"]),
-                         _spread(1, last, count, fill=0))]
-        else:
-            columns.append("\n")
+        at = first
+        for (_, strings, values, *bounds), lead in zip(fields, leads):
+            if bounds:  # an item per row
+                opening, between, end = list_texts
+                columns += [(byte_table([lead + opening]),
+                             _spread(0, first, count)),
+                            _column(strings, values, None, count, tables,
+                                    escape),
+                            (byte_table([between, end]),
+                             _spread(1, last, count, fill=0))]
+                at = last
+            else:
+                columns += [(byte_table([lead]), _spread(0, at, count)),
+                            _column(strings, values, at, count, tables,
+                                    escape)]
+        columns.append((byte_table([close]), _spread(0, last, count)))
         return render(columns, count)
 
 
