@@ -36,7 +36,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import EdgeListParseError
-from .textrows import byte_table, render
 
 NodeId = int
 
@@ -474,11 +473,27 @@ def write_edge_list(net: DirectedNetwork) -> str:
     nodes; pair the output with a ``# nodes: N`` directive to preserve
     isolated nodes as well.
 
-    The labels are encoded once, as the rows of a byte table, and each
-    line gathers the rows of its source and target
-    (:func:`~netcontrol.textrows.render`).
+    The labels are encoded once, as the UTF-8 rows of a byte table: each
+    row holds a label, then 0xFF padding (a byte UTF-8 never uses), then
+    the separator. A line is the row of its source with a tab and the row
+    of its target with a newline, and one pass drops the padding.
     """
-    table = byte_table(net.labels)
-    sources = np.arange(net.n, dtype=np.int32).repeat(np.diff(net.out_ptr))
-    return "".join(render([(table, sources), "\t", (table, net.out_idx),
-                           "\n"], net.edge_count))
+    labels = net.labels
+    text = "".join(labels)
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if data.size == len(text):  # ASCII: a byte per character
+        sizes = map(len, labels)
+    else:
+        sizes = (len(lab.encode("utf-8", "surrogatepass")) for lab in labels)
+    sizes = np.fromiter(sizes, dtype=np.int64, count=net.n)
+    width = int(sizes.max(initial=0)) + 1
+    targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
+    targets[np.arange(width) < sizes[:, None]] = data
+    targets[:, -1] = ord("\n")
+    sources = targets.copy()
+    sources[:, -1] = ord("\t")
+    lines = np.empty((net.edge_count, 2, width), dtype=np.uint8)
+    lines[:, 0] = np.repeat(sources, np.diff(net.out_ptr), axis=0)
+    lines[:, 1] = np.take(targets, net.out_idx, axis=0)
+    lines = lines.ravel()
+    return str(memoryview(lines[lines != 0xFF]), "utf-8", "surrogatepass")

@@ -23,7 +23,7 @@ from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
 from .pipeline import NetworkAnalysis
-from .textrows import byte_table, digit_table, render
+from .textrows import byte_table, digit_table, render, text_table
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
 
@@ -182,18 +182,18 @@ class Records(Sequence):
         for (_, strings, values, *bounds), lead in zip(fields, leads):
             if bounds:  # an item per row
                 opening, between, end = list_texts
-                columns += [(byte_table([lead + opening]),
+                columns += [(text_table(lead + opening),
                              _spread(0, first, count)),
                             _column(strings, values, None, count, tables,
                                     escape),
-                            (byte_table([between, end]),
+                            (text_table(between, end),
                              _spread(1, last, count, fill=0))]
                 at = last
             else:
-                columns += [(byte_table([lead]), _spread(0, at, count)),
+                columns += [(text_table(lead), _spread(0, at, count)),
                             _column(strings, values, at, count, tables,
                                     escape)]
-        columns.append((byte_table([close]), _spread(0, last, count)))
+        columns.append((text_table(close), _spread(0, last, count)))
         return render(columns, count)
 
 

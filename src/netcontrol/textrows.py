@@ -1,30 +1,54 @@
 """Text rows gathered from arrays, without a Python object per row.
 
 A list output is a run of rows, each the concatenation of one cell per
-column. A column is a fixed string or ``(table, index)``: row ``index[i]``
-of a byte table. A byte table holds each of its strings (or ints, in
-decimal) once, encoded as a row of UTF-8 padded with 0xFF (a byte UTF-8
-never uses), plus an all-pad last row that index -1 selects. A slice of
-rows is gathered into one padded block, column by column, and one mask
-drops the padding, so the block stays near ``SLICE_BYTES`` however long
-the list is.
+column. A column is a fixed string or ``(table, index)``: string
+``index[i]`` of a :class:`Table`, where index -1 is the empty string. A
+table holds each of its strings (or ints, in decimal) once, as UTF-8 cut
+into pieces of ``PIECE`` bytes, the last one padded with 0xFF (a byte
+UTF-8 never uses). A slice of rows gathers its cells' pieces in output
+order into one block, and one mask drops the padding. A long string
+costs its own pieces only, so the work is linear in the bytes written
+whatever the labels' lengths, and a slice holds about ``SLICE_BYTES``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 PAD = 0xFF
+PIECE = 8
 SLICE_BYTES = 1 << 18
 
 
-def byte_table(strings, escape: bool = False) -> np.ndarray:
-    """``strings`` (a list or tuple) as padded rows, then an empty row.
+class Table(NamedTuple):
+    """String ``i`` is pieces ``first[i]`` to ``first[i] + count[i] - 1``;
+    the last entry of ``first`` and ``count`` is the empty string."""
 
-    With ``escape`` each row is the string as ``json.dumps`` writes it,
+    pieces: np.ndarray  # (pieces, PIECE) uint8
+    first: np.ndarray
+    count: np.ndarray
+
+
+def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
+    """The table of the strings whose bytes, one after another, are
+    ``data`` and whose byte counts are ``sizes``."""
+    count = np.maximum(-(-sizes // PIECE), 1)  # "" is one piece of padding
+    first = np.concatenate(([0], count.cumsum()))
+    valid = np.full(first[-1], PIECE, dtype=np.int8)  # bytes of each piece
+    valid[first[1:] - 1] = sizes - PIECE * (count - 1)
+    pieces = np.full((valid.size, PIECE), PAD, dtype=np.uint8)
+    pieces[np.arange(PIECE, dtype=np.int8) < valid[:, None]] = data
+    return Table(pieces, first, np.append(count, 0))
+
+
+def byte_table(strings, escape: bool = False) -> Table:
+    """The table of ``strings``, a list or tuple.
+
+    With ``escape`` each string is written as ``json.dumps`` writes it,
     quotes included: ASCII, and never a raw newline, so one ``dumps`` of
     the whole list encodes them all with newlines between.
     """
@@ -44,44 +68,75 @@ def byte_table(strings, escape: bool = False) -> np.ndarray:
         else:
             sizes = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
         sizes = np.fromiter(sizes, dtype=np.int64, count=len(strings))
-    width = int(sizes.max(initial=0))
-    table = np.full((len(strings) + 1, width), PAD, dtype=np.uint8)
-    table[:-1][np.arange(width) < sizes[:, None]] = data
-    return table
+    return _table(data, sizes.astype(np.int64))
 
 
-def digit_table(values: np.ndarray) -> np.ndarray:
-    """Nonnegative ints in decimal, as a byte table of right-aligned rows."""
+@functools.lru_cache(maxsize=1024)
+def text_table(*texts: str) -> Table:
+    """The table of a few fixed strings, built once per process."""
+    return byte_table(texts)
+
+
+def digit_table(values: np.ndarray) -> Table:
+    """The table of nonnegative ints, in decimal.
+
+    Each int takes the same pieces, its digits right-aligned in them: the
+    padding in front of them is dropped like any other.
+    """
     width = len(str(int(values.max(initial=0))))
-    table = np.full((values.size + 1, width), PAD, dtype=np.uint8)
+    span = -(-width // PIECE) * PIECE
+    digits = np.full((values.size, span), PAD, dtype=np.uint8)
     rest = values.astype(np.int64)
-    for col in range(width - 1, -1, -1):  # units first; no leading zeros
-        cells = (rest % 10).astype(np.uint8) + ord("0")
-        if col < width - 1:
-            cells[rest == 0] = PAD
-        table[:-1, col] = cells
+    digit = np.empty_like(rest)
+    for col in range(span - 1, span - 1 - width, -1):  # units first
+        np.remainder(rest, 10, out=digit)
+        digit += ord("0")
+        digits[:, col] = digit
+        if col < span - 1:  # no leading zeros
+            digits[rest == 0, col] = PAD
         rest //= 10
-    return table
+    count = np.full(values.size + 1, span // PIECE)
+    count[-1] = 0
+    return Table(digits.reshape(-1, PIECE), np.arange(values.size + 1)
+                 * (span // PIECE), count)
 
 
 def render(columns, count: int) -> Iterator[str]:
     """Rows ``0..count-1`` of ``columns``, a slice of whole rows at a time.
 
-    A ``(table, index)`` column with an int ``index`` has that row in
-    every row.
+    A ``(table, index)`` column with an int ``index`` has that string in
+    every row. A slice of more than twice ``SLICE_BYTES`` is halved
+    before it is written, so a long string makes its own slices small.
     """
-    columns = [(np.frombuffer(col.encode("utf-8"), dtype=np.uint8)[None], 0)
-               if isinstance(col, str) else col for col in columns]
-    width = sum(table.shape[1] for table, _ in columns)
-    step = max(1, SLICE_BYTES // max(width, 1))
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        block = np.empty((hi - lo, width), dtype=np.uint8)
-        at = 0
-        for table, index in columns:
-            block[:, at:at + table.shape[1]] = (  # take: 2x faster than []
-                table.take(index[lo:hi], axis=0)
-                if isinstance(index, np.ndarray) else table[index])
-            at += table.shape[1]
-        flat = block.ravel()
-        yield str(memoryview(flat[flat != PAD]), "utf-8", "surrogatepass")
+    columns = [(text_table(col), 0) if isinstance(col, str) else col
+               for col in columns]
+    tables = list({id(table): table for table, _ in columns}.values())
+    pool = np.concatenate([t.pieces for t in tables])
+    sizes = [len(t.pieces) for t in tables]  # each table's first piece:
+    bases = dict(zip(map(id, tables), np.cumsum([0] + sizes).tolist()))
+    budget = SLICE_BYTES // PIECE
+    step = max(1, budget // len(columns))
+    pending = [(lo, min(lo + step, count))
+               for lo in range(0, count, step)][::-1]
+    while pending:
+        lo, hi = pending.pop()
+        first = np.empty((len(columns), hi - lo), dtype=np.int32)
+        size = np.empty((len(columns), hi - lo), dtype=np.int32)
+        for c, (table, index) in enumerate(columns):
+            if isinstance(index, np.ndarray):
+                index = index[lo:hi]
+            np.add(table.first.take(index), bases[id(table)], out=first[c])
+            size[c] = table.count.take(index)
+        first, size = first.T.ravel(), size.T.ravel()  # cells in row order
+        if size.min() == size.max() == 1:  # a piece per cell: no expansion
+            src = first
+        else:
+            start = size.cumsum()
+            if start[-1] > 2 * budget and hi - lo > 1:
+                mid = (lo + hi) // 2
+                pending += [(mid, hi), (lo, mid)]
+                continue
+            src = (first - start + size).repeat(size)
+            src += np.arange(src.size, dtype=np.int32)
+        block = pool.take(src, axis=0).ravel()
+        yield str(memoryview(block[block != PAD]), "utf-8", "surrogatepass")

@@ -99,11 +99,17 @@ def _reference_input_graph_rows(ig):
 
 
 def _hostile_networks():
-    """Digraphs labelled with HOSTILE, then two past the member limit."""
+    """Digraphs labelled with HOSTILE, then two past the member limit.
+
+    From seed 6 on one label spans many pieces of the writer's tables,
+    and from seed 9 more than two slices of the output by itself.
+    """
     yield DirectedNetwork(len(HOSTILE), [], HOSTILE)  # no adjacency edge
     for seed in range(12):
         n = len(HOSTILE) + seed
         labels = HOSTILE + [f"x{i}" for i in range(seed)]
+        if seed >= 6:
+            labels[-1] = "\\\"long\n" * (40 if seed < 9 else 80_000)
         rng = np.random.default_rng(seed)
         edges = rng.integers(0, n, size=(rng.integers(0, 3 * n), 2))
         yield DirectedNetwork(n, edges, labels)
