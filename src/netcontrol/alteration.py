@@ -284,13 +284,12 @@ def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
                 if order[w] < 0:
                     work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == order[v]:  # v's piece is the stack above v
                     piece = []
                     while not piece or piece[-1] != v:

@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -123,15 +123,21 @@ class _OutputError(NetcontrolError):
     """An output file could not be written."""
 
 
-def _emit(text: str | Iterable[str], output: str | Path | None) -> None:
-    """Write ``text``, or its chunks as they come, to ``output`` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _emit(text: str | Callable[[Callable[[str], object]], object],
+          output: str | Path | None) -> None:
+    """Write ``text`` to ``output``, or to stdout when there is none.
+
+    ``text`` is a string, or a function that passes its text in chunks to
+    the write function it is given, as the list writers of
+    :mod:`~netcontrol.reports` do.
+    """
+    emit = text if callable(text) else (lambda write: write(text))
     if not output:
-        sys.stdout.writelines(chunks)
+        emit(sys.stdout.write)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            emit(fh.write)
     except OSError as exc:
         raise _OutputError(f"cannot write {output}: {exc}") from exc
 
@@ -183,7 +189,7 @@ def _cmd_analyze(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     record = reports.analysis_record(analysis, args.members or None)
     if args.format == "json":
-        _emit(reports.json_chunks(record), args.output)
+        _emit(functools.partial(reports.to_json, record), args.output)
     else:
         flat = {k: v for k, v in record.items() if not isinstance(v, dict)}
         flat["n_mis_percent"] = record["mis"]["n_mis_percent"]
@@ -197,8 +203,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(reports.json_chunks(reports.classes_dict(analysis)),
-              args.output)
+        _emit(functools.partial(reports.to_json,
+                                reports.classes_dict(analysis)), args.output)
     else:
         _emit(reports.classes_tsv(analysis), args.output)
     return EXIT_OK
@@ -207,10 +213,11 @@ def _cmd_classify(args) -> int:
 def _cmd_inputgraph(args) -> int:
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(reports.json_chunks(
-            reports.input_graph_dict(analysis.input_graph)), args.output)
+        _emit(functools.partial(reports.to_json, reports.input_graph_dict(
+            analysis.input_graph)), args.output)
     else:
-        _emit(reports.input_graph_tsv(analysis.input_graph), args.output)
+        _emit(functools.partial(reports.input_graph_tsv, analysis.input_graph),
+              args.output)
     return EXIT_OK
 
 
@@ -219,9 +226,10 @@ def _cmd_components(args) -> int:
     include = args.members or None
     if args.format == "json":
         payload = reports.component_report_dict(analysis, include)
-        _emit(reports.json_chunks(payload), args.output)
+        _emit(functools.partial(reports.to_json, payload), args.output)
     else:
-        _emit(reports.components_tsv(analysis, include), args.output)
+        _emit(functools.partial(reports.components_tsv, analysis, include),
+              args.output)
     return EXIT_OK
 
 
@@ -257,14 +265,14 @@ def _cmd_alter(args) -> int:
         "after": reports.analysis_record(after),
     }
     if not paths:
-        _emit(reports.json_chunks(payload), None)
+        _emit(functools.partial(reports.to_json, payload), None)
         return EXIT_OK
     plan_file = {**payload["plan"], "goal_attained": payload["goal_attained"]}
     for path, text in zip(paths, (
-            reports.json_chunks(plan_file),
+            functools.partial(reports.to_json, plan_file),
             reports.additions_tsv(plan, labels),
-            reports.json_chunks(payload["before"]),
-            reports.json_chunks(payload["after"]))):
+            functools.partial(reports.to_json, payload["before"]),
+            functools.partial(reports.to_json, payload["after"]))):
         _emit(text, path)
     return EXIT_OK
 
@@ -294,7 +302,7 @@ def _cmd_exchange(args) -> int:
                       for v in input_nodes(result.matching).tolist()],
         "matching_size": result.matching.size,
     }
-    _emit(reports.json_chunks(payload), args.output)
+    _emit(functools.partial(reports.to_json, payload), args.output)
     return EXIT_OK
 
 
@@ -317,7 +325,7 @@ def _cmd_oracle_check(args) -> int:
         "distinct_input_sets": len(enum.input_sets),
         "possible_inputs_match_union": enum.in_some_set == set(possible),
     }
-    _emit(reports.json_chunks(payload), args.output)
+    _emit(functools.partial(reports.to_json, payload), args.output)
     return EXIT_OK
 
 

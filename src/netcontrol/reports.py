@@ -6,9 +6,10 @@ JSON is dumped with sorted keys so equal inputs give byte-equal output.
 
 The long lists (the components of a record, with or without members, and
 the adjacency edges) are :class:`Records`: one array per field, written
-by :mod:`~netcontrol.textrows` with no Python object per row and handed
-out in chunks (:func:`json_chunks`, :func:`components_tsv`,
-:func:`input_graph_tsv`), which the command line writes as they come.
+by :mod:`~netcontrol.textrows` with no Python object per row. Given a
+``write`` function, :func:`to_json`, :func:`components_tsv` and
+:func:`input_graph_tsv` pass it their text in chunks as it is made,
+which is how the command line writes them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain
 
 import numpy as np
 
@@ -39,22 +41,28 @@ def round_ratio(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def to_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline."""
-    return "".join(json_chunks(payload))
+def to_json(payload: dict, write=None) -> str | None:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
 
-
-def json_chunks(payload: dict) -> Iterator[str]:
-    """The text of :func:`to_json`, in consecutive chunks.
-
-    ``indent`` drops CPython to its pure-Python encoder. Here the C encoder
-    writes each container that holds no container, and each list of such
-    dicts, in one call whose item separator carries the newline and
-    indentation: JSON strings never hold a raw newline. :class:`Records`
-    write themselves from their arrays, a slice of rows per chunk.
+    With ``write`` the text goes to it in chunks as it is made, and None
+    is returned. ``indent`` drops CPython to its pure-Python encoder. Here
+    the C encoder writes each container that holds no container, and each
+    list of such dicts, in one call whose item separator carries the
+    newline and indentation: JSON strings never hold a raw newline.
+    :class:`Records` write themselves from their arrays, a slice of rows
+    per chunk.
     """
-    yield from _indented(payload, "\n")
-    yield "\n"
+    return _deliver(_indented(payload, "\n"), write, "\n")
+
+
+def _deliver(chunks: Iterator[str], write, end: str = "") -> str | None:
+    """``chunks`` and then ``end``, joined, or each passed to ``write``."""
+    if write is None:
+        return "".join(chunks) + end
+    for chunk in chunks:
+        write(chunk)
+    write(end)
+    return None
 
 
 def _indented(obj, newline: str) -> Iterator[str]:
@@ -340,8 +348,8 @@ def _input_graph_order(ig: InputGraph) -> np.ndarray:
                            key[split:].argsort(kind="stable") + split))
 
 
-def input_graph_tsv(ig: InputGraph) -> Iterator[str]:
-    """The adjacency edges as TSV lines, in chunks."""
+def input_graph_tsv(ig: InputGraph, write=None) -> str | None:
+    """The adjacency edges as TSV lines; ``write`` as in :func:`to_json`."""
     order = _input_graph_order(ig)
     labels = ig.network.labels
     phase = np.arange(ig.edge_count) >= ig.possible_edge_count
@@ -349,8 +357,8 @@ def input_graph_tsv(ig: InputGraph) -> Iterator[str]:
                     ("dst", labels, ig.dst[order]),
                     ("witness", labels, ig.witness[order]),
                     ("phase", ("Di", "Dr"), phase.view(np.int8))])
-    yield "# from\tto\twitness\tphase\n"
-    yield from rows.tsv_chunks()
+    return _deliver(chain(["# from\tto\twitness\tphase\n"],
+                          rows.tsv_chunks()), write)
 
 
 def input_graph_dict(ig: InputGraph) -> dict[str, Records]:
@@ -366,11 +374,14 @@ def input_graph_dict(ig: InputGraph) -> dict[str, Records]:
 
 
 def components_tsv(analysis: NetworkAnalysis,
-                   include_members: bool | None = None) -> Iterator[str]:
-    """The components as TSV lines in chunks, members joined by commas."""
+                   include_members: bool | None = None,
+                   write=None) -> str | None:
+    """The components as TSV lines, members joined by commas; ``write``
+    as in :func:`to_json`."""
     include_members = _lists_members(analysis.network, include_members)
-    yield "# id\tsize\tkind" + ("\tmembers" if include_members else "") + "\n"
-    yield from _component_records(analysis, include_members).tsv_chunks()
+    header = "# id\tsize\tkind" + ("\tmembers" if include_members else "")
+    rows = _component_records(analysis, include_members)
+    return _deliver(chain([header + "\n"], rows.tsv_chunks()), write)
 
 
 def classes_tsv(analysis: NetworkAnalysis) -> str:

@@ -90,7 +90,7 @@ def test_input_graph_tsv_peaks_within_two_and_a_quarter_the_csr_and_text(er):
     # CSR and the text with them, 1.48 without, 8.05 with a tuple per row
     net, _, csr, m = er
     ig = build_input_graph(net, m)
-    peak, text = traced(lambda g: "".join(input_graph_tsv(g)), ig)
+    peak, text = traced(input_graph_tsv, ig)
     assert peak <= 2.25 * (csr + len(text))
 
 
@@ -102,8 +102,7 @@ def test_one_long_label_costs_its_own_bytes():
     labels = ["x" * 200_000] + [f"v{i}" for i in range(1, n)]
     edges = np.random.default_rng(1).integers(0, n, size=(8000, 2))
     analysis = analyze(DirectedNetwork(n, edges, labels))
-    peak, text = traced(lambda g: "".join(input_graph_tsv(g)),
-                        analysis.input_graph)
+    peak, text = traced(input_graph_tsv, analysis.input_graph)
     assert peak <= 3 * len(text)
     peak, text = traced(lambda a: to_json(analysis_record(a)), analysis)
     assert peak <= 5 * len(text)

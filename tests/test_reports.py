@@ -131,6 +131,9 @@ def test_list_outputs_match_the_per_row_references():
                 **record["components"],
                 "components": _reference_components(analysis, listed)}}
             assert to_json(record) == _reference(reference)
+            chunks = []  # the command line's way: chunks as they are made
+            assert to_json(record, chunks.append) is None
+            assert "".join(chunks) == _reference(reference)
             census = component_report_dict(analysis, members)
             assert list(census["components"]) == reference[
                 "components"]["components"]
@@ -138,11 +141,11 @@ def test_list_outputs_match_the_per_row_references():
             lines += [f"{c['id']}\t{c['size']}\t{c['kind']}" + (
                 "\t" + ",".join(c["members"]) if listed else "")
                 for c in reference["components"]["components"]]
-            assert "".join(components_tsv(analysis, members)) == "\n".join(
+            assert components_tsv(analysis, members) == "\n".join(
                 lines) + "\n"
         rows = _reference_input_graph_rows(analysis.input_graph)
         lines = ["# from\tto\twitness\tphase", *map("\t".join, rows)]
-        assert "".join(input_graph_tsv(analysis.input_graph)) == "\n".join(
+        assert input_graph_tsv(analysis.input_graph) == "\n".join(
             lines) + "\n"
         phases = {"Di": [], "Dr": []}
         for src, dst, witness, phase in rows:
