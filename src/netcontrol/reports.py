@@ -83,7 +83,7 @@ def _indented(obj, newline: str) -> Iterator[str]:
     if (not is_dict and types == {dict} and all(obj)
             and not _has_container({type(v) for rec in obj
                                     for v in rec.values()})):
-        # Records: "," + deep + "{" occurs only between two records.
+        # Flat dicts: "," + deep + "{" occurs only between two of them.
         deep = inner + "  "
         flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
         yield ("[" + inner + "{" + deep + flat[2:-2].replace(
