@@ -4,7 +4,9 @@ Saturating every input node of an input component turns its members
 redundant; linking one input node into a saturated matched component makes
 its whole forward closure possible-input again. On a dense network with a
 giant component each direction touches most of the graph, and the reverse
-step needs exactly one edge.
+step needs exactly one edge. Each plan carries a maximum matching of the
+network it makes, so each re-analysis starts from that matching instead
+of searching for one.
 """
 
 from netcontrol import ComponentKind, GenSpec, analyze, generate
@@ -19,7 +21,7 @@ print(f"start: giant {giant.kind.value} with {giant.size}/{net.n} nodes, "
 
 plan1 = ic_to_smc(before, giant)
 net2 = apply_plan(net, plan1)
-middle = analyze(net2)
+middle = analyze(net2, matching=plan1.matching_after)
 plan1 = alteration_report(before, middle, plan1)
 print(f"\nIC -> SMC: added {len(plan1.additions)} edges "
       f"(p = {plan1.p:.2%} of the original edges)")
@@ -29,7 +31,7 @@ giant2 = middle.report.component(middle.report.cc_max)
 print(f"  giant is now {giant2.kind.value} with {giant2.size} nodes")
 
 plan2 = smc_to_ic_single(middle, giant2)
-final = analyze(apply_plan(net2, plan2))
+final = analyze(apply_plan(net2, plan2), matching=plan2.matching_after)
 plan2 = alteration_report(middle, final, plan2)
 addition = plan2.additions[0]
 print(f"\nSMC -> IC: one edge "

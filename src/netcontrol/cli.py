@@ -254,7 +254,7 @@ def _cmd_alter(args) -> int:
         raise AlterationError(
             f"cannot alter a {comp.kind.value} component to {args.to.upper()}"
             + ("; saturate it to SMC first" if args.to == "ic" else ""))
-    after = analyze(apply_plan(net, plan), args.seed)
+    after = analyze(apply_plan(net, plan), args.seed, plan.matching_after)
     plan = alteration_report(before, after, plan)
 
     labels = net.labels

@@ -11,7 +11,7 @@ from .components import ComponentReport, component_report
 from .input_graph import InputGraph, build_input_graph, classify_nodes
 from .matching import (Matching, input_nodes, maximum_matching,
                        unsaturated_nodes)
-from .network import DirectedNetwork
+from .network import DirectedNetwork, edge_positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,14 +26,26 @@ class NetworkAnalysis:
     report: ComponentReport
 
 
-def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
+def analyze(net: DirectedNetwork, seed: int = 0,
+            matching: Matching | None = None) -> NetworkAnalysis:
     """Run the whole pipeline on ``net`` with a seed-determined matching.
+
+    ``matching``, when given, is a maximum matching of ``net`` that is used
+    instead of searching for one; ``seed`` is then only recorded. A pair
+    that is not an edge of ``net`` raises ``ValueError``, and the closure
+    pass's Berge check raises
+    :class:`~netcontrol.errors.NotMaximumMatchingError` for a matching that
+    is not maximum.
 
     Each per-node fact stays in the array it is computed in; the input and
     unsaturated id arrays are derived here once, for the component report
     and for the alteration planners, which take the analysis.
     """
-    m = maximum_matching(net, seed)
+    if matching is None:
+        m = maximum_matching(net, seed)
+    else:
+        _require_edges(net, matching)
+        m = matching
     ig = build_input_graph(net, m)
     inputs = input_nodes(m)
     unsaturated = unsaturated_nodes(m)
@@ -47,6 +59,20 @@ def analyze(net: DirectedNetwork, seed: int = 0) -> NetworkAnalysis:
         classes=classify_nodes(ig),
         report=component_report(net, ig, inputs, unsaturated),
     )
+
+
+def _require_edges(net: DirectedNetwork, m: Matching) -> None:
+    """Raise ``ValueError`` unless every pair of ``m`` is an edge of ``net``."""
+    if m.match_out.size != net.n:
+        raise ValueError(f"a matching of {m.match_out.size} nodes given for "
+                         f"a network of {net.n}")
+    sources = np.flatnonzero(m.match_out >= 0)
+    pos, counts = edge_positions(net.out_ptr, sources)
+    # Rows hold no duplicates, so each source finds its partner at most once.
+    found = np.count_nonzero(
+        net.out_idx[pos] == m.match_out[sources].repeat(counts))
+    if found != sources.size:
+        raise ValueError("the matching pairs nodes that no edge joins")
 
 
 def part_reports(analysis: NetworkAnalysis, bounds: list[int]

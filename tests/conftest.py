@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from netcontrol import (NODE_CLASSES, DirectedNetwork, Matching,
-                        NetworkAnalysis, build_input_graph, classify_nodes,
-                        component_report, input_nodes, load_edge_list,
-                        unsaturated_nodes)
+                        build_input_graph, component_report, input_nodes,
+                        load_edge_list, unsaturated_nodes)
 
 
 @pytest.fixture
@@ -122,17 +121,6 @@ def report_for(net: DirectedNetwork, m: Matching, ig=None):
     if ig is None:
         ig = build_input_graph(net, m)
     return component_report(net, ig, input_nodes(m), unsaturated_nodes(m))
-
-
-def analysis_of(net: DirectedNetwork, m: Matching) -> NetworkAnalysis:
-    """The analysis of ``net`` under the maximum matching ``m``, which no
-    matching seed needs to give (``seed`` is None)."""
-    ig = build_input_graph(net, m)
-    inputs, unsaturated = input_nodes(m), unsaturated_nodes(m)
-    return NetworkAnalysis(
-        network=net, seed=None, matching=m, input_set=inputs,
-        unsaturated=unsaturated, input_graph=ig, classes=classify_nodes(ig),
-        report=component_report(net, ig, inputs, unsaturated))
 
 
 def node_set(nodes) -> frozenset[int]:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from netcontrol import (AlterationError, ComponentKind,
-                        InsufficientInputNodesError, analyze, is_maximum,
+                        InsufficientInputNodesError, Matching,
+                        NotMaximumMatchingError, analyze, is_maximum,
                         load_edge_list)
 from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
                                    plan_attains_goal, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from conftest import analysis_of, class_names, node_set, random_digraph
+from conftest import class_names, node_set, random_digraph
 
 
 def component_of(analysis, node):
@@ -34,6 +35,34 @@ def possible_input(analysis, v):
 
 def reanalyzed(net, plan):
     return analyze(apply_plan(net, plan))
+
+
+def node_kinds(analysis):
+    return analysis.report.kinds[analysis.report.comp_of]
+
+
+def planned_analysis(net, before, plan):
+    """The altered network's analysis under ``plan.matching_after``, checked
+    against a fresh search on that network."""
+    net2 = apply_plan(net, plan)
+    given = analyze(net2, matching=plan.matching_after)
+    fresh = analyze(net2)
+    assert np.array_equal(given.classes, fresh.classes)
+    assert np.array_equal(given.input_graph.possible_inputs,
+                          fresh.input_graph.possible_inputs)
+    assert np.array_equal(node_kinds(given), node_kinds(fresh))
+    # saturation matches each addition's target; links match nothing new
+    matched = [a.dst for a in plan.additions if a.reason != "adjacency_link"]
+    assert np.array_equal(given.input_set,
+                          np.setdiff1d(before.input_set, matched))
+    pairs = given.matching.pairs()
+    assert all(net2.has_edge(u, v) for u, v in pairs)
+    if pairs:  # the dropped pair's edge is then an augmenting path
+        match_out = plan.matching_after.match_out.copy()
+        match_out[pairs[0][0]] = -1
+        with pytest.raises(NotMaximumMatchingError):
+            analyze(net2, matching=Matching(match_out))
+    return given
 
 
 def test_ic_to_smc_dilation(dilation_net):
@@ -107,7 +136,7 @@ def test_umc_to_smc_insufficient_inputs():
 def test_smc_to_ic_single_five_node(five_node, five_node_matching):
     ids = five_node.id_of
     # pin the worked matching rather than the seed-0 one
-    before = analysis_of(five_node, five_node_matching)
+    before = analyze(five_node, matching=five_node_matching)
     comp = component_of(before, ids("a"))
     assert comp.kind is ComponentKind.SMC
     plan = smc_to_ic_single(before, comp)
@@ -208,10 +237,8 @@ def test_saturation_plans_keep_matchings_maximum_random():
                 plan = op(before, comp)
             except AlterationError:
                 continue
-            net2 = apply_plan(net, plan)
-            assert is_maximum(net2, plan.matching_after)
             assert plan.mis_after < plan.mis_before
-            after = analyze(net2)
+            after = planned_analysis(net, before, plan)
             plan = alteration_report(before, after, plan)
             assert plan_attains_goal(plan, after)
             checked += 1
@@ -227,19 +254,19 @@ def test_adjacency_plans_flip_closures_random():
         if not pool or not before.input_set.size:
             continue
         comp = min(pool, key=lambda c: (-c.size, c.id))
-        try:
-            plan = smc_to_ic_full(before, comp)
-        except AlterationError:
-            continue  # sole input node coincides with a matched predecessor
-        net2 = apply_plan(net, plan)
-        assert is_maximum(net2, before.matching)
-        after = analyze(net2)
-        plan = alteration_report(before, after, plan)
-        assert plan.mis_after == plan.mis_before
-        assert plan_attains_goal(plan, after)
-        assert all(possible_input(after, v) for v in comp.members.tolist())
-        checked += 1
-    assert checked >= 10
+        for op in (smc_to_ic_full, smc_to_ic_single):
+            try:
+                plan = op(before, comp)
+            except AlterationError:
+                continue  # sole input node is a matched predecessor
+            assert plan.matching_after == before.matching
+            after = planned_analysis(net, before, plan)
+            plan = alteration_report(before, after, plan)
+            assert plan.mis_after == plan.mis_before
+            assert plan_attains_goal(plan, after)
+            assert all(possible_input(after, v) for v in plan.affected.tolist())
+            checked += 1
+    assert checked >= 20
 
 
 def test_closure_masks_match_bfs_reachability():

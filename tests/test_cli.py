@@ -258,6 +258,31 @@ def test_alter_full_mode(tmp_path, capsys):
                for a in payload["plan"]["additions"])
 
 
+def test_alter_searches_for_one_matching(confluence_file, tmp_path, capsys,
+                                         monkeypatch):
+    # the re-analysis reuses the plan's matching; perfbench counts the
+    # matcher through this module attribute
+    import netcontrol.pipeline
+    calls = []
+    original = netcontrol.pipeline.maximum_matching
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(netcontrol.pipeline, "maximum_matching", counted)
+    cover = tmp_path / "net.txt"
+    cover.write_text("s a\ns b\nx a\nx y\ny b\n", encoding="utf-8")
+    for argv in (["alter", confluence_file, "--component", "largest-mc",
+                  "--to", "smc"],
+                 ["alter", str(cover), "--component", "largest-smc",
+                  "--to", "ic", "--mode", "full"]):
+        calls.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["goal_attained"] is True
+        assert len(calls) == 1
+
+
 def test_alter_component_by_id(confluence_file, capsys):
     code, out = run_cli(capsys, "alter", confluence_file, "--component", "1",
                         "--to", "smc")

@@ -118,12 +118,12 @@ EXCHANGE_NODES = ("569", "258", "7", "nosuch")
 CASES = _cases()
 
 DIGESTS = {
-    'alter-cover-sf-s0': (0, 'cf9e301fd29946330ae3a0698c7be68361ae4a84a0af6ef65b1455f06d8afe28'),
-    'alter-cover-sf-s3': (0, '63141a3c27c39692af9c512215da9da8838fdff8b18d812086c57d78ed74a329'),
+    'alter-cover-sf-s0': (0, '5c6048d5df82751f3ac94493fa2d637c73f4ff6cc78210823d21034c6c33c33d'),
+    'alter-cover-sf-s3': (0, 'fd23f7ca9d603219efb5909736e02affb9c1fd0763117ac08579fa6c8f830686'),
     'alter-saturate-sf-s0': (0, 'c95bc7d073a166e050ee4ba23fdb28462d26f745a8b97c63438ed90c3a886e77'),
     'alter-saturate-sf-s3': (0, 'd3af535d497213e0a841634bf5f9b99e3c3af84183f0da0bbdba6ce631b0d941'),
-    'alter-single-sf-s0': (0, '7546913502b66c425ea76d6d61456ec1615f6c7b9612be644affa62757917621'),
-    'alter-single-sf-s3': (0, '28ec2fac490884287abaeba3eabb443f1b9fb7f28fe3965c8255f51227d8ba22'),
+    'alter-single-sf-s0': (0, 'c0914b9282065da8c281f4c7c861127a6ed80b24e7505c47fb32b87a1a7e6008'),
+    'alter-single-sf-s3': (0, '43c117925a5c5d4d2f600aa7caf1fea55781efa6de655c48b025b43480bcc91c'),
     'analyze-json-er-bare-s0': (0, 'fae9083c7cdb3e9e1e628a8a6ccc91b455823f9c6e1638e2894044dfb8dc46f8'),
     'analyze-json-er-s0': (0, '7b3bd8016677b410484182d8d516ec37b18ee6486375fda2ce81b6b2016d63eb'),
     'analyze-json-er-s3': (0, 'fe1c4e21bc4594c2ea0b86072b38e2ed0306d98b58568ae85a2167a603310fc5'),

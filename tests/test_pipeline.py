@@ -1,10 +1,12 @@
-"""A disjoint union analysed once gives each part's own analysis."""
+"""A disjoint union analysed once gives each part's own analysis, and a
+matching handed to ``analyze`` must be one of the network."""
 
 import numpy as np
 import pytest
 from conftest import random_digraph
 
-from netcontrol import DirectedNetwork, GenSpec, analyze, generate, reports
+from netcontrol import (DirectedNetwork, GenSpec, Matching, analyze, generate,
+                        reports)
 from netcontrol.cli import main
 from netcontrol.pipeline import part_reports
 
@@ -111,3 +113,12 @@ def test_part_reports_refuse_a_shuffled_matching():
     whole = analyze(DirectedNetwork.disjoint_union(nets), seed=3)
     with pytest.raises(ValueError, match="not separable"):
         list(part_reports(whole, bounds))
+
+
+def test_a_given_matching_must_be_one_of_the_network():
+    net = DirectedNetwork(3, [(0, 1), (1, 2)])
+    assert analyze(net, matching=Matching([1, 2, -1])).input_set.tolist() == [0]
+    with pytest.raises(ValueError, match="no edge joins"):
+        analyze(net, matching=Matching([2, -1, -1]))
+    with pytest.raises(ValueError, match="network of 3"):
+        analyze(net, matching=Matching([1, -1]))
