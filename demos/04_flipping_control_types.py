@@ -33,9 +33,8 @@ print(f"  giant is now {giant2.kind.value} with {giant2.size} nodes")
 plan2 = smc_to_ic_single(middle, giant2)
 final = analyze(apply_plan(net2, plan2), matching=plan2.matching_after)
 plan2 = alteration_report(middle, final, plan2)
-addition = plan2.additions[0]
-print(f"\nSMC -> IC: one edge "
-      f"{net.labels[addition.src]} -> {net.labels[addition.dst]}")
+src, dst = plan2.additions[0].tolist()
+print(f"\nSMC -> IC: one edge {net.labels[src]} -> {net.labels[dst]}")
 print(f"  classes flipped back: {plan2.delta_n_d:.1%} of all nodes")
 final_kind = final.report.kind(final.report.cc_max)
 print(f"  giant is now {final_kind.value} again")

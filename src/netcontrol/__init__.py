@@ -5,16 +5,16 @@ control-adjacency graph, classify nodes and control components
 (IC / UMC / SMC), and plan edge additions that flip control types.
 """
 
-from .alteration import (AlterationPlan, EdgeAddition, alteration_report,
-                         apply_plan, ic_to_smc, plan_attains_goal,
-                         smc_to_ic_full, smc_to_ic_single, umc_to_smc)
+from .alteration import (AlterationPlan, alteration_report, apply_plan,
+                         ic_to_smc, plan_attains_goal, smc_to_ic_full,
+                         smc_to_ic_single, umc_to_smc)
 from .components import (COMPONENT_KINDS, ComponentKind, ComponentReport,
                          ControlComponent, component_report, find_components,
                          largest_component)
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
-                     GenerationError, InsufficientInputNodesError,
-                     InternalInvariantError, NetcontrolError,
-                     NotMaximumMatchingError, OracleInfeasibleError)
+                     GenerationError, InternalInvariantError,
+                     NetcontrolError, NotMaximumMatchingError,
+                     OracleInfeasibleError)
 from .generators import GenSpec, er_directed, generate, scale_free_directed
 from .input_graph import (NODE_CLASSES, InputGraph, NodeClass,
                           build_input_graph, classify_nodes,

@@ -26,29 +26,26 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .components import ComponentKind, ControlComponent
-from .errors import (AlterationError, InsufficientInputNodesError,
-                     InternalInvariantError)
+from .errors import AlterationError, InternalInvariantError
 from .input_graph import InputGraph
 from .matching import Matching
 from .network import DirectedNetwork, NodeId, edge_positions
-
-
-class EdgeAddition(NamedTuple):
-    src: NodeId
-    dst: NodeId
-    reason: str  # saturate_input | saturate_unsaturated | adjacency_link
 
 
 @dataclass(frozen=True, eq=False)
 class AlterationPlan:
     """Ordered edge additions plus before/after bookkeeping.
 
-    ``affected`` holds the ids, ascending, of the nodes whose class the
+    ``additions`` is a read-only ``(k, 2)`` int32 array of new edges in
+    plan order: source ids in column 0, target ids in column 1. ``reason``
+    says why all of them are added: ``saturate_input`` (IC -> SMC),
+    ``saturate_unsaturated`` (UMC -> SMC) or ``adjacency_link`` (SMC ->
+    IC). ``affected`` holds the ids, ascending, of the nodes whose class the
     plan is meant to change: the component members for saturation plans,
     the covered closure for adjacency links. ``p`` and ``delta_n_d`` stay
     unset until :func:`alteration_report` fills them from the re-analysis
@@ -57,7 +54,8 @@ class AlterationPlan:
 
     target_component_id: int
     requested_kind: ComponentKind
-    additions: tuple[EdgeAddition, ...]
+    additions: np.ndarray
+    reason: str
     matching_after: Matching
     affected: np.ndarray
     mis_before: int
@@ -65,13 +63,16 @@ class AlterationPlan:
     p: float | None = None
     delta_n_d: float | None = None
 
-    @property
-    def edge_labels(self) -> tuple[tuple[NodeId, NodeId], ...]:
-        return tuple((a.src, a.dst) for a in self.additions)
-
 
 def apply_plan(net: DirectedNetwork, plan: AlterationPlan) -> DirectedNetwork:
-    return net.with_edges(plan.edge_labels)
+    return net.with_edges(plan.additions)
+
+
+def _edges(pairs) -> np.ndarray:
+    """``pairs`` as a plan's read-only ``(k, 2)`` int32 id array."""
+    edges = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    edges.flags.writeable = False
+    return edges
 
 
 def _require_kind(comp: ControlComponent, kind: ComponentKind) -> None:
@@ -116,8 +117,7 @@ def umc_to_smc(before, comp: ControlComponent) -> AlterationPlan:
 
     Each unsaturated node with an edge into a member gets one new edge to a
     distinct input node (lowest ids first). Raises
-    :class:`InsufficientInputNodesError` with the partial plan when the
-    input nodes run out.
+    :class:`AlterationError` when the input nodes run out.
     """
     _require_kind(comp, ComponentKind.UMC)
     net = before.network
@@ -130,24 +130,24 @@ def umc_to_smc(before, comp: ControlComponent) -> AlterationPlan:
     for u in linkers:
         dst = _take(receivers, lambda d: d != u and not net.has_edge(u, d))
         if dst is None:
-            raise InsufficientInputNodesError(
+            raise AlterationError(
                 f"insufficient input nodes to saturate {len(linkers)} "
-                f"linking nodes", partial_additions=[
-                    EdgeAddition(*pair, "saturate_unsaturated")
-                    for pair in pairs])
+                f"linking nodes")
         pairs.append((u, dst))
     return _saturation_plan(before, comp, pairs, "saturate_unsaturated")
 
 
 def _saturation_plan(before, comp, pairs, reason) -> AlterationPlan:
     """Plan whose additions ``(src, dst)`` each match src to dst."""
+    additions = _edges(pairs)
     match_out = before.matching.match_out.copy()
-    match_out[[u for u, _ in pairs]] = [v for _, v in pairs]
+    match_out[additions[:, 0]] = additions[:, 1]
     after = Matching(match_out)
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.SMC,
-        additions=tuple(EdgeAddition(*pair, reason) for pair in pairs),
+        additions=additions,
+        reason=reason,
         matching_after=after,
         affected=comp.members,
         mis_before=before.input_set.size,
@@ -182,13 +182,13 @@ def _cover(before, comp: ControlComponent, picks: int | None
     the lowest-id input node, other than itself, it has no edge to yet.
     """
     _require_kind(comp, ComponentKind.SMC)
-    closures = _closure_masks(before.input_graph, comp)
-    chosen = list(islice(_greedy_picks(closures, comp.size), picks))
     receivers = before.input_set.tolist()
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
+    closures = _closure_masks(before.input_graph, comp)
+    chosen = list(islice(_greedy_picks(closures, comp.size), picks))
     net, match_in = before.network, before.matching.match_in
-    additions = []
+    pairs = []
     covered = 0
     for node in chosen:
         pred = int(match_in[node])
@@ -199,12 +199,13 @@ def _cover(before, comp: ControlComponent, picks: int | None
                     if d != pred and not net.has_edge(pred, d)), None)
         if dst is None:
             raise AlterationError(f"no feasible addition for member {node}")
-        additions.append(EdgeAddition(pred, dst, "adjacency_link"))
+        pairs.append((pred, dst))
         covered |= closures[node]
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.IC,
-        additions=tuple(additions),
+        additions=_edges(pairs),
+        reason="adjacency_link",
         matching_after=before.matching,  # links never touch the matching
         affected=comp.members[np.unpackbits(
             np.frombuffer(covered.to_bytes((comp.size + 7) // 8, "little"),

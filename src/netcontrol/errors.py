@@ -27,18 +27,6 @@ class AlterationError(NetcontrolError):
     """An alteration plan cannot be built for the requested component."""
 
 
-class InsufficientInputNodesError(AlterationError):
-    """Not enough input nodes to saturate the requested component.
-
-    Carries the additions assembled before the shortage was hit, so callers
-    can inspect the partial plan.
-    """
-
-    def __init__(self, message: str, partial_additions=()):
-        super().__init__(message)
-        self.partial_additions = tuple(partial_additions)
-
-
 class GenerationError(NetcontrolError):
     """Synthetic-network generation failed (bad parameters or stall)."""
 

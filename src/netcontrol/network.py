@@ -36,6 +36,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import EdgeListParseError
+from .textrows import encode_utf8
 
 NodeId = int
 
@@ -478,14 +479,7 @@ def write_edge_list(net: DirectedNetwork) -> str:
     the separator. A line is the row of its source with a tab and the row
     of its target with a newline, and one pass drops the padding.
     """
-    labels = net.labels
-    text = "".join(labels)
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    if data.size == len(text):  # ASCII: a byte per character
-        sizes = map(len, labels)
-    else:
-        sizes = (len(lab.encode("utf-8", "surrogatepass")) for lab in labels)
-    sizes = np.fromiter(sizes, dtype=np.int64, count=net.n)
+    data, sizes = encode_utf8(net.labels)
     width = int(sizes.max(initial=0)) + 1
     targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
     targets[np.arange(width) < sizes[:, None]] = data

@@ -4,12 +4,12 @@ All numbers are rounded the same way everywhere: percentages to two
 decimals (half away from zero), plain ratios to six significant digits.
 JSON is dumped with sorted keys so equal inputs give byte-equal output.
 
-The long lists (the components of a record, with or without members, and
-the adjacency edges) are :class:`Records`: one array per field, written
-by :mod:`~netcontrol.textrows` with no Python object per row. Given a
-``write`` function, :func:`to_json`, :func:`components_tsv` and
-:func:`input_graph_tsv` pass it their text in chunks as it is made,
-which is how the command line writes them.
+The long lists (the components of a record, with or without members, the
+adjacency edges and a plan's additions) are :class:`Records`: one array
+per field, written by :mod:`~netcontrol.textrows` with no Python object
+per row. Given a ``write`` function, :func:`to_json`,
+:func:`components_tsv` and :func:`input_graph_tsv` pass it their text in
+chunks as it is made, which is how the command line writes them.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def to_json(payload: dict, write=None) -> str | None:
 
     With ``write`` the text goes to it in chunks as it is made, and None
     is returned. ``indent`` drops CPython to its pure-Python encoder. Here
-    the C encoder writes each container that holds no container, and each
-    list of such dicts, in one call whose item separator carries the
-    newline and indentation: JSON strings never hold a raw newline.
+    the C encoder writes each container that holds no container in one
+    call whose item separator carries the newline and indentation: JSON
+    strings never hold a raw newline.
     :class:`Records` write themselves from their arrays, a slice of rows
     per chunk.
     """
@@ -79,16 +79,6 @@ def _indented(obj, newline: str) -> Iterator[str]:
     if not _has_container(types):
         flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         yield flat[0] + inner + flat[1:-1] + newline + flat[-1]
-        return
-    if (not is_dict and types == {dict} and all(obj)
-            and not _has_container({type(v) for rec in obj
-                                    for v in rec.values()})):
-        # Flat dicts: "," + deep + "{" occurs only between two of them.
-        deep = inner + "  "
-        flat = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
-        yield ("[" + inner + "{" + deep + flat[2:-2].replace(
-            "}," + deep + "{", inner + "}," + inner + "{" + deep)
-            + inner + "}" + newline + "]")
         return
     opener, closer = "{}" if is_dict else "[]"
     yield opener + inner
@@ -309,14 +299,23 @@ def classes_dict(analysis: NetworkAnalysis) -> dict[str, str]:
                     map(names.__getitem__, analysis.classes.tolist())))
 
 
+def _addition_records(plan: AlterationPlan, labels) -> Records:
+    """``{"src", "dst", "reason"}`` per addition, in plan order. The label
+    table holds the plan's endpoints only, not every node's label."""
+    ends, index = np.unique(plan.additions, return_inverse=True)
+    index = index.reshape(-1, 2)
+    strings = list(map(labels.__getitem__, ends.tolist()))
+    return Records([("src", strings, index[:, 0]),
+                    ("dst", strings, index[:, 1]),
+                    ("reason", (plan.reason,),
+                     np.zeros(len(index), dtype=np.int8))])
+
+
 def plan_dict(plan: AlterationPlan, labels) -> dict:
     payload = {
         "target_component_id": plan.target_component_id,
         "requested_kind": plan.requested_kind.value,
-        "additions": [
-            {"src": labels[a.src], "dst": labels[a.dst], "reason": a.reason}
-            for a in plan.additions
-        ],
+        "additions": _addition_records(plan, labels),
         "edge_count": len(plan.additions),
         "mis_before": plan.mis_before,
         "mis_after": plan.mis_after,
@@ -329,10 +328,8 @@ def plan_dict(plan: AlterationPlan, labels) -> dict:
 
 
 def additions_tsv(plan: AlterationPlan, labels) -> str:
-    lines = ["# src\tdst\treason"]
-    lines += [f"{labels[a.src]}\t{labels[a.dst]}\t{a.reason}"
-              for a in plan.additions]
-    return "\n".join(lines) + "\n"
+    rows = _addition_records(plan, labels).tsv_chunks()
+    return "# src\tdst\treason\n" + "".join(rows)
 
 
 def _input_graph_order(ig: InputGraph) -> np.ndarray:

@@ -45,6 +45,19 @@ def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
     return Table(pieces, first, np.append(count, 0))
 
 
+def encode_utf8(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``strings``, one after another, as uint8, and
+    each string's byte count, as int64."""
+    text = "".join(strings)
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"),
+                         dtype=np.uint8)
+    if data.size == len(text):  # ASCII: a byte per character
+        sizes = map(len, strings)
+    else:
+        sizes = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
+    return data, np.fromiter(sizes, dtype=np.int64, count=len(strings))
+
+
 def byte_table(strings, escape: bool = False) -> Table:
     """The table of ``strings``, a list or tuple.
 
@@ -60,14 +73,7 @@ def byte_table(strings, escape: bool = False) -> Table:
                         append=data.size) - 1 if strings else data[:0]
         data = data[~breaks]
     else:
-        text = "".join(strings)
-        data = np.frombuffer(text.encode("utf-8", "surrogatepass"),
-                             dtype=np.uint8)
-        if data.size == len(text):  # ASCII: a byte per character
-            sizes = map(len, strings)
-        else:
-            sizes = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
-        sizes = np.fromiter(sizes, dtype=np.int64, count=len(strings))
+        data, sizes = encode_utf8(strings)
     return _table(data, sizes.astype(np.int64))
 
 

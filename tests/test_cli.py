@@ -123,6 +123,14 @@ def test_alter_wrong_kind_exits_3(dilation_file, capsys):
                  "--to", "ic"]) == 3
 
 
+def test_alter_to_ic_on_a_perfect_matching_exits_3(tmp_path, capsys):
+    path = tmp_path / "cycle.txt"
+    path.write_text("0 1\n1 0\n", encoding="utf-8")
+    assert main(["alter", str(path), "--to", "ic"]) == 3
+    err = capsys.readouterr().err
+    assert "error: no input node available (perfect matching)" in err
+
+
 def test_alter_writes_files(confluence_file, tmp_path, capsys):
     prefix = tmp_path / "plan"
     code = main(["alter", confluence_file, "--component", "largest-mc",

@@ -8,11 +8,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrol import (COMPONENT_KINDS, DirectedNetwork, analyze,
-                        load_edge_list)
-from netcontrol.reports import (MEMBER_LIST_LIMIT, analysis_record,
-                                component_report_dict, components_tsv,
-                                input_graph_dict, input_graph_tsv, to_json)
+from netcontrol import (COMPONENT_KINDS, AlterationError, ComponentKind,
+                        DirectedNetwork, analyze, load_edge_list)
+from netcontrol.alteration import (ic_to_smc, smc_to_ic_full,
+                                   smc_to_ic_single, umc_to_smc)
+from netcontrol.reports import (MEMBER_LIST_LIMIT, additions_tsv,
+                                analysis_record, component_report_dict,
+                                components_tsv, input_graph_dict,
+                                input_graph_tsv, plan_dict, to_json)
 
 HOSTILE = ['"', '\\', '\\"', 'q"uote', 'back\\slash', 'ü', 'naïve', '日本',
            '\U0001f600', '\x00', '\x1f', '\x7f', '\n', '\r\n', '\t', '',
@@ -154,3 +157,35 @@ def test_list_outputs_match_the_per_row_references():
             phases)
         cases += 1
     assert cases == 15
+
+
+PLANNERS = {ComponentKind.IC: (ic_to_smc,), ComponentKind.UMC: (umc_to_smc,),
+            ComponentKind.SMC: (smc_to_ic_full, smc_to_ic_single)}
+
+
+def test_plan_outputs_match_the_per_row_references():
+    reasons = set()
+    for net in _hostile_networks():
+        analysis = analyze(net)
+        report = analysis.report
+        for kind, planners in PLANNERS.items():
+            ids = np.flatnonzero(report.kinds == COMPONENT_KINDS.index(kind))
+            for comp in map(report.component, ids[:3].tolist()):
+                for planner in planners:
+                    try:
+                        plan = planner(analysis, comp)
+                    except AlterationError:
+                        continue
+                    rows = [(net.labels[s], net.labels[d], plan.reason)
+                            for s, d in plan.additions.tolist()]
+                    payload = plan_dict(plan, net.labels)
+                    assert to_json(payload) == _reference({
+                        **payload, "additions": [
+                            {"src": s, "dst": d, "reason": r}
+                            for s, d, r in rows]})
+                    lines = ["# src\tdst\treason", *map("\t".join, rows)]
+                    assert additions_tsv(plan, net.labels) == "\n".join(
+                        lines) + "\n"
+                    reasons.add(plan.reason)
+    assert reasons == {"saturate_input", "saturate_unsaturated",
+                       "adjacency_link"}

@@ -3,6 +3,9 @@
 import functools
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,3 +50,16 @@ def test_traced_benchmark_counts_read_the_record(monkeypatch):
     assert counts["input_graph.possible_inputs"] == np.count_nonzero(
         analysis.input_graph.possible_inputs)
     assert min(kinds) > 0
+
+
+def test_cli_import_loads_neither_scipy_nor_networkx():
+    # Importing scipy.sparse.csgraph alone raises peak RSS by about 32 MB,
+    # beyond the benchmark's 10 % bound on every workload.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, netcontrol.cli; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('scipy', 'networkx')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
