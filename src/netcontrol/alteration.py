@@ -13,7 +13,7 @@ and input graph of ``before``, the analysis its component comes from
 * SMC -> IC: link the matched predecessor of a well-chosen member to an
   input node; the input node becomes control adjacent to that member, so
   its whole forward closure flips to possible input. The full variant
-  covers every member with a greedy choice of closure sets.
+  links one member per source piece, the smallest cover of all members.
 
 Saturation plans grow the matching by one edge per addition and keep it
 maximum; adjacency links leave the matching untouched (for a saturated
@@ -23,18 +23,14 @@ augmenting path appears).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
-from .components import ComponentKind, ControlComponent
+from .components import ComponentKind, ControlComponent, strong_pieces
 from .errors import AlterationError, InternalInvariantError
-from .input_graph import InputGraph
 from .matching import Matching
-from .network import DirectedNetwork, NodeId, edge_positions
+from .network import DirectedNetwork, edge_positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,156 +152,100 @@ def _saturation_plan(before, comp, pairs, reason) -> AlterationPlan:
 
 
 def smc_to_ic_single(before, comp: ControlComponent) -> AlterationPlan:
-    """Link one input node to the member with the widest forward closure.
-
-    That member is the first pick of :func:`smc_to_ic_full`.
-    """
-    return _cover(before, comp, 1)
+    """Link one input node to the member with the widest forward closure,
+    the lowest id on ties; the plan affects that closure. The member is the
+    lowest id of a source piece (see :func:`smc_to_ic_full`)."""
+    return _cover(before, comp, single=True)
 
 
 def smc_to_ic_full(before, comp: ControlComponent) -> AlterationPlan:
-    """Cover every member with links, greedily by uncovered closure size.
-
-    The picks are those of :func:`_greedy_picks`. On the largest SMC of a
-    saturated SF network (N=6000, k=10; 5.5k-5.8k members, 444-502 picks)
-    that is 6.5k-7.3k gain evaluations instead of the eager 2.5M-2.9M.
+    """Link the lowest id of each source piece: a strongly connected piece
+    of the component's adjacency graph that no other piece enters. Every
+    member is reached from a source piece, and a source piece only from
+    itself, so no smaller cover exists. Links are by ascending member id.
     """
-    return _cover(before, comp, None)
+    return _cover(before, comp, single=False)
 
 
-def _cover(before, comp: ControlComponent, picks: int | None
-           ) -> AlterationPlan:
-    """One adjacency-link edge, to an input node, per greedy pick.
-
-    Takes the first ``picks`` picks of :func:`_greedy_picks`, all of them
-    when ``picks`` is None, and links each pick's matched predecessor to
-    the lowest-id input node, other than itself, it has no edge to yet.
-    """
+def _cover(before, comp: ControlComponent, single: bool) -> AlterationPlan:
+    """Link each chosen member's matched predecessor to the lowest-id input
+    node, other than itself, it has no edge to yet."""
     _require_kind(comp, ComponentKind.SMC)
     receivers = before.input_set.tolist()
     if not receivers:
         raise AlterationError("no input node available (perfect matching)")
-    closures = _closure_masks(before.input_graph, comp)
-    chosen = list(islice(_greedy_picks(closures, comp.size), picks))
+    ig, members = before.input_graph, comp.members
+    index = np.full(ig.network.n, -1, dtype=np.int32)  # -1 off the component
+    index[members] = np.arange(members.size, dtype=np.int32)
+    keep = index[ig.src] >= 0  # an adjacency edge never leaves its component
+    src, dst = index[ig.src[keep]], index[ig.dst[keep]]
+    piece = strong_pieces(members.size, src, dst)
+    entered = np.zeros(members.size, dtype=bool)
+    entered[piece[dst][piece[src] != piece[dst]]] = True
+    sources = np.flatnonzero((piece == np.arange(members.size)) & ~entered)
+    chosen, reached = (_widest_closure(piece, src, dst, sources) if single
+                       else (sources, slice(None)))
+    chosen, affected = members[chosen], members[reached]
     net, match_in = before.network, before.matching.match_in
     pairs = []
-    covered = 0
-    for node in chosen:
+    for node in chosen.tolist():
         pred = int(match_in[node])
         if pred < 0:
             raise InternalInvariantError(
                 f"member {node} of a matched component has no matched in-edge")
-        dst = next((d for d in receivers
-                    if d != pred and not net.has_edge(pred, d)), None)
-        if dst is None:
+        receiver = next((d for d in receivers
+                         if d != pred and not net.has_edge(pred, d)), None)
+        if receiver is None:
             raise AlterationError(f"no feasible addition for member {node}")
-        pairs.append((pred, dst))
-        covered |= closures[node]
+        pairs.append((pred, receiver))
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.IC,
         additions=_edges(pairs),
         reason="adjacency_link",
         matching_after=before.matching,  # links never touch the matching
-        affected=comp.members[np.unpackbits(
-            np.frombuffer(covered.to_bytes((comp.size + 7) // 8, "little"),
-                          dtype=np.uint8),
-            count=comp.size, bitorder="little").view(bool)],
+        affected=affected,
         mis_before=before.input_set.size,
         mis_after=before.input_set.size,
     )
 
 
-def _greedy_picks(closures: dict[NodeId, int],
-                  size: int) -> Iterator[NodeId]:
-    """Members whose closures cover all ``size`` members, in greedy order.
+def _widest_closure(piece: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                    sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source with the widest closure (the lowest on ties), as a
+    one-element array, and a node mask of that closure.
 
-    Each pick is the member whose closure covers the most still-uncovered
-    members, the lowest id on ties (Chvatal's greedy set cover). Members of
-    one strongly connected piece share a closure, and two pieces never do,
-    so only the lowest id of each distinct closure is a candidate: the
-    others would tie with it and lose. Gains only shrink as members get
-    covered, so the picks are evaluated lazily (Minoux's accelerated
-    greedy): a heap keeps each candidate's last gain as an upper bound,
-    and only the head is recomputed until its fresh gain still beats every
-    other bound. The picks are exactly the eager ones.
+    ``piece`` labels the nodes of the digraph ``src -> dst`` by strongly
+    connected piece, ``sources`` the pieces no other piece enters. One bit
+    per source flows along the edges between pieces in Kahn levels, so each
+    edge is read once; a closure's size sums the sizes of its pieces.
     """
-    candidates: dict[int, NodeId] = {}
-    for v, mask in closures.items():  # members ascending
-        candidates.setdefault(mask, v)
-    # Min-heap on (-gain, id): the lowest id wins a gain tie.
-    heap = [(-mask.bit_count(), v) for mask, v in candidates.items()]
-    heapq.heapify(heap)
-    uncovered = (1 << size) - 1
-    while uncovered:
-        _, v = heapq.heappop(heap)
-        entry = (-(closures[v] & uncovered).bit_count(), v)
-        if heap and entry > heap[0]:
-            heapq.heappush(heap, entry)
-            continue
-        if entry[0] == 0:
-            raise InternalInvariantError("greedy cover made no progress")
-        yield v
-        uncovered &= ~closures[v]
-
-
-def _closure_masks(ig: InputGraph, comp: ControlComponent) -> dict[NodeId, int]:
-    """Forward-closure bitmasks (over member indices) for every member.
-
-    Members in the same strongly connected piece share a closure. An
-    iterative Tarjan search emits the pieces sinks first, so each piece's
-    mask is its members' bits plus their successors' finished masks.
-    """
-    members = comp.members.tolist()
-    index = np.full(ig.network.n, -1, dtype=np.int64)
-    index[comp.members] = np.arange(len(members))
-    si, di = index[ig.src], index[ig.dst]
-    inside = (si >= 0) & (di >= 0)
-    adj: list[list[int]] = [[] for _ in members]
-    for x, y in zip(si[inside].tolist(), di[inside].tolist()):
-        adj[x].append(y)
-
-    order = [-1] * len(members)  # discovery number
-    low = [0] * len(members)
-    closure = [0] * len(members)  # final once the member's piece is emitted
-    stack: list[int] = []
-    on_stack = [False] * len(members)
-    counter = 0
-    for root in range(len(members)):
-        if order[root] >= 0:
-            continue
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, successors = work[-1]
-            if order[v] < 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            for w in successors:
-                if order[w] < 0:
-                    work.append((w, iter(adj[w])))
-                    break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == order[v]:  # v's piece is the stack above v
-                    piece = []
-                    while not piece or piece[-1] != v:
-                        piece.append(stack.pop())
-                        on_stack[piece[-1]] = False
-                    mask = 0  # members of the piece still read 0 here
-                    for x in piece:
-                        mask |= 1 << x
-                        for w in adj[x]:
-                            mask |= closure[w]
-                    for x in piece:
-                        closure[x] = mask
-
-    return dict(zip(members, closure))
+    labels, pid = np.unique(piece, return_inverse=True)
+    count = labels.size
+    tail, head = pid[src], pid[dst]
+    key = np.unique((tail * count + head)[tail != head])
+    tail, head = key // count, key % count  # edges between pieces, by tail
+    ptr = np.searchsorted(tail, np.arange(count + 1))
+    waiting = np.bincount(head, minlength=count)
+    bit = np.arange(sources.size)  # in bytes, little bit order; ORed as words
+    reach = np.zeros((count, -(-sources.size // 64) * 8), dtype=np.uint8)
+    reach[pid[sources], bit // 8] = 1 << bit % 8
+    words, level = reach.view(np.uint64), pid[sources]
+    while level.size:
+        pos = edge_positions(ptr, level)[0]
+        pos = pos[np.argsort(head[pos])]
+        into, first, edges = np.unique(head[pos], return_index=True,
+                                       return_counts=True)
+        words[into] |= np.bitwise_or.reduceat(words[tail[pos]], first)
+        waiting[into] -= edges
+        level = into[waiting[into] == 0]
+    total = np.zeros(sources.size, dtype=np.int64)
+    sizes, step = np.bincount(pid), max(1, (1 << 20) // sources.size)
+    for lo in range(0, count, step):  # about 1M bits unpacked at a time
+        total += np.einsum("i,ij->j", sizes[lo:lo + step], np.unpackbits(
+            reach[lo:lo + step], axis=1, count=sources.size, bitorder="little"))
+    k = int(total.argmax())
+    return sources[k:k + 1], (reach[:, k // 8] >> k % 8 & 1).astype(bool)[pid]
 
 
 def _take(available: list[int], ok) -> int | None:

@@ -12,6 +12,9 @@ Components come from min-label propagation over the adjacency arrays:
 each round lowers both ends of every edge to the smaller label, then jumps
 pointers (``lab = lab[lab]``). A component's label ends as its smallest
 member; kinds are per-label reductions (ER N=10^5, k=10: 6 rounds, 0.05 s).
+
+:func:`strong_pieces` splits any digraph given as edge arrays into its
+strongly connected pieces, labelled the same way: by their lowest member.
 """
 
 from __future__ import annotations
@@ -69,6 +72,62 @@ def find_components(ig: InputGraph) -> np.ndarray:
     ids = (roots.cumsum(dtype=np.int32) - 1).take(lab)
     ids.flags.writeable = False
     return ids
+
+
+def strong_pieces(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Lowest id of the strongly connected piece of every node of the
+    digraph with edges ``src[i] -> dst[i]`` (int32 arrays) on ``0..n-1``.
+
+    Colouring (Slota, Rajamanickam & Madduri, IPDPS 2014), in rounds on the
+    nodes not yet placed: trim the nodes no edge enters or leaves; colour
+    each node with the lowest-ranked node that reaches it (min-labels with
+    pointer jumping); a node that is its own colour is a root, and its
+    piece is the nodes of its colour that reach it. Ranks shuffle the ids:
+    by id, 4 000 2-cycles in a chain of rising ids took a round each.
+    """
+    h = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(32)  # rank: the ids ordered by a mixing hash
+    rank = np.empty(n, dtype=np.int32)
+    rank[(h * np.uint64(0xC4CEB9FE1A85EC53)).argsort()] = np.arange(n)
+    # sorted by target, a filter keeps the in-rows the backward search reads
+    order = np.argsort(rank[dst])
+    src, dst = rank[src[order]], rank[dst[order]]
+    del h, order
+    root = np.arange(n, dtype=np.int32)  # of each placed node's piece
+    while src.size:
+        # SF SMCs (k=10, N=6000-60 000): 2-8 trim passes a round cost the
+        # same, 1 up to 20 % more and trimming to a fixpoint 25-50 % more
+        for _ in range(4):
+            ends = np.zeros((2, n), dtype=bool)
+            ends[0, src] = ends[1, dst] = True
+            keep = ends[0, dst] & ends[1, src]
+            if keep.all():
+                break
+            src, dst = src[keep], dst[keep]
+
+        colour, total = root.copy(), None  # unplaced: its own colour
+        while total != (total := colour.sum(dtype=np.int64)):
+            # colours only fall, so an unchanged sum is a fixpoint
+            np.minimum.at(colour, dst, colour.take(src))
+            colour = colour.take(colour)
+        keep = colour.take(src) == colour.take(dst)  # edges between colours
+        src, dst = src[keep], dst[keep]  # join two pieces: they leave
+        found = colour == root  # the roots, and every node already placed
+        ptr = np.searchsorted(dst, np.arange(n + 1))  # in-rows of all nodes
+        frontier = np.flatnonzero(found)
+        while frontier.size:  # one backward search from all the roots
+            fresh = np.zeros(n, dtype=bool)
+            fresh[src.take(edge_positions(ptr, frontier)[0])] = True
+            frontier = np.flatnonzero(fresh & ~found)
+            found[frontier] = True
+        root[found] = colour[found]
+        # a placed target's source shares its colour, so it is placed too
+        keep = ~found.take(src)
+        src, dst = src[keep], dst[keep]
+    label = root.take(rank)
+    lowest = np.full(n, n, dtype=np.int32)
+    np.minimum.at(lowest, label, np.arange(n, dtype=np.int32))
+    return lowest.take(label)
 
 
 @dataclass(frozen=True, eq=False)

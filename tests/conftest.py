@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from netcontrol import (NODE_CLASSES, DirectedNetwork, Matching,
-                        build_input_graph, component_report, input_nodes,
-                        load_edge_list, unsaturated_nodes)
+                        build_input_graph, component_report,
+                        control_reachable_from, input_nodes, load_edge_list,
+                        unsaturated_nodes)
 
 
 @pytest.fixture
@@ -114,6 +115,20 @@ def adjacency_edges(ig):
     possible-input side, then the redundant side."""
     rows = list(zip(ig.src.tolist(), ig.dst.tolist(), ig.witness.tolist()))
     return rows[:ig.possible_edge_count], rows[ig.possible_edge_count:]
+
+
+def closure_masks(ig, comp) -> dict[int, int]:
+    """Each member's forward closure over adjacency, by plain BFS, as a
+    bitmask over the member indices (bit ``i`` is ``comp.members[i]``)."""
+    members = comp.members.tolist()
+    index = {v: i for i, v in enumerate(members)}
+    masks = {}
+    for v in members:
+        mask = 0
+        for w in control_reachable_from(ig, v).tolist():
+            mask |= 1 << index[w]  # a closure never leaves its component
+        masks[v] = mask
+    return masks
 
 
 def report_for(net: DirectedNetwork, m: Matching, ig=None):

@@ -21,16 +21,16 @@ from netcontrol import (ComponentKind, GenSpec, NodeClass, analyze,
                         build_input_graph, classify_exhaustive, classify_nodes,
                         exchange, generate, input_nodes, is_maximum,
                         load_edge_list, maximum_matching)
-from netcontrol.alteration import (AlterationError, _closure_masks,
-                                   alteration_report, apply_plan, ic_to_smc,
-                                   plan_attains_goal, smc_to_ic_full,
-                                   smc_to_ic_single, umc_to_smc)
+from netcontrol.alteration import (AlterationError, alteration_report,
+                                   apply_plan, ic_to_smc, plan_attains_goal,
+                                   smc_to_ic_full, smc_to_ic_single,
+                                   umc_to_smc)
 from netcontrol.cli import main as cli_main
 from netcontrol.oracle import enumerate_maximum_matchings
 from netcontrol.reports import round_percent
 
-from conftest import (class_names, component_sets, node_set, random_digraph,
-                      worked_networks)
+from conftest import (class_names, closure_masks, component_sets, node_set,
+                      random_digraph, worked_networks)
 
 SWEEP_KS = (2, 4, 6, 8, 10, 12)
 SWEEP_N = 2000
@@ -299,7 +299,7 @@ def test_criterion_8_greedy_cover_is_minimum():
                     plan = smc_to_ic_full(analysis, comp)
                 except AlterationError:
                     continue  # no feasible link edge for this component
-                masks = _closure_masks(analysis.input_graph, comp)
+                masks = closure_masks(analysis.input_graph, comp)
                 minimum = exhaustive_min_cover(
                     sorted(set(masks.values())), (1 << comp.size) - 1)
                 assert len(plan.additions) == minimum

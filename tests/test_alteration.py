@@ -1,13 +1,15 @@
+import networkx as nx
 import numpy as np
 import pytest
 
-from netcontrol import (AlterationError, ComponentKind, Matching,
-                        NotMaximumMatchingError, analyze, is_maximum,
-                        load_edge_list)
+from netcontrol import (AlterationError, ComponentKind, GenSpec, Matching,
+                        NotMaximumMatchingError, analyze, generate,
+                        is_maximum, load_edge_list)
 from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
                                    plan_attains_goal, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from conftest import class_names, node_set, random_digraph
+from netcontrol.components import strong_pieces
+from conftest import class_names, closure_masks, node_set, random_digraph
 
 
 def component_of(analysis, node):
@@ -270,22 +272,25 @@ def test_adjacency_plans_flip_closures_random():
     assert checked >= 20
 
 
-def test_closure_masks_match_bfs_reachability():
-    """SCC-condensed closure masks agree with plain forward BFS."""
-    from netcontrol import control_reachable_from
-    from netcontrol.alteration import _closure_masks
+def test_strong_pieces_match_bfs_reachability():
+    """Two members share a strongly connected piece of their component's
+    adjacency graph exactly when each reaches the other by plain BFS, and
+    the piece's label is its lowest member index."""
     for seed in range(15):
         net = random_digraph(14, 0.25, seed)
         analysis = analyze(net)
+        ig = analysis.input_graph
         for comp in components(analysis):
-            masks = _closure_masks(analysis.input_graph, comp)
-            members = comp.members.tolist()
-            for node in members:
-                expected = node_set(control_reachable_from(
-                    analysis.input_graph, node)) & set(members)
-                got = {members[i] for i in range(len(members))
-                       if masks[node] >> i & 1}
-                assert got == expected
+            masks = list(closure_masks(ig, comp).values())
+            inside = np.isin(ig.src, comp.members)
+            piece = strong_pieces(
+                comp.size, np.searchsorted(comp.members, ig.src[inside]),
+                np.searchsorted(comp.members, ig.dst[inside])).tolist()
+            for i in range(comp.size):
+                assert piece[piece[i]] == piece[i] <= i
+                for j in range(comp.size):
+                    mutual = masks[i] >> j & masks[j] >> i & 1
+                    assert (piece[i] == piece[j]) == bool(mutual)
 
 
 def eager_cover_plan(net, m, comp, closures):
@@ -325,19 +330,21 @@ def random_smcs():
 
 
 def test_smc_to_ic_full_matches_eager_greedy_random():
-    from netcontrol.alteration import _closure_masks
+    # the same picks and links as the eager greedy, listed by ascending pick
     compared = multi_pick = 0
     for net, analysis, comp in random_smcs():
         m = analysis.matching
-        closures = _closure_masks(analysis.input_graph, comp)
+        closures = closure_masks(analysis.input_graph, comp)
         chosen, additions = eager_cover_plan(net, m, comp, closures)
         if additions is None:
             with pytest.raises(AlterationError):
                 smc_to_ic_full(analysis, comp)
             continue
         plan = smc_to_ic_full(analysis, comp)
-        assert m.match_out[plan.additions[:, 0]].tolist() == chosen
-        assert list(map(tuple, plan.additions.tolist())) == additions
+        assert m.match_out[plan.additions[:, 0]].tolist() == sorted(chosen)
+        link_of = dict(zip(chosen, additions))
+        assert list(map(tuple, plan.additions.tolist())) == [
+            link_of[v] for v in sorted(chosen)]
         assert np.array_equal(plan.affected, comp.members)
         compared += 1
         multi_pick += len(chosen) > 1
@@ -345,16 +352,69 @@ def test_smc_to_ic_full_matches_eager_greedy_random():
 
 
 def test_smc_to_ic_single_is_the_first_full_pick_random():
+    # the eager greedy's first pick: the widest closure, lowest id on ties
+    compared = 0
+    for net, analysis, comp in random_smcs():
+        closures = closure_masks(analysis.input_graph, comp)
+        chosen, additions = eager_cover_plan(net, analysis.matching, comp,
+                                             closures)
+        if additions is None:
+            continue
+        widest = max(closures, key=lambda v: (closures[v].bit_count(), -v))
+        assert chosen[0] == widest
+        single = smc_to_ic_single(analysis, comp)
+        assert single.additions.tolist() == [list(additions[0])]
+        compared += 1
+    assert compared >= 400
+
+
+def condensation_sources(analysis, comp) -> list[int]:
+    """Lowest member of each piece of the component's adjacency graph that
+    no other piece enters: the in-degree-0 nodes of networkx's
+    condensation, ascending."""
+    ig = analysis.input_graph
+    inside = np.isin(ig.src, comp.members)
+    g = nx.DiGraph()
+    g.add_nodes_from(comp.members.tolist())
+    g.add_edges_from(zip(ig.src[inside].tolist(), ig.dst[inside].tolist()))
+    dag = nx.condensation(g)
+    return sorted(min(dag.nodes[c]["members"]) for c in dag
+                  if not dag.in_degree(c))
+
+
+def full_picks(analysis, comp) -> list[int]:
+    plan = smc_to_ic_full(analysis, comp)
+    return analysis.matching.match_out[plan.additions[:, 0]].tolist()
+
+
+def test_smc_to_ic_full_picks_the_condensation_sources_random():
     compared = 0
     for net, analysis, comp in random_smcs():
         try:
-            full = smc_to_ic_full(analysis, comp)
+            picks = full_picks(analysis, comp)
         except AlterationError:
             continue
-        single = smc_to_ic_single(analysis, comp)
-        assert np.array_equal(single.additions, full.additions[:1])
+        assert picks == condensation_sources(analysis, comp)
         compared += 1
     assert compared >= 400
+
+
+def test_smc_to_ic_full_picks_the_condensation_sources_sf():
+    # the largest SMC once the largest component of SF N=2000, k=10 is
+    # saturated: 133-181 source pieces, except at seed 8, where the
+    # saturated members end in a UMC and the largest SMC is one node
+    wide = 0
+    for seed in range(10):
+        net = generate(GenSpec(model="sf", n=2000, avg_degree=10, seed=seed))
+        before = analyze(net)
+        comp = before.report.component(before.report.cc_max)
+        saturate = ic_to_smc if comp.kind is ComponentKind.IC else umc_to_smc
+        analysis = analyze(apply_plan(net, saturate(before, comp)))
+        smc = largest_of(analysis, ComponentKind.SMC)
+        picks = full_picks(analysis, smc)
+        assert picks == condensation_sources(analysis, smc)
+        wide += len(picks) > 100
+    assert wide == 9
 
 
 def test_smc_to_ic_single_affects_the_closure_of_its_pick_random():

@@ -1,8 +1,11 @@
+import networkx as nx
+import numpy as np
 import pytest
 
 from netcontrol import (ComponentKind, GenSpec, analyze, build_input_graph,
                         classify_nodes, find_components, generate, input_nodes,
                         load_edge_list, maximum_matching, unsaturated_nodes)
+from netcontrol.components import strong_pieces
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import component_report_dict, round_percent
 
@@ -174,6 +177,36 @@ def test_mc_partition_depends_on_the_matching():
             == matching_independent_facts(net, via_r))
     assert mc_partition(net, via_q) == {frozenset({x, y})}
     assert mc_partition(net, via_r) == {frozenset({x}), frozenset({y})}
+
+
+def test_strong_pieces_match_networkx_random():
+    # 250 digraphs of 1-60 nodes; every tenth has no edge, the others hold
+    # repeated edges, self-loops, 2-cycles and nodes without any edge
+    seen = {"self-loop": 0, "2-cycle": 0, "isolated": 0, "no edge": 0}
+    for seed in range(250):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 60
+        count = 0 if seed % 10 == 0 else int(rng.integers(1, 2 * n + 2))
+        src = rng.integers(0, n, count).astype(np.int32)
+        dst = rng.integers(0, n, count).astype(np.int32)
+        back = rng.random(count) < 0.2
+        src, dst = (np.concatenate((src, dst[back])),
+                    np.concatenate((dst, src[back])))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(src.tolist(), dst.tolist()))
+        expected = np.empty(n, dtype=np.int64)
+        for piece in nx.strongly_connected_components(g):
+            expected[list(piece)] = min(piece)
+        got = strong_pieces(n, src, dst)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, expected)
+        seen["self-loop"] += bool(nx.number_of_selfloops(g))
+        seen["2-cycle"] += any(u != v and g.has_edge(v, u)
+                               for u, v in g.edges)
+        seen["isolated"] += any(g.degree(v) == 0 for v in g)
+        seen["no edge"] += not count
+    assert min(seen.values()) >= 20, seen
 
 
 def test_round_percent_half_away_from_zero():

@@ -118,8 +118,8 @@ EXCHANGE_NODES = ("569", "258", "7", "nosuch")
 CASES = _cases()
 
 DIGESTS = {
-    'alter-cover-sf-s0': (0, '5c6048d5df82751f3ac94493fa2d637c73f4ff6cc78210823d21034c6c33c33d'),
-    'alter-cover-sf-s3': (0, 'fd23f7ca9d603219efb5909736e02affb9c1fd0763117ac08579fa6c8f830686'),
+    'alter-cover-sf-s0': (0, '8c0e69a63eb5d34952f6a79c44484ced4e6bbc729ea782bb980b54bfaf201ac2'),
+    'alter-cover-sf-s3': (0, 'ebce46dab1f1d5596b12eb107d263953eb829a2cc27cf8dc6b621ac9a2b05014'),
     'alter-saturate-sf-s0': (0, 'c95bc7d073a166e050ee4ba23fdb28462d26f745a8b97c63438ed90c3a886e77'),
     'alter-saturate-sf-s3': (0, 'd3af535d497213e0a841634bf5f9b99e3c3af84183f0da0bbdba6ce631b0d941'),
     'alter-single-sf-s0': (0, 'c0914b9282065da8c281f4c7c861127a6ed80b24e7505c47fb32b87a1a7e6008'),
