@@ -171,8 +171,8 @@ def _cover(before, comp: ControlComponent, single: bool) -> AlterationPlan:
     """Link each chosen member's matched predecessor to the lowest-id input
     node, other than itself, it has no edge to yet."""
     _require_kind(comp, ComponentKind.SMC)
-    receivers = before.input_set.tolist()
-    if not receivers:
+    receivers = before.input_set
+    if not receivers.size:
         raise AlterationError("no input node available (perfect matching)")
     ig, members = before.input_graph, comp.members
     index = np.full(ig.network.n, -1, dtype=np.int32)  # -1 off the component
@@ -186,28 +186,46 @@ def _cover(before, comp: ControlComponent, single: bool) -> AlterationPlan:
     chosen, reached = (_widest_closure(piece, src, dst, sources) if single
                        else (sources, slice(None)))
     chosen, affected = members[chosen], members[reached]
-    net, match_in = before.network, before.matching.match_in
-    pairs = []
-    for node in chosen.tolist():
-        pred = int(match_in[node])
-        if pred < 0:
-            raise InternalInvariantError(
-                f"member {node} of a matched component has no matched in-edge")
-        receiver = next((d for d in receivers
-                         if d != pred and not net.has_edge(pred, d)), None)
-        if receiver is None:
-            raise AlterationError(f"no feasible addition for member {node}")
-        pairs.append((pred, receiver))
+    preds = before.matching.match_in[chosen]
+    if (preds < 0).any():
+        raise InternalInvariantError(
+            f"member {chosen[preds.argmin()]} of a matched component has no "
+            f"matched in-edge")
+    at = _first_receivers(before.network, preds, receivers)
+    if (at == receivers.size).any():
+        raise AlterationError("no feasible addition for member "
+                              f"{chosen[at.argmax()]}")
     return AlterationPlan(
         target_component_id=comp.id,
         requested_kind=ComponentKind.IC,
-        additions=_edges(pairs),
+        additions=_edges(np.column_stack((preds, receivers[at]))),
         reason="adjacency_link",
         matching_after=before.matching,  # links never touch the matching
         affected=affected,
         mis_before=before.input_set.size,
         mis_after=before.input_set.size,
     )
+
+
+def _first_receivers(net: DirectedNetwork, preds: np.ndarray,
+                     receivers: np.ndarray) -> np.ndarray:
+    """For each of ``preds``, the index of the first of ``receivers`` other
+    than itself that it has no edge to; ``receivers.size`` if none.
+
+    Every pred tries its next receiver at once; only those that fail retry.
+    """
+    at = np.zeros(preds.size, dtype=np.intp)
+    todo = np.arange(preds.size)
+    while todo.size:
+        u, v = preds[todo], receivers[at[todo]]
+        pos, counts = edge_positions(net.out_ptr, u)
+        hit = net.out_idx[pos] == v.repeat(counts)
+        linked = np.bincount(np.arange(todo.size).repeat(counts)[hit],
+                             minlength=todo.size) > 0
+        todo = todo[(u == v) | linked]
+        at[todo] += 1
+        todo = todo[at[todo] < receivers.size]
+    return at
 
 
 def _widest_closure(piece: np.ndarray, src: np.ndarray, dst: np.ndarray,

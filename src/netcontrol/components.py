@@ -59,19 +59,73 @@ class ControlComponent:
 def find_components(ig: InputGraph) -> np.ndarray:
     """Component id of every node, ids 0,1,... in order of smallest member."""
     n = ig.network.n
-    lab = np.arange(n, dtype=np.int32)
-    while True:  # a round that lowers no label leaves every edge's ends equal
-        before = lab.copy()
-        np.minimum.at(lab, ig.src, lab[ig.dst])
-        np.minimum.at(lab, ig.dst, lab[ig.src])
-        while not np.array_equal(jumped := lab.take(lab), lab):
-            lab = jumped
-        if np.array_equal(lab, before):
-            break
+    lab = connected_pieces(n, ig.src, ig.dst)
     roots = lab == np.arange(n)
     ids = (roots.cumsum(dtype=np.int32) - 1).take(lab)
     ids.flags.writeable = False
     return ids
+
+
+_CHUNK = 1 << 16  # edges read at a time: bounds the temporaries
+
+
+def connected_pieces(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Lowest id of the connected piece of every node of the undirected
+    graph with edges ``src[i] -- dst[i]`` (int32 arrays) on ``0..n-1``.
+
+    Root hooking with pointer jumping (Shiloach & Vishkin 1982), in rounds
+    over the live edges: each edge reads the roots of its ends from the
+    flat labels and writes the lower into the higher, in a copy of the
+    labels so that only roots are written; pointers then jump to a
+    fixpoint. A pointer only ever falls, so a piece's root is its lowest
+    member. The next round retires the edges whose ends share a root: the
+    second through a mask into arrays of the live edges, later ones by
+    compacting those in place, each edge now held by its ends' roots.
+    """
+    lab = np.arange(n, dtype=np.int32)  # every node its own root
+    hooked = lab.copy()
+    for lo in range(0, src.size, _CHUNK):
+        s, d = src[lo:lo + _CHUNK], dst[lo:lo + _CHUNK]
+        np.minimum.at(hooked, np.maximum(s, d), np.minimum(s, d))
+    lab = _jumped(hooked)
+    hooked = lab.copy()
+    live = np.empty(src.size, dtype=bool)
+    for lo in range(0, src.size, _CHUNK):
+        live[lo:lo + _CHUNK] = _rehook(hooked, lab, src[lo:lo + _CHUNK],
+                                       dst[lo:lo + _CHUNK])[0]
+    src, dst = src[live], dst[live]
+    del live
+    while src.size:  # a round that hooks nothing retires every edge
+        lab = _jumped(hooked)
+        hooked, kept = lab.copy(), 0
+        for lo in range(0, src.size, _CHUNK):
+            _, hi, low = _rehook(hooked, lab, src[lo:lo + _CHUNK],
+                                 dst[lo:lo + _CHUNK])
+            src[kept:kept + hi.size] = hi
+            dst[kept:kept + hi.size] = low
+            kept += hi.size
+        src, dst = src[:kept], dst[:kept]
+    return lab
+
+
+def _rehook(hooked, lab, src, dst):
+    """Hook into ``hooked`` the edges whose ends have different roots in
+    ``lab``, writing the lower root into the higher. Returns their mask
+    and their roots, higher and lower."""
+    a, b = lab.take(src), lab.take(dst)
+    keep = a != b
+    # compress beats a bool index 2-3 times on a scattered mask
+    a, b = np.compress(keep, a), np.compress(keep, b)
+    hi, low = np.maximum(a, b), np.minimum(a, b)
+    np.minimum.at(hooked, hi, low)
+    return keep, hi, low
+
+
+def _jumped(lab: np.ndarray) -> np.ndarray:
+    """``lab`` with every pointer jumped to its root."""
+    while not np.array_equal(jumped := lab.take(lab), lab):
+        lab = jumped
+    return lab
 
 
 def strong_pieces(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -13,18 +13,19 @@ to blur the dense-network bifurcation, while the tail exponent is
 unaffected (the shift is invisible for ranks well above ``tau``).
 
 Edges are drawn in batches and filtered with one sort per batch. A
-scale-free endpoint is looked up in a guide table built once per network
-(:func:`_weighted_draw`), which returns what ``Generator.choice`` would
-from the same stream. On N=10^5, k=10 (2.0 GHz Xeon) building the network
-takes about 0.1 s for ER and 0.16 s for SF (0.5 s with
-``Generator.choice``); the whole ``generate`` command takes about 0.5 s,
-half of it interpreter start-up.
+scale-free endpoint is looked up in a guide table built once per node
+count and exponent (:func:`_draw_table`), which returns what
+``Generator.choice`` would from the same stream. On N=10^5, k=10 (2.0 GHz
+Xeon) building the network takes about 0.1 s for ER and 0.16 s for SF
+(0.5 s with ``Generator.choice``); the whole ``generate`` command takes
+about 0.5 s, half of it interpreter start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,13 +95,26 @@ def scale_free_directed(spec: GenSpec) -> DirectedNetwork:
         raise GenerationError("spec.model must be 'sf'")
     target = spec.edge_target
     rng = np.random.default_rng(spec.seed)
-    draw_out, draw_in = (_weighted_draw(_static_weights(spec.n, gamma))
+    draw_out, draw_in = (_draw_table(spec.n, gamma)
                          for gamma in (spec.gamma_out, spec.gamma_in))
     stall_budget = max(spec.n * max(target, 1), 10_000)
     edges = _rejection_sample(
         spec.n, target, stall_budget,
         lambda size: (draw_out(rng, size), draw_in(rng, size)))
     return DirectedNetwork(spec.n, edges)
+
+
+@lru_cache(maxsize=2)
+def _draw_table(n: int, gamma: float):
+    """The draw of :func:`_weighted_draw` over the static weights of ``n``
+    nodes at exponent ``gamma``, built once per ``(n, gamma)``.
+
+    The cache keeps the tables of the last two ``(n, gamma)`` alive, enough
+    for the out and in sides of one network. A table is a cumulative sum
+    and a guide, 16 B per node together (16 MB at N=10^6); both are
+    read-only, since every call shares them.
+    """
+    return _weighted_draw(_static_weights(n, gamma))
 
 
 def _static_weights(n: int, gamma: float) -> np.ndarray:
@@ -128,6 +142,7 @@ def _weighted_draw(p: np.ndarray):
     cdf /= cdf[-1]
     scale = p.size
     guide = np.floor(cdf * scale).searchsorted(np.arange(scale + 1))
+    cdf.flags.writeable = guide.flags.writeable = False
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

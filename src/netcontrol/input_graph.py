@@ -10,7 +10,8 @@ level-synchronous breadth-first closure over the candidates, started from
 the unmatched nodes, marks the possible inputs (the nodes of some minimum
 input set) in a bool mask; the kept edges are the candidates leaving a
 possible input plus those entering a redundant node, stored as parallel
-``src``/``dst``/``witness`` arrays. The two sides never mix classes.
+``src``/``dst`` arrays (a witness is read off the matching on request).
+The two sides never mix classes.
 Candidates from a redundant node to a possible input belong to neither: a
 literal reading of the definition keeps them, but that replacement needs
 the replacing node to be an input node of the matching at hand. On ER
@@ -47,7 +48,7 @@ NODE_CLASSES = tuple(NodeClass)  # the classes that class codes index
 class InputGraph:
     """Control-adjacency edges for one maximum matching of a network.
 
-    Edge ``i`` is ``src[i] -> dst[i]`` via ``witness[i]`` (int32 arrays).
+    Edge ``i`` is ``src[i] -> dst[i]`` (int32 arrays) via ``witness[i]``.
     The first ``possible_edge_count`` edges join possible-input nodes, the
     rest join redundant nodes. ``possible_inputs``, a read-only node mask, is
     the closure of the input set under control adjacency (the union of all
@@ -58,13 +59,21 @@ class InputGraph:
     matching: Matching
     src: np.ndarray
     dst: np.ndarray
-    witness: np.ndarray
     possible_edge_count: int
     possible_inputs: np.ndarray
 
     @property
     def edge_count(self) -> int:
         return self.src.size
+
+    @property
+    def witness(self) -> np.ndarray:
+        """The witness of every edge, gathered on each call.
+
+        A witness ``c`` of ``a -> b`` has the matched edge ``(c, b)``, so
+        ``c = match_in[b]``: the one witness an edge can have.
+        """
+        return self.matching.match_in.take(self.dst)
 
 
 def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
@@ -126,7 +135,6 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
         matching=m,
         src=src,
         dst=dst,
-        witness=np.concatenate((c[side_p], c[side_r])),
         possible_edge_count=np.count_nonzero(side_p),
         possible_inputs=possible,
     )

@@ -2,12 +2,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from netcontrol import (AlterationError, ComponentKind, GenSpec, Matching,
-                        NotMaximumMatchingError, analyze, generate,
-                        is_maximum, load_edge_list)
-from netcontrol.alteration import (alteration_report, apply_plan, ic_to_smc,
-                                   plan_attains_goal, smc_to_ic_full,
-                                   smc_to_ic_single, umc_to_smc)
+from netcontrol import (AlterationError, ComponentKind, DirectedNetwork,
+                        GenSpec, Matching, NotMaximumMatchingError, analyze,
+                        generate, is_maximum, load_edge_list)
+from netcontrol.alteration import (_first_receivers, alteration_report,
+                                   apply_plan, ic_to_smc, plan_attains_goal,
+                                   smc_to_ic_full, smc_to_ic_single,
+                                   umc_to_smc)
 from netcontrol.components import strong_pieces
 from conftest import class_names, closure_masks, node_set, random_digraph
 
@@ -207,6 +208,38 @@ def test_smc_to_ic_on_chain_tails(path4):
         assert len(plan.additions) == 1
         after = reanalyzed(path4, plan)
         assert all(possible_input(after, v) for v in comp.members.tolist())
+
+
+def test_link_skips_a_pred_that_is_the_lowest_input_node():
+    # p is x's matched predecessor and the lowest input node; q is next
+    net = load_edge_list("p x\nx y\nq z\n")
+    before = analyze(net)
+    ids = net.id_of
+    assert before.input_set.tolist() == [ids("p"), ids("q")]
+    comp = component_of(before, ids("x"))
+    assert comp.kind is ComponentKind.SMC
+    plan = smc_to_ic_full(before, comp)
+    assert plan.additions.tolist() == [[ids("p"), ids("q")]]
+
+
+def test_link_without_a_feasible_receiver():
+    net = load_edge_list("p x\n")  # p, x's predecessor, is the only input
+    before = analyze(net)
+    x = net.id_of("x")
+    with pytest.raises(AlterationError,
+                       match=f"^no feasible addition for member {x}$"):
+        smc_to_ic_full(before, component_of(before, x))
+
+
+def test_first_receivers_skip_the_pred_and_its_successors():
+    # node 0 links to receivers 1 and 2; node 3 links to node 5 only
+    net = DirectedNetwork(6, [(0, 1), (0, 2), (3, 5)])
+    receivers = np.array([0, 1, 2, 4])
+    preds = np.array([0, 3, 1, 0], dtype=np.int32)
+    assert _first_receivers(net, preds, receivers).tolist() == [3, 0, 0, 3]
+    # with 4 gone, node 0 has no receiver left: the count of receivers
+    assert _first_receivers(net, preds, receivers[:3]).tolist() == [3, 0, 0, 3]
+    assert _first_receivers(net, preds[:0], receivers).size == 0
 
 
 def test_identity_plan_metrics(dilation_net):

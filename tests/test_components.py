@@ -5,7 +5,7 @@ import pytest
 from netcontrol import (ComponentKind, GenSpec, analyze, build_input_graph,
                         classify_nodes, find_components, generate, input_nodes,
                         load_edge_list, maximum_matching, unsaturated_nodes)
-from netcontrol.components import strong_pieces
+from netcontrol.components import connected_pieces, strong_pieces
 from netcontrol.network import DirectedNetwork
 from netcontrol.reports import component_report_dict, round_percent
 
@@ -207,6 +207,69 @@ def test_strong_pieces_match_networkx_random():
         seen["isolated"] += any(g.degree(v) == 0 for v in g)
         seen["no edge"] += not count
     assert min(seen.values()) >= 20, seen
+
+
+def test_connected_pieces_match_networkx_random():
+    # 250 graphs of 1-60 nodes; every tenth has no edge, the others hold
+    # self-loops, repeated edges (some reversed) and nodes without any edge
+    seen = {"self-loop": 0, "repeat": 0, "isolated": 0, "no edge": 0}
+    for seed in range(250):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 60
+        count = 0 if seed % 10 == 0 else int(rng.integers(1, 2 * n + 2))
+        src = rng.integers(0, n, count).astype(np.int32)
+        dst = rng.integers(0, n, count).astype(np.int32)
+        again = rng.random(count) < 0.2
+        flip = rng.random(count) < 0.5
+        src, dst = (np.concatenate((src, np.where(flip, dst, src)[again])),
+                    np.concatenate((dst, np.where(flip, src, dst)[again])))
+        g = nx.MultiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(src.tolist(), dst.tolist()))
+        expected = np.empty(n, dtype=np.int64)
+        for piece in nx.connected_components(g):
+            expected[list(piece)] = min(piece)
+        given = src.copy(), dst.copy()
+        got = connected_pieces(n, src, dst)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, expected)
+        assert np.array_equal(src, given[0]) and np.array_equal(dst, given[1])
+        seen["self-loop"] += bool(nx.number_of_selfloops(g))
+        seen["repeat"] += g.number_of_edges() > nx.Graph(g).number_of_edges()
+        seen["isolated"] += any(g.degree(v) == 0 for v in g)
+        seen["no edge"] += not count
+    assert min(seen.values()) >= 20, seen
+
+
+def adversarial_graph(shape: str, n: int):
+    """Edge arrays of a connected graph on ``0..n-1`` whose ids run against
+    the hooking order: a path visiting them ascending, descending or
+    zig-zag (0, n-1, 1, n-2, ...), a star whose centre has the highest id,
+    or a chain of 2-cycles (each pair joined both ways) with falling ids."""
+    ids = np.arange(n, dtype=np.int32)
+    if shape == "star":
+        return np.full(n - 1, n - 1, dtype=np.int32), ids[:-1]
+    if shape == "2-cycles":
+        ids = ids[::-1]
+        pairs = np.column_stack((ids[0::2], ids[1::2]))
+        return (np.concatenate((pairs[:, 0], pairs[:, 1], pairs[:-1, 1])),
+                np.concatenate((pairs[:, 1], pairs[:, 0], pairs[1:, 0])))
+    order = {"ascending": ids, "descending": ids[::-1],
+             "zig-zag": np.column_stack((ids[:n // 2],
+                                         ids[::-1][:n // 2])).ravel()}[shape]
+    return order[:-1], order[1:]
+
+
+@pytest.mark.parametrize("shape", ["ascending", "descending", "zig-zag",
+                                   "star", "2-cycles"])
+def test_connected_pieces_adversarial_id_orders(shape):
+    import time
+    n = 100_000
+    src, dst = adversarial_graph(shape, n)
+    started = time.perf_counter()
+    lowest = connected_pieces(n, src, dst)
+    assert time.perf_counter() - started < 5.0  # about 0.02 s
+    assert not lowest.any()
 
 
 def test_round_percent_half_away_from_zero():
