@@ -8,10 +8,14 @@ edge from some unsaturated node is unsaturated (UMC), otherwise saturated
 (SMC). No component can be both an IC and unsaturated-linked: that edge
 would extend the matching.
 
-Components come from min-label propagation over the adjacency arrays:
-each round lowers both ends of every edge to the smaller label, then jumps
-pointers (``lab = lab[lab]``). A component's label ends as its smallest
-member; kinds are per-label reductions (ER N=10^5, k=10: 6 rounds, 0.05 s).
+Components come from root hooking over the adjacency arrays
+(:func:`connected_pieces`): each round hooks the higher root of every live
+edge onto the lower one, jumps pointers to a fixpoint and retires the edges
+that now lie inside one root. A component's label ends as its smallest
+member; kinds are per-label reductions. On ER N=10^5, k=10 (381 166
+adjacency edges; 2-vCPU 2.0 GHz Xeon) that is 3 hooking rounds and 18-24 ms,
+against 6 rounds of min-label propagation with two scatters over every
+edge and 32-36 ms; at N=10^6, 4 rounds and 0.3-0.4 s against 11 and 0.9-1.2 s.
 
 :func:`strong_pieces` splits any digraph given as edge arrays into its
 strongly connected pieces, labelled the same way: by their lowest member.
