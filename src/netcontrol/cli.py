@@ -152,7 +152,7 @@ def _load(path: str) -> DirectedNetwork:
 
 def _select_component(analysis: NetworkAnalysis, selector: str):
     report = analysis.report
-    if selector.isdecimal():
+    if selector.isascii() and selector.isdigit():  # the loader's digits
         ident = int(selector)
         if ident >= report.component_count:
             raise AlterationError(f"no component with id {ident}")

@@ -16,8 +16,8 @@ files, generated networks) builds no label strings unless they are read.
 On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.1 s with
 its ``# nodes:`` header, 0.3 s without it and 0.7-0.8 s with string labels;
 the constructor is 0.025-0.03 s of each. Writing it back takes about
-0.04 s, and 0.02 s more when that builds an id-labelled network's label
-table.
+0.03 s: an id-labelled network writes its ids from a table of their
+digits and builds no label strings.
 
 The constructor sorts one int64 key per edge in place, once per
 direction, and beside its input holds at most that buffer and two int32
@@ -36,7 +36,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import EdgeListParseError
-from .textrows import encode_utf8
+from .textrows import byte_table, digit_table, render
 
 NodeId = int
 
@@ -474,20 +474,12 @@ def write_edge_list(net: DirectedNetwork) -> str:
     nodes; pair the output with a ``# nodes: N`` directive to preserve
     isolated nodes as well.
 
-    The labels are encoded once, as the UTF-8 rows of a byte table: each
-    row holds a label, then 0xFF padding (a byte UTF-8 never uses), then
-    the separator. A line is the row of its source with a tab and the row
-    of its target with a newline, and one pass drops the padding.
+    The lines are written by :func:`~netcontrol.textrows.render` from one
+    label table: the ids in decimal while the labels are the ids, so no
+    label string is built, and the labels' bytes once they were given or
+    read.
     """
-    data, sizes = encode_utf8(net.labels)
-    width = int(sizes.max(initial=0)) + 1
-    targets = np.full((net.n, width), 0xFF, dtype=np.uint8)
-    targets[np.arange(width) < sizes[:, None]] = data
-    targets[:, -1] = ord("\n")
-    sources = targets.copy()
-    sources[:, -1] = ord("\t")
-    lines = np.empty((net.edge_count, 2, width), dtype=np.uint8)
-    lines[:, 0] = np.repeat(sources, np.diff(net.out_ptr), axis=0)
-    lines[:, 1] = np.take(targets, net.out_idx, axis=0)
-    lines = lines.ravel()
-    return str(memoryview(lines[lines != 0xFF]), "utf-8", "surrogatepass")
+    table = (digit_table(np.arange(net.n)) if net._labels is None
+             else byte_table(net.labels))
+    return "".join(render([(table, net.edge_sources()), "\t",
+                           (table, net.out_idx), "\n"], net.edge_count))

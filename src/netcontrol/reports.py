@@ -382,12 +382,12 @@ def components_tsv(analysis: NetworkAnalysis,
 
 
 def classes_tsv(analysis: NetworkAnalysis) -> str:
-    cells = [f"{c.value}\t{'yes' if c.possible_input else 'no'}"
-             for c in NODE_CLASSES]
-    lines = ["# node\tclass\tpossible_input"]
-    lines += map("{}\t{}".format, analysis.network.labels,
-                 map(cells.__getitem__, analysis.classes.tolist()))
-    return "\n".join(lines) + "\n"
+    cells = tuple(f"{c.value}\t{'yes' if c.possible_input else 'no'}"
+                  for c in NODE_CLASSES)
+    net = analysis.network
+    rows = Records([("node", net.labels, np.arange(net.n)),
+                    ("class", cells, analysis.classes)])
+    return "# node\tclass\tpossible_input\n" + "".join(rows.tsv_chunks())
 
 
 SWEEP_HEADER = "model,N,k,seed,cc_max_frac,cc_count,n_p,cc_kind"

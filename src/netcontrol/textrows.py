@@ -1,14 +1,18 @@
 """Text rows gathered from arrays, without a Python object per row.
 
+This is the one module that lays labels out as bytes: it writes the
+edge list, the records and every other list output.
+
 A list output is a run of rows, each the concatenation of one cell per
 column. A column is a fixed string or ``(table, index)``: string
 ``index[i]`` of a :class:`Table`, where index -1 is the empty string. A
 table holds each of its strings (or ints, in decimal) once, as UTF-8 cut
 into pieces of ``PIECE`` bytes, the last one padded with 0xFF (a byte
 UTF-8 never uses). A slice of rows gathers its cells' pieces in output
-order into one block, and one mask drops the padding. A long string
-costs its own pieces only, so the work is linear in the bytes written
-whatever the labels' lengths, and a slice holds about ``SLICE_BYTES``.
+order into one block, and one ``bytes.translate`` drops the padding. A
+long string costs its own pieces only, so the work is linear in the
+bytes written whatever the labels' lengths, and a slice holds about
+``SLICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 PAD = 0xFF
+_PAD = bytes([PAD])
 PIECE = 8
 SLICE_BYTES = 1 << 18
 
@@ -45,19 +50,6 @@ def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
     return Table(pieces, first, np.append(count, 0))
 
 
-def encode_utf8(strings) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of ``strings``, one after another, as uint8, and
-    each string's byte count, as int64."""
-    text = "".join(strings)
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"),
-                         dtype=np.uint8)
-    if data.size == len(text):  # ASCII: a byte per character
-        sizes = map(len, strings)
-    else:
-        sizes = (len(s.encode("utf-8", "surrogatepass")) for s in strings)
-    return data, np.fromiter(sizes, dtype=np.int64, count=len(strings))
-
-
 def byte_table(strings, escape: bool = False) -> Table:
     """The table of ``strings``, a list or tuple.
 
@@ -73,7 +65,14 @@ def byte_table(strings, escape: bool = False) -> Table:
                         append=data.size) - 1 if strings else data[:0]
         data = data[~breaks]
     else:
-        data, sizes = encode_utf8(strings)
+        text = "".join(strings)
+        data = text.encode("utf-8", "surrogatepass")
+        ascii_only = len(data) == len(text)  # then a byte per character
+        encoded = strings if ascii_only else (
+            s.encode("utf-8", "surrogatepass") for s in strings)
+        sizes = np.fromiter(map(len, encoded), dtype=np.int64,
+                            count=len(strings))
+        data = np.frombuffer(data, dtype=np.uint8)
     return _table(data, sizes.astype(np.int64))
 
 
@@ -126,14 +125,15 @@ def render(columns, count: int) -> Iterator[str]:
                for lo in range(0, count, step)][::-1]
     while pending:
         lo, hi = pending.pop()
-        first = np.empty((len(columns), hi - lo), dtype=np.int32)
-        size = np.empty((len(columns), hi - lo), dtype=np.int32)
+        first = np.empty((hi - lo, len(columns)), dtype=np.int32)
+        size = np.empty((hi - lo, len(columns)), dtype=np.int32)
         for c, (table, index) in enumerate(columns):
             if isinstance(index, np.ndarray):
                 index = index[lo:hi]
-            np.add(table.first.take(index), bases[id(table)], out=first[c])
-            size[c] = table.count.take(index)
-        first, size = first.T.ravel(), size.T.ravel()  # cells in row order
+            np.add(table.first.take(index), bases[id(table)],
+                   out=first[:, c])
+            size[:, c] = table.count.take(index)
+        first, size = first.ravel(), size.ravel()  # cells in row order
         if size.min() == size.max() == 1:  # a piece per cell: no expansion
             src = first
         else:
@@ -144,5 +144,5 @@ def render(columns, count: int) -> Iterator[str]:
                 continue
             src = (first - start + size).repeat(size)
             src += np.arange(src.size, dtype=np.int32)
-        block = pool.take(src, axis=0).ravel()
-        yield str(memoryview(block[block != PAD]), "utf-8", "surrogatepass")
+        block = pool.take(src, axis=0).tobytes().translate(None, _PAD)
+        yield block.decode("utf-8", "surrogatepass")

@@ -430,8 +430,10 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert "cannot read" in err and "Traceback" not in err
 
 
-def test_non_ascii_digit_selector_exits_3(confluence_file, capsys):
-    assert main(["alter", confluence_file, "--component", "²",
+@pytest.mark.parametrize("selector", ["²", "\u0663"],
+                         ids=["superscript_two", "arabic_indic_three"])
+def test_non_ascii_digit_selector_exits_3(confluence_file, capsys, selector):
+    assert main(["alter", confluence_file, "--component", selector,
                  "--to", "smc"]) == 3
     assert "unknown component selector" in capsys.readouterr().err
 

@@ -119,12 +119,15 @@ def test_input_graph_tsv_peaks_within_two_and_a_quarter_the_csr_and_text(er):
 
 def test_one_long_label_costs_its_own_bytes():
     # One 200 000-character label among 2 000 short ones: a table padded
-    # to the longest label would hold 400 MB; pieces keep each list output
-    # within a few times its text (2.3 and 4.0 measured)
+    # to the longest label would hold 400 MB, and 6.9 GB traced for the
+    # edge list's lines; pieces keep each list output within a few times
+    # its text (2.2, 2.3 and 3.5 measured)
     n = 2000
     labels = ["x" * 200_000] + [f"v{i}" for i in range(1, n)]
     edges = np.random.default_rng(1).integers(0, n, size=(8000, 2))
     analysis = analyze(DirectedNetwork(n, edges, labels))
+    peak, text = traced(write_edge_list, analysis.network)
+    assert peak <= 3 * len(text)
     peak, text = traced(input_graph_tsv, analysis.input_graph)
     assert peak <= 3 * len(text)
     peak, text = traced(lambda a: to_json(analysis_record(a)), analysis)

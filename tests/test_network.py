@@ -102,15 +102,18 @@ def _labelled_networks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_labelled_networks())
 def test_write_equals_the_per_edge_join(net):
+    # the given labels' table, and the id table of the id-labelled twin
+    pairs = edge_pairs(net)
+    twin = DirectedNetwork(net.n, pairs)
+    assert write_edge_list(twin) == "".join(f"{u}\t{v}\n" for u, v in pairs)
     labels = net.labels
     text = write_edge_list(net)
-    assert text == "".join(f"{labels[u]}\t{labels[v]}\n"
-                           for u, v in edge_pairs(net))
+    assert text == "".join(f"{labels[u]}\t{labels[v]}\n" for u, v in pairs)
     if net.edge_count and all(lab.split() == [lab] and lab[0] not in "#\ufeff"
                               for lab in labels):
         back = load_edge_list(text)
         assert ({(back.labels[u], back.labels[v]) for u, v in edge_pairs(back)}
-                == {(labels[u], labels[v]) for u, v in edge_pairs(net)})
+                == {(labels[u], labels[v]) for u, v in pairs})
 
 
 @pytest.mark.parametrize("text", ["c a\nc b\n", "1 2\n2 3\n3 4\n",
