@@ -98,9 +98,10 @@ def ic_to_smc(before, comp: ControlComponent) -> AlterationPlan:
         raise InternalInvariantError(
             "fewer unsaturated nodes than input nodes; the split is unbalanced")
 
+    # no pair is an edge: it would augment analyze's maximum matching
     pairs = []
     for node in targets:
-        src = _take(donors, lambda s: s != node and not net.has_edge(s, node))
+        src = _take(donors, node)
         if src is None:
             raise AlterationError("no feasible addition for input node "
                                   f"{node}")
@@ -116,15 +117,15 @@ def umc_to_smc(before, comp: ControlComponent) -> AlterationPlan:
     :class:`AlterationError` when the input nodes run out.
     """
     _require_kind(comp, ComponentKind.UMC)
-    net = before.network
-    linkers = _linking(net, before.unsaturated, comp.members).tolist()
+    linkers = _linking(before.network, before.unsaturated,
+                       comp.members).tolist()
     if not linkers:
         raise InternalInvariantError(
             f"UMC {comp.id} has no linking unsaturated node")
     receivers = before.input_set.tolist()
     pairs = []
     for u in linkers:
-        dst = _take(receivers, lambda d: d != u and not net.has_edge(u, d))
+        dst = _take(receivers, u)  # as in ic_to_smc, no pair is an edge
         if dst is None:
             raise AlterationError(
                 f"insufficient input nodes to saturate {len(linkers)} "
@@ -218,11 +219,7 @@ def _first_receivers(net: DirectedNetwork, preds: np.ndarray,
     todo = np.arange(preds.size)
     while todo.size:
         u, v = preds[todo], receivers[at[todo]]
-        pos, counts = edge_positions(net.out_ptr, u)
-        hit = net.out_idx[pos] == v.repeat(counts)
-        linked = np.bincount(np.arange(todo.size).repeat(counts)[hit],
-                             minlength=todo.size) > 0
-        todo = todo[(u == v) | linked]
+        todo = todo[(u == v) | net.has_edges(u, v)]
         at[todo] += 1
         todo = todo[at[todo] < receivers.size]
     return at
@@ -266,9 +263,9 @@ def _widest_closure(piece: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return sources[k:k + 1], (reach[:, k // 8] >> k % 8 & 1).astype(bool)[pid]
 
 
-def _take(available: list[int], ok) -> int | None:
+def _take(available: list[int], other_than: int) -> int | None:
     for i, cand in enumerate(available):
-        if ok(cand):
+        if cand != other_than:
             return available.pop(i)
     return None
 

@@ -1,9 +1,10 @@
 """Batch command-line front door.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input or an
-unwritable ``-o`` path, 3 infeasible alteration or exchange, 4 oracle guard
-exceeded, 5 internal error (a violated invariant, a non-maximum matching or
-a stray ``ValueError``, never bad input).
+Exit codes: 0 success, 1 usage error, 2 unreadable/invalid input, an
+unwritable ``-o`` path or a request that does not fit in memory (``error:
+not enough memory ...``), 3 infeasible alteration or exchange, 4 oracle
+guard exceeded, 5 internal error (a violated invariant, a non-maximum
+matching or a stray ``ValueError``, never bad input).
 Data goes to stdout (or ``-o``); timing notes go to stderr so repeated runs
 with the same seed stay byte-identical.
 """
@@ -153,10 +154,11 @@ def _load(path: str) -> DirectedNetwork:
 def _select_component(analysis: NetworkAnalysis, selector: str):
     report = analysis.report
     if selector.isascii() and selector.isdigit():  # the loader's digits
-        ident = int(selector)
-        if ident >= report.component_count:
-            raise AlterationError(f"no component with id {ident}")
-        return report.component(ident)
+        digits = selector.lstrip("0") or "0"  # int() refuses 4 300 and up
+        if (len(digits) > len(str(report.component_count))
+                or int(digits) >= report.component_count):
+            raise AlterationError(f"no component with id {digits}")
+        return report.component(int(digits))
     ic, umc, smc = map(report.kinds.__eq__, range(len(COMPONENT_KINDS)))
     pools = {"largest": None, "largest-ic": ic, "largest-mc": ~ic,
              "largest-umc": umc, "largest-smc": smc}
@@ -403,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleInfeasibleError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ORACLE
+    except MemoryError as exc:  # a request larger than the memory at hand
+        sys.stderr.write(f"error: not enough memory: {exc}\n")
+        return EXIT_INPUT
     except (NetcontrolError, ValueError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .input_graph import InputGraph
-from .network import DirectedNetwork, edge_positions
+from .network import DirectedNetwork, edge_positions, reach
 
 
 class ComponentKind(Enum):
@@ -171,13 +171,8 @@ def strong_pieces(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         keep = colour.take(src) == colour.take(dst)  # edges between colours
         src, dst = src[keep], dst[keep]  # join two pieces: they leave
         found = colour == root  # the roots, and every node already placed
-        ptr = np.searchsorted(dst, np.arange(n + 1))  # in-rows of all nodes
-        frontier = np.flatnonzero(found)
-        while frontier.size:  # one backward search from all the roots
-            fresh = np.zeros(n, dtype=bool)
-            fresh[src.take(edge_positions(ptr, frontier)[0])] = True
-            frontier = np.flatnonzero(fresh & ~found)
-            found[frontier] = True
+        # one backward search from all the roots, over the in-rows
+        reach(np.searchsorted(dst, np.arange(n + 1)), src, found)
         root[found] = colour[found]
         # a placed target's source shares its colour, so it is placed too
         keep = ~found.take(src)

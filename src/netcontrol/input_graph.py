@@ -5,10 +5,10 @@ witness ``c`` has an unmatched edge ``(c, a)`` and a matched edge ``(c, b)``:
 ``a`` can then take ``b``'s place in a rearranged matching. Each edge
 ``(c, a)`` whose source is matched to some ``b != a`` gives one candidate.
 
-One pass over the network's CSR arrays builds the graph: a
-level-synchronous breadth-first closure over the candidates, started from
-the unmatched nodes, marks the possible inputs (the nodes of some minimum
-input set) in a bool mask; the kept edges are the candidates leaving a
+One pass over the network's CSR arrays builds the graph: the closure
+(:func:`~netcontrol.network.reach`) of the unmatched nodes over the
+candidates marks the possible inputs (the nodes of some minimum input
+set) in a bool mask; the kept edges are the candidates leaving a
 possible input plus those entering a redundant node, stored as parallel
 ``src``/``dst`` arrays (a witness is read off the matching on request).
 The two sides never mix classes.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NotMaximumMatchingError
 from .matching import Matching
-from .network import DirectedNetwork, NodeId, edge_positions
+from .network import DirectedNetwork, NodeId, reach
 
 
 class NodeClass(Enum):
@@ -82,32 +82,12 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     Raises :class:`NotMaximumMatchingError` if ``m`` is not maximum. Runs in
     O(N + L) array work: each node's in-edges are gathered once.
     """
-    n = net.n
-    match_out = m.match_out
     # Candidate a -> b via witness c for every edge (c, a), in in-CSR order;
     # b < 0 (c unmatched) or b == a (the matched edge itself) gives none.
-    c = net.in_idx
-    b = match_out[c]
-
-    possible = m.match_in < 0
-    frontier = possible.nonzero()[0]
-    stamp = np.empty(n, dtype=np.intp)
-    while frontier.size:
-        pos, _ = edge_positions(net.in_ptr, frontier)
-        reached = b.take(pos)
-        del pos
-        fresh = ~possible.take(reached)  # possible[-1] for b < 0, masked next
-        fresh &= reached >= 0
-        reached = reached.take(fresh.nonzero()[0])
-        # Keep one copy of each node: whichever write lands, exactly one
-        # copy reads its own index back.
-        order = np.arange(reached.size)
-        stamp[reached] = order
-        frontier = reached.take((stamp.take(reached) == order).nonzero()[0])
-        possible[frontier] = True
-    del stamp
+    b = m.match_out[net.in_idx]
+    possible = reach(net.in_ptr, b, m.match_in < 0)
     # a is built after the closure, which reads b alone, to stay off its peak.
-    a = np.arange(n, dtype=np.int32).repeat(np.diff(net.in_ptr))
+    a = np.arange(net.n, dtype=np.int32).repeat(np.diff(net.in_ptr))
 
     # Berge: an unsaturated witness of a possible input ends an augmenting
     # path; when there is none the matching is maximum.
@@ -116,8 +96,8 @@ def build_input_graph(net: DirectedNetwork, m: Matching) -> InputGraph:
     if stray.any():
         i = int(stray.argmax())
         raise NotMaximumMatchingError(
-            f"unsaturated witness {c[i]} reaches possible input {a[i]}; "
-            f"the matching is not maximum")
+            f"unsaturated witness {net.in_idx[i]} reaches possible input "
+            f"{a[i]}; the matching is not maximum")
 
     candidate = (b >= 0) & (b != a)
     side_p = candidate & into_p
@@ -167,10 +147,9 @@ def classify_nodes(ig: InputGraph) -> np.ndarray:
 
 def control_reachable_from(ig: InputGraph, node: NodeId) -> np.ndarray:
     """Ascending ids of ``node`` and its forward closure over adjacency."""
-    if not (0 <= node < ig.network.n):
+    n = ig.network.n
+    if not (0 <= node < n):
         raise ValueError(f"node {node} out of range")
-    seen = np.zeros(ig.network.n, dtype=bool)
-    seen[node] = True
-    while (step := seen[ig.src] & ~seen[ig.dst]).any():
-        seen[ig.dst[step]] = True
-    return np.flatnonzero(seen)
+    adj = DirectedNetwork(n, np.column_stack((ig.src, ig.dst)))
+    return np.flatnonzero(reach(adj.out_ptr, adj.out_idx,
+                                np.arange(n) == node))

@@ -83,6 +83,26 @@ def first_of_each(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return scratch.take(keys) == rank
 
 
+def reach(ptr: np.ndarray, idx: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Mark in the bool mask ``seen``, in place, and return it: every node
+    reachable from a marked one along the CSR rows ``ptr``/``idx``, an entry
+    below 0 being no edge. Breadth-first levels read each row once."""
+    frontier = seen.nonzero()[0]
+    stamp = np.empty(seen.size, dtype=np.intp)
+    while frontier.size:
+        reached = idx.take(edge_positions(ptr, frontier)[0])
+        fresh = ~seen.take(reached)  # seen[-1] for an entry < 0, masked next
+        fresh &= reached >= 0
+        reached = reached.take(fresh.nonzero()[0])
+        # Keep one copy of each node: whichever write lands, exactly one
+        # copy reads its own index back.
+        order = np.arange(reached.size)
+        stamp[reached] = order
+        frontier = reached.take((stamp.take(reached) == order).nonzero()[0])
+        seen[frontier] = True
+    return seen
+
+
 class DirectedNetwork:
     """Immutable simple directed graph with a label table.
 
@@ -202,12 +222,16 @@ class DirectedNetwork:
         """Sorted in-neighbours of ``v`` (a view into ``in_idx``)."""
         return self.in_idx[self.in_ptr[v]:self.in_ptr[v + 1]]
 
+    def has_edges(self, u, v) -> np.ndarray:
+        """Whether each ``(u[i], v[i])`` is an edge, for ids ``u`` in range."""
+        pos, counts = edge_positions(self.out_ptr, np.asarray(u))
+        hits = np.flatnonzero(self.out_idx.take(pos) == np.repeat(v, counts))
+        found = np.zeros(counts.size, dtype=bool)  # a row holds v[i] once
+        found[counts.cumsum().searchsorted(hits, side="right")] = True
+        return found
+
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        if not 0 <= u < self.n:
-            return False
-        targets = self.successors(u)
-        i = int(targets.searchsorted(v))
-        return i < targets.size and int(targets[i]) == v
+        return 0 <= u < self.n and bool(self.has_edges([u], [v])[0])
 
     def self_loop_count(self) -> int:
         return int(np.count_nonzero(self.edge_sources() == self.out_idx))
@@ -221,9 +245,12 @@ class DirectedNetwork:
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
         """Return a new network with the given edges added."""
         extra = np.asarray(list(additions), dtype=np.int64).reshape(-1, 2)
-        for u, v in extra.tolist():
-            if self.has_edge(u, v):
-                raise ValueError(f"edge ({u}, {v}) already present")
+        # out-of-range pairs are left for the constructor to report
+        inside = ((extra >= 0) & (extra < self.n)).all(axis=1)
+        present = np.flatnonzero(inside)[self.has_edges(*extra[inside].T)]
+        if present.size:
+            u, v = extra[present[0]].tolist()
+            raise ValueError(f"edge ({u}, {v}) already present")
         pairs = np.column_stack((self.edge_sources(), self.out_idx))
         return DirectedNetwork(self.n, np.concatenate((pairs, extra)),
                                self._labels)

@@ -11,7 +11,7 @@ from .components import ComponentReport, component_report
 from .input_graph import InputGraph, build_input_graph, classify_nodes
 from .matching import (Matching, input_nodes, maximum_matching,
                        unsaturated_nodes)
-from .network import DirectedNetwork, edge_positions
+from .network import DirectedNetwork
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +67,7 @@ def _require_edges(net: DirectedNetwork, m: Matching) -> None:
         raise ValueError(f"a matching of {m.match_out.size} nodes given for "
                          f"a network of {net.n}")
     sources = np.flatnonzero(m.match_out >= 0)
-    pos, counts = edge_positions(net.out_ptr, sources)
-    # Rows hold no duplicates, so each source finds its partner at most once.
-    found = np.count_nonzero(
-        net.out_idx[pos] == m.match_out[sources].repeat(counts))
-    if found != sources.size:
+    if not net.has_edges(sources, m.match_out[sources]).all():
         raise ValueError("the matching pairs nodes that no edge joins")
 
 

@@ -438,6 +438,42 @@ def test_non_ascii_digit_selector_exits_3(confluence_file, capsys, selector):
     assert "unknown component selector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector", ["9" * 5000, "1" + "0" * 4999, "3"],
+                         ids=["nines", "power_of_ten", "one_past_the_last"])
+def test_oversized_digit_selector_exits_3(confluence_file, capsys, selector):
+    # 5 000 digits pass int()'s 4 300-digit limit; no id is that long
+    assert main(["alter", confluence_file, "--component", selector,
+                 "--to", "smc"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: no component with id {selector}\n" in err
+    assert "internal error" not in err
+
+
+def test_digit_selector_keeps_leading_zeros(confluence_file, capsys):
+    code, out = run_cli(capsys, "alter", confluence_file, "--component",
+                        "0" * 5000 + "1", "--to", "smc")
+    assert code == 0
+    assert json.loads(out)["plan"]["target_component_id"] == 1
+
+
+def test_request_beyond_memory_exits_2():
+    # The address-space limit makes the allocation fail whatever the host's
+    # overcommit setting; 5*10^12 edges pass GenSpec's capacity check.
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from netcontrol.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    small, huge = ([sys.executable, "-c", code, "generate", "--model", "er",
+                    "-n", n, "-k", k] for n, k in (("2000", "4"),
+                                                   ("10000000", "1000000")))
+    proc = subprocess.run(small, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(huge, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: not enough memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
 def test_stray_value_error_exits_5(dilation_file, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("two sources matched to the same target")

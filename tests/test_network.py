@@ -4,6 +4,7 @@ import warnings
 from itertools import accumulate
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,78 @@ def test_with_edges_returns_new_network(dilation_net):
     assert dilation_net.edge_count == 2
     with pytest.raises(ValueError):
         dilation_net.with_edges([(0, 1)])
+
+
+def test_with_edges_names_the_first_present_or_out_of_range_pair():
+    net = DirectedNetwork(4, [(0, 1), (2, 3), (3, 3)])
+    # the first present pair is named, even behind an out-of-range one
+    for additions, bad in [([(1, 2), (2, 3), (0, 1)], r"\(2, 3\)"),
+                           ([(9, 0), (-1, 2), (3, 3)], r"\(3, 3\)"),
+                           (np.array([[0, 1]], dtype=np.int32), r"\(0, 1\)")]:
+        with pytest.raises(ValueError, match=rf"^edge {bad} already present$"):
+            net.with_edges(additions)
+    for additions, bad in [([(1, 2), (4, 0)], r"\(4, 0\)"),
+                           ([(0, -1), (1, 0)], r"\(0, -1\)")]:
+        with pytest.raises(ValueError,
+                           match=rf"^edge {bad} out of range for n=4$"):
+            net.with_edges(additions)
+    assert net.with_edges([]) == net
+    assert net.with_edges([(1, 1), (1, 1)]).edge_count == 4
+
+
+def _random_csr(rng, n):
+    """A random digraph on ``n`` nodes as CSR rows: repeated edges,
+    self-loops and isolated nodes come with the draw."""
+    count = int(rng.integers(0, 2 * n + 2))
+    src = np.sort(rng.integers(0, n, count))
+    dst = rng.integers(0, n, count).astype(np.int32)
+    return src, dst, src.searchsorted(np.arange(n + 1))
+
+
+def test_reach_matches_networkx_descendants():
+    seen = {"self-loop": 0, "repeat": 0, "no edge entry": 0, "no start": 0}
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 40
+        src, dst, ptr = _random_csr(rng, n)
+        dst[rng.random(dst.size) < 0.1] = -1  # entries that are no edge
+        start = rng.random(n) < (0 if seed % 8 == 0 else 0.1)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((u, v) for u, v in zip(src.tolist(), dst.tolist())
+                         if v >= 0)
+        expected = set(np.flatnonzero(start).tolist())
+        for v in list(expected):
+            expected |= nx.descendants(g, v)
+        got = network.reach(ptr, dst, start)
+        assert got is start
+        assert set(np.flatnonzero(got).tolist()) == expected
+        seen["self-loop"] += bool(nx.number_of_selfloops(g))
+        seen["repeat"] += g.number_of_edges() < np.count_nonzero(dst >= 0)
+        seen["no edge entry"] += bool((dst < 0).any())
+        seen["no start"] += not expected
+    assert min(seen.values()) >= 20, seen
+
+
+def test_has_edges_matches_the_edge_set():
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 30
+        src, dst, _ = _random_csr(rng, n)
+        net = DirectedNetwork(n, np.column_stack((src, dst)))
+        edges = set(zip(src.tolist(), dst.tolist()))
+        u = rng.integers(0, n, 3 * n)
+        v = rng.integers(-1, n + 1, 3 * n)  # targets need not be in range
+        u, v = np.concatenate((u, src)), np.concatenate((v, dst))
+        got = net.has_edges(u, v)
+        assert got.dtype == bool
+        assert got.tolist() == [pair in edges for pair in
+                                zip(u.tolist(), v.tolist())]
+        assert [net.has_edge(a, b) for a, b in zip(u.tolist(), v.tolist())
+                ] == got.tolist()
+    empty = np.zeros(0, dtype=np.int64)
+    assert net.has_edges(empty, empty).shape == (0,)
+    assert DirectedNetwork(0, []).has_edges(empty, empty).shape == (0,)
 
 
 def test_report_avg_degree_zero_edges():

@@ -4,6 +4,7 @@ import functools
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,22 @@ def test_cli_import_loads_neither_scipy_nor_networkx():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_exit_code_is_documented():
+    # The cli docstring and the README's exit-code paragraph each name every
+    # EXIT_* value, the out-of-memory case among them.
+    from netcontrol import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    codes = {name: value for name, value in vars(cli).items()
+             if name.startswith("EXIT_")}
+    assert sorted(codes.values()) == list(range(len(codes)))
+    for source in (cli.__doc__, readme):
+        paragraph, = (" ".join(p.split()) for p in source.split("\n\n")
+                      if "Exit codes:" in " ".join(p.split()))
+        listed = paragraph[paragraph.index("Exit codes:"):]
+        for name, value in codes.items():  # "2 unreadable", "`2` unreadable"
+            assert re.search(rf"(?<![\w^]){value}`? [a-z]", listed), name
+        assert "not enough memory" in listed
