@@ -5,8 +5,10 @@ unwritable ``-o`` path or a request that does not fit in memory (``error:
 not enough memory ...``), 3 infeasible alteration or exchange, 4 oracle
 guard exceeded, 5 internal error (a violated invariant, a non-maximum
 matching or a stray ``ValueError``, never bad input).
-Data goes to stdout (or ``-o``); timing notes go to stderr so repeated runs
-with the same seed stay byte-identical.
+Each command returns its output: a payload dict, written as JSON; a string;
+or a list writer that passes its text in chunks to a write function.
+:func:`main` writes it once, to stdout or ``-o``; timing notes go to stderr
+so repeated runs with the same seed stay byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import functools
 import sys
 import time
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +125,17 @@ class _OutputError(NetcontrolError):
     """An output file could not be written."""
 
 
-def _emit(text: str | Callable[[Callable[[str], object]], object],
-          output: str | Path | None) -> None:
-    """Write ``text`` to ``output``, or to stdout when there is none.
+def _emit(text, output: str | Path | None) -> None:
+    """Write a command's output ``text`` to ``output``, or to stdout.
 
-    ``text`` is a string, or a function that passes its text in chunks to
-    the write function it is given, as the list writers of
-    :mod:`~netcontrol.reports` do.
+    ``text`` is a payload dict, written by :func:`reports.to_json` (looked
+    up here, so a wrapper set on it after import still sees every write);
+    a string; or a function that passes its text in chunks to the write
+    function it is given, as the list writers of :mod:`~netcontrol.reports`
+    do.
     """
+    if isinstance(text, dict):
+        text = functools.partial(reports.to_json, text)
     emit = text if callable(text) else (lambda write: write(text))
     if not output:
         emit(sys.stdout.write)
@@ -171,7 +175,7 @@ def _select_component(analysis: NetworkAnalysis, selector: str):
         largest_component(report.sizes, report.kinds, pool))
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     spec = GenSpec(model=args.model, n=args.nodes, avg_degree=args.avg_degree,
                    gamma_in=args.gamma_in, gamma_out=args.gamma_out,
                    seed=args.seed)
@@ -183,59 +187,45 @@ def _cmd_generate(args) -> int:
         header.append(f"# gamma_in: {spec.gamma_in:g}")
         header.append(f"# gamma_out: {spec.gamma_out:g}")
     header.append(f"# nodes: {net.n}")
-    _emit("\n".join(header) + "\n" + write_edge_list(net), args.output)
-    return EXIT_OK
+    return "\n".join(header) + "\n" + write_edge_list(net)
 
 
-def _cmd_analyze(args) -> int:
-    analysis = analyze(_load(args.path), args.seed)
-    record = reports.analysis_record(analysis, args.members or None)
-    if args.format == "json":
-        _emit(functools.partial(reports.to_json, record), args.output)
-    else:
-        flat = {k: v for k, v in record.items() if not isinstance(v, dict)}
-        flat["n_mis_percent"] = record["mis"]["n_mis_percent"]
-        flat["cc_max_percent"] = record["components"]["cc_max"]["percent"]
-        flat["cc_max_kind"] = record["components"]["cc_max"]["kind"]
-        lines = [f"{key}\t{flat[key]}" for key in sorted(flat)]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
-
-
-def _cmd_classify(args) -> int:
+def _cmd_analyze(args):
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(functools.partial(reports.to_json,
-                                reports.classes_dict(analysis)), args.output)
-    else:
-        _emit(reports.classes_tsv(analysis), args.output)
-    return EXIT_OK
+        return reports.analysis_record(analysis, args.members or None)
+    # the TSV keeps no list, so the record is built without them
+    record = reports.analysis_record(analysis, include_members=False)
+    flat = {k: v for k, v in record.items() if not isinstance(v, dict)}
+    flat["n_mis_percent"] = record["mis"]["n_mis_percent"]
+    flat["cc_max_percent"] = record["components"]["cc_max"]["percent"]
+    flat["cc_max_kind"] = record["components"]["cc_max"]["kind"]
+    return "".join(f"{key}\t{flat[key]}\n" for key in sorted(flat))
 
 
-def _cmd_inputgraph(args) -> int:
+def _cmd_classify(args):
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        _emit(functools.partial(reports.to_json, reports.input_graph_dict(
-            analysis.input_graph)), args.output)
-    else:
-        _emit(functools.partial(reports.input_graph_tsv, analysis.input_graph),
-              args.output)
-    return EXIT_OK
+        return reports.classes_dict(analysis)
+    return reports.classes_tsv(analysis)
 
 
-def _cmd_components(args) -> int:
+def _cmd_inputgraph(args):
+    analysis = analyze(_load(args.path), args.seed)
+    if args.format == "json":
+        return reports.input_graph_dict(analysis.input_graph)
+    return functools.partial(reports.input_graph_tsv, analysis.input_graph)
+
+
+def _cmd_components(args):
     analysis = analyze(_load(args.path), args.seed)
     include = args.members or None
     if args.format == "json":
-        payload = reports.component_report_dict(analysis, include)
-        _emit(functools.partial(reports.to_json, payload), args.output)
-    else:
-        _emit(functools.partial(reports.components_tsv, analysis, include),
-              args.output)
-    return EXIT_OK
+        return reports.component_report_dict(analysis, include)
+    return functools.partial(reports.components_tsv, analysis, include)
 
 
-def _cmd_alter(args) -> int:
+def _cmd_alter(args):
     net = _load(args.path)
     try:  # before planning: a prefix with an empty name (".", "/") fails
         paths = [Path(args.output).with_suffix(suffix) for suffix in
@@ -253,9 +243,11 @@ def _cmd_alter(args) -> int:
         build = smc_to_ic_full if args.mode == "full" else smc_to_ic_single
         plan = build(before, comp)
     else:
+        kind, to = comp.kind.value, args.to.upper()
         raise AlterationError(
-            f"cannot alter a {comp.kind.value} component to {args.to.upper()}"
-            + ("; saturate it to SMC first" if args.to == "ic" else ""))
+            f"cannot alter {kind} component {comp.id} to {to}; "
+            + ("it is one already" if kind == to
+               else "saturate it to SMC first"))
     after = analyze(apply_plan(net, plan), args.seed, plan.matching_after)
     plan = alteration_report(before, after, plan)
 
@@ -267,19 +259,16 @@ def _cmd_alter(args) -> int:
         "after": reports.analysis_record(after),
     }
     if not paths:
-        _emit(functools.partial(reports.to_json, payload), None)
-        return EXIT_OK
+        return payload
     plan_file = {**payload["plan"], "goal_attained": payload["goal_attained"]}
     for path, text in zip(paths, (
-            functools.partial(reports.to_json, plan_file),
-            reports.additions_tsv(plan, labels),
-            functools.partial(reports.to_json, payload["before"]),
-            functools.partial(reports.to_json, payload["after"]))):
+            plan_file, reports.additions_tsv(plan, labels),
+            payload["before"], payload["after"])):
         _emit(text, path)
-    return EXIT_OK
+    return None
 
 
-def _cmd_exchange(args) -> int:
+def _cmd_exchange(args):
     net = _load(args.path)
     try:
         node = net.id_of(args.node)
@@ -295,7 +284,7 @@ def _cmd_exchange(args) -> int:
         via = int(candidates[0])
     result = exchange(net, m, node, via)
     labels = net.labels
-    payload = {
+    return {
         "node": labels[node],
         "via": labels[via],
         "replaced": labels[result.replaced],
@@ -304,11 +293,9 @@ def _cmd_exchange(args) -> int:
                       for v in input_nodes(result.matching).tolist()],
         "matching_size": result.matching.size,
     }
-    _emit(functools.partial(reports.to_json, payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args):
     net = _load(args.path)
     guard = OracleGuard(max_nodes=args.max_nodes, max_count=args.max_count)
     enum = enumerate_maximum_matchings(net, guard)
@@ -320,18 +307,16 @@ def _cmd_oracle_check(args) -> int:
         for v in np.flatnonzero(truth != analysis.classes).tolist()
     ]
     possible = np.flatnonzero(analysis.input_graph.possible_inputs).tolist()
-    payload = {
+    return {
         "agree": not diffs,
         "diffs": diffs,
         "matching_count": enum.matching_count,
         "distinct_input_sets": len(enum.input_sets),
         "possible_inputs_match_union": enum.in_some_set == set(possible),
     }
-    _emit(functools.partial(reports.to_json, payload), args.output)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     try:
         k_values = [float(tok) for tok in args.k_list.split(",") if tok]
     except ValueError:
@@ -361,8 +346,7 @@ def _cmd_sweep(args) -> int:
         batch.append(spec)
         size += cost
     rows += _sweep_rows(batch)
-    _emit("\n".join(rows) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(rows) + "\n"
 
 
 def _sweep_rows(specs: list[GenSpec]) -> list[str]:
@@ -395,7 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code = _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
+        if output is not None:  # alter -o has written its own files
+            _emit(output, args.output)
     except (EdgeListParseError, GenerationError, _OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -413,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - started) * 1000
     sys.stderr.write(f"# {args.command} completed in {elapsed_ms:.1f} ms\n")
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netcontrol import (analyze, load_edge_list, reports, smc_to_ic_full,
+                        umc_to_smc)
 from netcontrol.cli import main
 
 
@@ -123,6 +125,23 @@ def test_alter_wrong_kind_exits_3(dilation_file, capsys):
                  "--to", "ic"]) == 3
 
 
+@pytest.mark.parametrize("edges, selector, to, message", [
+    ("c a\nc b\n", "largest-ic", "ic",
+     "cannot alter IC component 1 to IC; it is one already"),
+    ("s a\ns b\nx a\nx y\ny b\n", "largest-smc", "smc",
+     "cannot alter SMC component 1 to SMC; it is one already"),
+    ("1 3\n2 3\n", "largest-umc", "ic",
+     "cannot alter UMC component 1 to IC; saturate it to SMC first"),
+], ids=["ic_to_ic", "smc_to_smc", "umc_to_ic"])
+def test_alter_wrong_kind_names_the_component(edges, selector, to, message,
+                                              tmp_path, capsys):
+    path = tmp_path / "net.txt"
+    path.write_text(edges, encoding="utf-8")
+    assert main(["alter", str(path), "--component", selector,
+                 "--to", to]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_alter_to_ic_on_a_perfect_matching_exits_3(tmp_path, capsys):
     path = tmp_path / "cycle.txt"
     path.write_text("0 1\n1 0\n", encoding="utf-8")
@@ -131,30 +150,68 @@ def test_alter_to_ic_on_a_perfect_matching_exits_3(tmp_path, capsys):
     assert "error: no input node available (perfect matching)" in err
 
 
-def test_alter_writes_files(confluence_file, tmp_path, capsys):
-    prefix = tmp_path / "plan"
-    code = main(["alter", confluence_file, "--component", "largest-mc",
-                 "--to", "smc", "-o", str(prefix)])
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "sf", "-n", "300", "-k", "4", "--seed", "2"),
+    *((command, "{net}", "--format", fmt)
+      for command in ("analyze", "classify", "inputgraph", "components")
+      for fmt in ("json", "tsv")),
+    ("exchange", "{small}", "--node", "b"),
+    ("oracle-check", "{small}"),
+    ("sweep", "--model", "er", "-n", "40", "--k-list", "2,4",
+     "--replicates", "2"),
+], ids=lambda argv: "-".join(a for a in argv[:4] if "{" not in a))
+def test_output_file_holds_the_stdout_bytes(argv, dilation_file, tmp_path,
+                                            capsys):
+    net = tmp_path / "sf.txt"
+    assert main(["generate", "--model", "sf", "-n", "300", "-k", "4",
+                 "--seed", "2", "-o", str(net)]) == 0
+    argv = [a.format(net=net, small=dilation_file) for a in argv]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert (tmp_path / "plan.plan.json").exists()
-    added = (tmp_path / "plan.added.tsv").read_text(encoding="utf-8")
-    assert "2\t1\tsaturate_unsaturated" in added
-    assert (tmp_path / "plan.before.json").exists()
-    assert (tmp_path / "plan.after.json").exists()
+    out_file = tmp_path / "out"
+    assert main(argv + ["-o", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == out.encode("utf-8")
 
 
-def test_alter_plan_file_carries_goal_attained(confluence_file, tmp_path,
-                                               capsys):
-    argv = ["alter", confluence_file, "--component", "largest-mc",
-            "--to", "smc"]
+@pytest.mark.parametrize("edges, argv, build", [
+    ("1 3\n2 3\n", ("--component", "largest-mc", "--to", "smc"),
+     umc_to_smc),
+    ("s a\ns b\nx a\nx y\ny b\n",
+     ("--component", "largest-smc", "--to", "ic", "--mode", "full"),
+     smc_to_ic_full),
+], ids=["umc_to_smc", "smc_to_ic_full"])
+def test_alter_files_hold_the_stdout_payload(edges, argv, build, tmp_path,
+                                             capsys):
+    path = tmp_path / "net.txt"
+    path.write_text(edges, encoding="utf-8")
+    argv = ["alter", str(path), *argv]
     code, out = run_cli(capsys, *argv)
     assert code == 0
     printed = json.loads(out)
-    assert main(argv + ["-o", str(tmp_path / "plan")]) == 0
-    written = json.loads((tmp_path / "plan.plan.json").read_text(
-        encoding="utf-8"))
-    assert written == {**printed["plan"],
-                       "goal_attained": printed["goal_attained"]}
+    prefix = tmp_path / "plan"
+    assert main(argv + ["-o", str(prefix)]) == 0
+    assert capsys.readouterr().out == ""
+
+    def written(suffix):
+        return prefix.with_suffix(suffix).read_text(encoding="utf-8")
+
+    for suffix, payload in (
+            (".plan.json", {**printed["plan"],
+                            "goal_attained": printed["goal_attained"]}),
+            (".before.json", printed["before"]),
+            (".after.json", printed["after"])):
+        assert written(suffix) == json.dumps(payload, sort_keys=True,
+                                             indent=2) + "\n"
+    with open(path, encoding="utf-8") as fh:
+        net = load_edge_list(fh)
+    before = analyze(net, 0)
+    plan = build(before, before.report.component(
+        printed["plan"]["target_component_id"]))
+    assert written(".added.tsv") == reports.additions_tsv(plan, net.labels)
+    rows = [dict(zip(("src", "dst", "reason"), line.split("\t")))
+            for line in written(".added.tsv").splitlines()[1:]]
+    assert rows == printed["plan"]["additions"]
 
 
 def test_exchange_roundtrip(dilation_file, capsys):
@@ -323,6 +380,20 @@ def test_member_lists_suppressed_on_large_networks(tmp_path, capsys):
     assert "node_classes" not in record
     assert "members" not in record["mis"]
     assert "members" not in record["components"]["components"][0]
+
+
+def test_analyze_tsv_builds_no_member_lists(dilation_file, capsys,
+                                            monkeypatch):
+    # the TSV drops every per-node list, so it must not build them
+    argv = ["analyze", dilation_file, "--format", "tsv", "--members"]
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+
+    def must_not_list(analysis):
+        raise AssertionError("built the per-node classes for the TSV")
+
+    monkeypatch.setattr(reports, "classes_dict", must_not_list)
+    assert run_cli(capsys, *argv) == (0, expected)
 
 
 def test_internal_error_exits_5(dilation_file, capsys, monkeypatch):

@@ -66,6 +66,18 @@ def test_cli_import_loads_neither_scipy_nor_networkx():
     assert proc.stdout == "[]\n"
 
 
+def test_every_subcommand_has_a_handler():
+    # main dispatches through _COMMANDS; a parser entry without a handler
+    # would end in a KeyError traceback, a handler without one is dead code
+    import argparse
+
+    from netcontrol import cli
+
+    sub, = (action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(cli._COMMANDS)
+
+
 def test_every_exit_code_is_documented():
     # The cli docstring and the README's exit-code paragraph each name every
     # EXIT_* value, the out-of-memory case among them.
