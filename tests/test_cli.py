@@ -150,6 +150,32 @@ def test_alter_to_ic_on_a_perfect_matching_exits_3(tmp_path, capsys):
     assert "error: no input node available (perfect matching)" in err
 
 
+def test_alter_writes_files(confluence_file, tmp_path, capsys):
+    prefix = tmp_path / "plan"
+    code = main(["alter", confluence_file, "--component", "largest-mc",
+                 "--to", "smc", "-o", str(prefix)])
+    assert code == 0
+    assert (tmp_path / "plan.plan.json").exists()
+    added = (tmp_path / "plan.added.tsv").read_text(encoding="utf-8")
+    assert "2\t1\tsaturate_unsaturated" in added
+    assert (tmp_path / "plan.before.json").exists()
+    assert (tmp_path / "plan.after.json").exists()
+
+
+def test_alter_plan_file_carries_goal_attained(confluence_file, tmp_path,
+                                               capsys):
+    argv = ["alter", confluence_file, "--component", "largest-mc",
+            "--to", "smc"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    printed = json.loads(out)
+    assert main(argv + ["-o", str(tmp_path / "plan")]) == 0
+    written = json.loads((tmp_path / "plan.plan.json").read_text(
+        encoding="utf-8"))
+    assert written == {**printed["plan"],
+                       "goal_attained": printed["goal_attained"]}
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--model", "sf", "-n", "300", "-k", "4", "--seed", "2"),
     *((command, "{net}", "--format", fmt)
