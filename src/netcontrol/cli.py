@@ -5,10 +5,11 @@ unwritable ``-o`` path or a request that does not fit in memory (``error:
 not enough memory ...``), 3 infeasible alteration or exchange, 4 oracle
 guard exceeded, 5 internal error (a violated invariant, a non-maximum
 matching or a stray ``ValueError``, never bad input).
-Each command returns its output: a payload dict, written as JSON; a string;
-or a list writer that passes its text in chunks to a write function.
-:func:`main` writes it once, to stdout or ``-o``; timing notes go to stderr
-so repeated runs with the same seed stay byte-identical.
+Each command returns its output: a payload dict (or the records of
+``classify``), written as JSON; a string; or a list writer that passes its
+text in chunks to a write function. :func:`main` writes it once, to stdout
+or ``-o``; timing notes go to stderr so repeated runs with the same seed
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -128,13 +129,13 @@ class _OutputError(NetcontrolError):
 def _emit(text, output: str | Path | None) -> None:
     """Write a command's output ``text`` to ``output``, or to stdout.
 
-    ``text`` is a payload dict, written by :func:`reports.to_json` (looked
-    up here, so a wrapper set on it after import still sees every write);
-    a string; or a function that passes its text in chunks to the write
-    function it is given, as the list writers of :mod:`~netcontrol.reports`
-    do.
+    ``text`` is a payload dict or :class:`reports.Records`, written by
+    :func:`reports.to_json` (looked up here, so a wrapper set on it after
+    import still sees every write); a string; or a function that passes its
+    text in chunks to the write function it is given, as the list writers of
+    :mod:`~netcontrol.reports` do.
     """
-    if isinstance(text, dict):
+    if isinstance(text, (dict, reports.Records)):
         text = functools.partial(reports.to_json, text)
     emit = text if callable(text) else (lambda write: write(text))
     if not output:
@@ -206,7 +207,7 @@ def _cmd_analyze(args):
 def _cmd_classify(args):
     analysis = analyze(_load(args.path), args.seed)
     if args.format == "json":
-        return reports.classes_dict(analysis)
+        return reports.node_class_records(analysis)
     return reports.classes_tsv(analysis)
 
 
@@ -251,12 +252,12 @@ def _cmd_alter(args):
     after = analyze(apply_plan(net, plan), args.seed, plan.matching_after)
     plan = alteration_report(before, after, plan)
 
-    labels = net.labels
+    labels = reports.LabelColumn(net)  # the altered network's labels too
     payload = {
         "plan": reports.plan_dict(plan, labels),
         "goal_attained": plan_attains_goal(plan, after),
-        "before": reports.analysis_record(before),
-        "after": reports.analysis_record(after),
+        "before": reports.analysis_record(before, labels=labels),
+        "after": reports.analysis_record(after, labels=labels),
     }
     if not paths:
         return payload

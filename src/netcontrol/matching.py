@@ -92,8 +92,8 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     one round of numpy calls per BFS level, written with ndarray methods
     (``take``, ``repeat``, ``nonzero``), whose call overhead on the small
     arrays of deep levels is below that of the module functions and of
-    fancy indexing. On ER N=10^5, k=10 (generator seed 3) that is 10
-    phases and 134 levels, about 0.14 s on a 2.0 GHz Xeon. Graphs whose
+    fancy indexing. On ER N=10^5, k=10 (generator seed 3) that is 133
+    levels, about 0.08-0.10 s in-process on a 2.0 GHz Xeon. Graphs whose
     augmenting paths are long pay the per-level overhead (about 50 us)
     per step instead: the reversed double chain ``u -> N-1-u``,
     ``u -> N-2-u`` at N=10^5, whose last augmenting path runs through the

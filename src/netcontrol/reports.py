@@ -4,16 +4,20 @@ All numbers are rounded the same way everywhere: percentages to two
 decimals (half away from zero), plain ratios to six significant digits.
 JSON is dumped with sorted keys so equal inputs give byte-equal output.
 
-The long lists (the components of a record, with or without members, the
-adjacency edges and a plan's additions) are :class:`Records`: one array
-per field, written by :mod:`~netcontrol.textrows` with no Python object
-per row. Given a ``write`` function, :func:`to_json`,
-:func:`components_tsv` and :func:`input_graph_tsv` pass it their text in
-chunks as it is made, which is how the command line writes them.
+Every list that grows with the network (the components of a record, with
+or without members, the input set, the node classes, the adjacency edges
+and a plan's additions) is :class:`Records`: one array per field, written
+by :mod:`~netcontrol.textrows` with no Python object per row. Node labels
+come from a network's :class:`LabelColumn`, whose tables are built once
+and shared by every record of a command. Given a ``write`` function,
+:func:`to_json`, :func:`components_tsv` and :func:`input_graph_tsv` pass
+it their text in chunks as it is made, which is how the command line
+writes them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
@@ -25,7 +29,7 @@ from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
 from .pipeline import NetworkAnalysis
-from .textrows import byte_table, digit_table, render, text_table
+from .textrows import Table, byte_table, digit_table, render, text_table
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
 
@@ -104,26 +108,36 @@ class Records(Sequence):
 
     ``fields`` holds ``(key, strings, values)`` in TSV column order: record
     ``i`` maps ``key`` to ``strings[values[i]]``, or to ``int(values[i])``
-    when ``strings`` is None. ``nested``, if given, is a last field
+    when ``strings`` is None. ``strings`` is a tuple or list, or a
+    :class:`LabelColumn`. ``nested``, if given, is a last field
     ``(key, strings, items, bounds)`` whose value in record ``i`` is the
     list of ``strings[j]`` for ``j`` in ``items[bounds[i]:bounds[i + 1]]``,
     never empty. Indexing builds a record's dict; :func:`to_json` and
     :meth:`tsv_chunks` write the whole list from the arrays
     (:mod:`~netcontrol.textrows`), a row per record or per nested item.
+
+    ``form`` "values" makes the one field's values a flat JSON list, and
+    "object" makes the two fields one JSON object that maps each record's
+    first value to its second, in record order; a record is then its value
+    or its pair.
     """
 
-    def __init__(self, fields, nested=None):
+    def __init__(self, fields, nested=None, form: str = "dicts"):
         self.fields = fields
         self.nested = nested
+        self.form = form
 
     def __len__(self) -> int:
         return len(self.fields[0][2])
 
-    def __getitem__(self, i: int) -> dict:
+    def __getitem__(self, i: int) -> dict | tuple | str | int:
         i = range(len(self))[i]
         record = {key: int(values[i]) if strings is None
                   else strings[values[i]]
                   for key, strings, values in self.fields}
+        if self.form != "dicts":
+            cells = tuple(record.values())
+            return cells if self.form == "object" else cells[0]
         if self.nested:
             key, strings, items, bounds = self.nested
             record[key] = list(map(strings.__getitem__,
@@ -140,25 +154,30 @@ class Records(Sequence):
 
     def json_chunks(self, newline: str) -> Iterator[str]:
         """The list as ``indent=2`` JSON that starts after ``newline``."""
+        opener, closer = "{}" if self.form == "object" else "[]"
         if not len(self):
-            yield "[]"
+            yield opener + closer
             return
         inner = newline + "  "
-        deep = inner + "  "
-        fields = [*self.fields, self.nested] if self.nested else self.fields
-        fields = sorted(fields, key=lambda field: field[0])
-        leads = [("," if i else "{") + deep + json.dumps(key) + ": "
-                 for i, (key, *_) in enumerate(fields)]
-        item, sep = deep + "  ", "," + inner
-        parts = self._render(fields, leads,
-                             ("[" + item, "," + item, deep + "]"),
-                             inner + "}" + sep, True)
-        yield "[" + inner
+        sep = "," + inner
+        if self.form == "dicts":
+            deep = inner + "  "
+            fields = [*self.fields, self.nested] if self.nested else self.fields
+            fields = sorted(fields, key=lambda field: field[0])
+            leads = [("," if i else "{") + deep + json.dumps(key) + ": "
+                     for i, (key, *_) in enumerate(fields)]
+            item = deep + "  "
+            parts = self._render(fields, leads,
+                                 ("[" + item, "," + item, deep + "]"),
+                                 inner + "}" + sep, True)
+        else:  # a value, or a key and its value, per row
+            parts = self._render(self.fields, ("", ": "), None, sep, True)
+        yield opener + inner
         part = next(parts)
         for following in parts:
             yield part
             part = following
-        yield part[:-len(sep)] + newline + "]"
+        yield part[:-len(sep)] + newline + closer
 
     def tsv_chunks(self) -> Iterator[str]:
         """The list as TSV lines, nested items joined by commas."""
@@ -188,9 +207,10 @@ class Records(Sequence):
                              _spread(1, last, count, fill=0))]
                 at = last
             else:
-                columns += [(text_table(lead), _spread(0, at, count)),
-                            _column(strings, values, at, count, tables,
-                                    escape)]
+                if lead:
+                    columns.append((text_table(lead), _spread(0, at, count)))
+                columns.append(_column(strings, values, at, count, tables,
+                                       escape))
         columns.append((text_table(close), _spread(0, last, count)))
         return render(columns, count)
 
@@ -207,13 +227,59 @@ def _spread(values, at, count: int, fill: int = -1):
 
 def _column(strings, values, at, count: int, tables: dict, escape: bool):
     """The cells of a field with ``values`` on the rows ``at``: digits, or
-    rows of its strings' byte table, built once per ``tables``."""
+    rows of its strings' byte table, built once per ``tables`` (a
+    :class:`LabelColumn` keeps its own)."""
     if strings is None:
         ids = np.arange(values.size, dtype=np.int32)
         return digit_table(values), _spread(ids, at, count)
+    if isinstance(strings, LabelColumn):
+        return strings.table(escape), _spread(values, at, count)
     if id(strings) not in tables:
         tables[id(strings)] = byte_table(strings, escape)
     return tables[id(strings)], _spread(values, at, count)
+
+
+class LabelColumn:
+    """A network's node labels as the list writers read them.
+
+    Item ``i`` is the label of node ``i``. The JSON-escaped table, the
+    plain one and the labels' string order are each built on first use and
+    kept, so one column serves every record of a command: ``alter`` passes
+    the column of its network to the records of the altered network too,
+    which keeps its labels. While the labels are the ids (``# nodes:``
+    files, generated networks) the tables hold the ids' digits and no label
+    string is built.
+    """
+
+    def __init__(self, net):
+        self.n = net.n
+        self.given = net._labels  # None: the labels are the ids
+        self._tables: dict[bool, Table] = {}
+
+    def __getitem__(self, i: int) -> str:
+        return str(i) if self.given is None else self.given[i]
+
+    def table(self, escape: bool) -> Table:
+        """The labels' table; with ``escape`` as ``json.dumps`` writes them."""
+        if escape not in self._tables:
+            self._tables[escape] = (
+                digit_table(np.arange(self.n), escape) if self.given is None
+                else byte_table(self.given, escape))
+        return self._tables[escape]
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """The node ids by the string order of their labels, the key order
+        of ``json.dumps(sort_keys=True)``."""
+        if self.given is not None:
+            return np.array(sorted(range(self.n), key=self.given.__getitem__),
+                            dtype=np.intp)
+        # the digits left-aligned to the longest id; the stable sort puts a
+        # shorter id first on ties, its prefix ("1" < "10" < "2")
+        scale = np.full(self.n, 10 ** (len(str(self.n - 1)) - 1))
+        for power in range(1, len(str(self.n - 1))):
+            scale[10 ** power:] //= 10
+        return np.argsort(np.arange(self.n) * scale, kind="stable")
 
 
 def _lists_members(net, include_members: bool | None) -> bool:
@@ -222,14 +288,14 @@ def _lists_members(net, include_members: bool | None) -> bool:
             else include_members)
 
 
-def _component_records(analysis: NetworkAnalysis,
-                       include_members: bool) -> Records:
+def _component_records(analysis: NetworkAnalysis, include_members: bool,
+                       labels: LabelColumn) -> Records:
     """``{"id", "size", "kind"[, "members"]}`` per component, by id; the
     members are labels by ascending id."""
     report = analysis.report
     nested = None
     if include_members:
-        nested = ("members", analysis.network.labels,
+        nested = ("members", labels,
                   np.argsort(report.comp_of, kind="stable"),
                   np.concatenate(([0], np.cumsum(report.sizes))))
     names = tuple(kind.value for kind in COMPONENT_KINDS)
@@ -239,7 +305,8 @@ def _component_records(analysis: NetworkAnalysis,
 
 
 def component_report_dict(analysis: NetworkAnalysis,
-                          include_members: bool | None = None) -> dict:
+                          include_members: bool | None = None,
+                          labels: LabelColumn | None = None) -> dict:
     net, report = analysis.network, analysis.report
     mis_size = analysis.input_set.size
     cc_max = report.cc_max
@@ -253,7 +320,8 @@ def component_report_dict(analysis: NetworkAnalysis,
         "component_count": report.component_count,
         "kind_counts": report.kind_counts(),
         "components": _component_records(
-            analysis, _lists_members(net, include_members)),
+            analysis, _lists_members(net, include_members),
+            labels or LabelColumn(net)),
         "cc_max": {
             "id": cc_max,
             "size": int(report.sizes[cc_max]),
@@ -264,10 +332,14 @@ def component_report_dict(analysis: NetworkAnalysis,
 
 
 def analysis_record(analysis: NetworkAnalysis,
-                    include_members: bool | None = None) -> dict:
+                    include_members: bool | None = None,
+                    labels: LabelColumn | None = None) -> dict:
+    """The record ``analyze`` prints; ``labels`` is the network's
+    :class:`LabelColumn`, made here when not given."""
     net = analysis.network
     include_members = _lists_members(net, include_members)
-    census = component_report_dict(analysis, include_members)
+    labels = labels or LabelColumn(net)
+    census = component_report_dict(analysis, include_members, labels)
     record = {
         "n": net.n,
         "l": net.edge_count,
@@ -286,22 +358,26 @@ def analysis_record(analysis: NetworkAnalysis,
         "components": census,
     }
     if include_members:
-        record["mis"]["members"] = list(map(
-            net.labels.__getitem__, analysis.input_set.tolist()))
-        record["node_classes"] = classes_dict(analysis)
+        record["mis"]["members"] = Records(
+            [("member", labels, analysis.input_set)], form="values")
+        record["node_classes"] = node_class_records(analysis, labels)
     return record
 
 
-def classes_dict(analysis: NetworkAnalysis) -> dict[str, str]:
-    """Node label -> class name."""
-    names = [c.value for c in NODE_CLASSES]
-    return dict(zip(analysis.network.labels,
-                    map(names.__getitem__, analysis.classes.tolist())))
+def node_class_records(analysis: NetworkAnalysis,
+                       labels: LabelColumn | None = None) -> Records:
+    """The JSON object node label -> class name, by label."""
+    labels = labels or LabelColumn(analysis.network)
+    names = tuple(c.value for c in NODE_CLASSES)
+    return Records([("node", labels, labels.order),
+                    ("class", names, analysis.classes[labels.order])],
+                   form="object")
 
 
 def _addition_records(plan: AlterationPlan, labels) -> Records:
     """``{"src", "dst", "reason"}`` per addition, in plan order. The label
-    table holds the plan's endpoints only, not every node's label."""
+    table holds the plan's endpoints only, not every node's label;
+    ``labels`` is the network's :class:`LabelColumn` or label tuple."""
     ends, index = np.unique(plan.additions, return_inverse=True)
     index = index.reshape(-1, 2)
     strings = list(map(labels.__getitem__, ends.tolist()))
@@ -377,7 +453,8 @@ def components_tsv(analysis: NetworkAnalysis,
     as in :func:`to_json`."""
     include_members = _lists_members(analysis.network, include_members)
     header = "# id\tsize\tkind" + ("\tmembers" if include_members else "")
-    rows = _component_records(analysis, include_members)
+    rows = _component_records(analysis, include_members,
+                              LabelColumn(analysis.network))
     return _deliver(chain([header + "\n"], rows.tsv_chunks()), write)
 
 
@@ -385,7 +462,7 @@ def classes_tsv(analysis: NetworkAnalysis) -> str:
     cells = tuple(f"{c.value}\t{'yes' if c.possible_input else 'no'}"
                   for c in NODE_CLASSES)
     net = analysis.network
-    rows = Records([("node", net.labels, np.arange(net.n)),
+    rows = Records([("node", LabelColumn(net), np.arange(net.n)),
                     ("class", cells, analysis.classes)])
     return "# node\tclass\tpossible_input\n" + "".join(rows.tsv_chunks())
 

@@ -82,24 +82,30 @@ def text_table(*texts: str) -> Table:
     return byte_table(texts)
 
 
-def digit_table(values: np.ndarray) -> Table:
-    """The table of nonnegative ints, in decimal.
+def digit_table(values: np.ndarray, quote: bool = False) -> Table:
+    """The table of nonnegative ints, in decimal; with ``quote`` each is
+    in double quotes, as ``json.dumps`` writes its decimal string.
 
     Each int takes the same pieces, its digits right-aligned in them: the
     padding in front of them is dropped like any other.
     """
     width = len(str(int(values.max(initial=0))))
-    span = -(-width // PIECE) * PIECE
+    span = -(-(width + 2 * quote) // PIECE) * PIECE
+    units = span - 1 - quote
     digits = np.full((values.size, span), PAD, dtype=np.uint8)
     rest = values.astype(np.int64)
     digit = np.empty_like(rest)
-    for col in range(span - 1, span - 1 - width, -1):  # units first
+    for col in range(units, units - width, -1):  # units first
         np.remainder(rest, 10, out=digit)
         digit += ord("0")
         digits[:, col] = digit
-        if col < span - 1:  # no leading zeros
+        if col < units:  # no leading zeros
             digits[rest == 0, col] = PAD
         rest //= 10
+    if quote:  # the opening quote just before each int's first digit
+        first = (digits[:, :units + 1] != PAD).argmax(axis=1)
+        digits[np.arange(values.size), first - 1] = ord('"')
+        digits[:, -1] = ord('"')
     count = np.full(values.size + 1, span // PIECE)
     count[-1] = 0
     return Table(digits.reshape(-1, PIECE), np.arange(values.size + 1)

@@ -415,10 +415,11 @@ def test_analyze_tsv_builds_no_member_lists(dilation_file, capsys,
     code, expected = run_cli(capsys, *argv)
     assert code == 0
 
-    def must_not_list(analysis):
-        raise AssertionError("built the per-node classes for the TSV")
+    def must_not_list(*args):
+        raise AssertionError("built a per-node list for the TSV")
 
-    monkeypatch.setattr(reports, "classes_dict", must_not_list)
+    monkeypatch.setattr(reports, "node_class_records", must_not_list)
+    monkeypatch.setattr(reports.LabelColumn, "table", must_not_list)
     assert run_cli(capsys, *argv) == (0, expected)
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import warnings
 from itertools import accumulate
@@ -644,7 +645,8 @@ def test_lines_end_at_newline_only(tmp_path):
         assert load_edge_list(fh).edge_count == 2
 
 
-def test_id_labels_are_built_on_first_read():
+def test_id_labels_are_built_on_first_read(tmp_path, monkeypatch, capsys):
+    from netcontrol import cli
     from netcontrol.generators import GenSpec, generate
     declared = load_edge_list("# nodes: 5\n0 1\n3 2\n")
     generated = generate(GenSpec(model="er", n=30, avg_degree=3, seed=1))
@@ -660,3 +662,25 @@ def test_id_labels_are_built_on_first_read():
         again = net.with_edges([(4, 0)])
         assert again._labels == ids and again == grown
         assert hash(again) == hash(grown)
+    # the records write the ids' digits: analyze --members and both steps
+    # of the alter benchmark, on a # nodes: file, build no label string
+    analysed = []
+    monkeypatch.setattr(cli, "analyze", lambda net, *args: analysed.append(
+        net) or analyze(net, *args))
+    base, sat = tmp_path / "base.txt", tmp_path / "sat.txt"
+    assert cli.main(["generate", "--model", "sf", "-n", "2000", "-k", "10",
+                     "--seed", "1", "-o", str(base)]) == 0
+    assert cli.main(["analyze", str(base), "--members"]) == 0
+    assert "node_classes" in capsys.readouterr().out
+    assert cli.main(["alter", str(base), "--component", "largest",
+                     "--to", "smc"]) == 0
+    step = json.loads(capsys.readouterr().out)
+    sat.write_text(base.read_text() + "".join(
+        f"{a['src']}\t{a['dst']}\n" for a in step["plan"]["additions"]))
+    assert cli.main(["alter", str(sat), "--component", "largest-smc",
+                     "--to", "ic", "--mode", "full"]) == 0
+    step = json.loads(capsys.readouterr().out)
+    assert step["goal_attained"] and step["plan"]["additions"]
+    assert "node_classes" in step["after"]
+    assert len(analysed) == 5
+    assert all(net._labels is None for net in analysed)

@@ -8,14 +8,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrol import (COMPONENT_KINDS, AlterationError, ComponentKind,
-                        DirectedNetwork, analyze, load_edge_list)
+from netcontrol import (COMPONENT_KINDS, NODE_CLASSES, AlterationError,
+                        ComponentKind, DirectedNetwork, analyze,
+                        load_edge_list)
 from netcontrol.alteration import (ic_to_smc, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
 from netcontrol.reports import (MEMBER_LIST_LIMIT, additions_tsv,
                                 analysis_record, component_report_dict,
                                 components_tsv, input_graph_dict,
-                                input_graph_tsv, plan_dict, to_json)
+                                input_graph_tsv, node_class_records,
+                                plan_dict, to_json)
 
 HOSTILE = ['"', '\\', '\\"', 'q"uote', 'back\\slash', 'ü', 'naïve', '日本',
            '\U0001f600', '\x00', '\x1f', '\x7f', '\n', '\r\n', '\t', '',
@@ -92,6 +94,25 @@ def _reference_components(analysis, members):
     return comps
 
 
+def _reference_classes(analysis):
+    names = [c.value for c in NODE_CLASSES]
+    return {analysis.network.labels[v]: names[c]
+            for v, c in enumerate(analysis.classes.tolist())}
+
+
+def _reference_record(analysis, record, members):
+    """``record`` with each list built a dict or a label per row."""
+    reference = {**record, "components": {
+        **record["components"],
+        "components": _reference_components(analysis, members)}}
+    if members:
+        labels = analysis.network.labels
+        reference["mis"] = {**record["mis"], "members": [
+            labels[v] for v in analysis.input_set.tolist()]}
+        reference["node_classes"] = _reference_classes(analysis)
+    return reference
+
+
 def _reference_input_graph_rows(ig):
     redundant = np.arange(ig.edge_count) >= ig.possible_edge_count
     order = np.lexsort((ig.dst, ig.src, redundant))
@@ -130,10 +151,13 @@ def test_list_outputs_match_the_per_row_references():
         for members in (True, False, None):
             listed = net.n <= MEMBER_LIST_LIMIT if members is None else members
             record = analysis_record(analysis, members)
-            reference = {**record, "components": {
-                **record["components"],
-                "components": _reference_components(analysis, listed)}}
+            reference = _reference_record(analysis, record, listed)
             assert to_json(record) == _reference(reference)
+            if listed:  # the records index like the lists they write
+                assert list(record["mis"]["members"]) == reference["mis"][
+                    "members"]
+                assert dict(record["node_classes"]) == reference[
+                    "node_classes"]
             chunks = []  # the command line's way: chunks as they are made
             assert to_json(record, chunks.append) is None
             assert "".join(chunks) == _reference(reference)
@@ -146,6 +170,8 @@ def test_list_outputs_match_the_per_row_references():
                 for c in reference["components"]["components"]]
             assert components_tsv(analysis, members) == "\n".join(
                 lines) + "\n"
+        assert to_json(node_class_records(analysis)) == _reference(
+            _reference_classes(analysis))
         rows = _reference_input_graph_rows(analysis.input_graph)
         lines = ["# from\tto\twitness\tphase", *map("\t".join, rows)]
         assert input_graph_tsv(analysis.input_graph) == "\n".join(
