@@ -148,6 +148,8 @@ def test_list_outputs_match_the_per_row_references():
     cases = 0
     for net in _hostile_networks():
         analysis = analyze(net)
+        # True first: the references read the labels, and until then the
+        # # nodes: network's records are written from its ids' digits
         for members in (True, False, None):
             listed = net.n <= MEMBER_LIST_LIMIT if members is None else members
             record = analysis_record(analysis, members)
