@@ -252,18 +252,17 @@ def _cmd_alter(args):
     after = analyze(apply_plan(net, plan), args.seed, plan.matching_after)
     plan = alteration_report(before, after, plan)
 
-    labels = reports.LabelColumn(net)  # the altered network's labels too
     payload = {
-        "plan": reports.plan_dict(plan, labels),
+        "plan": reports.plan_dict(plan, net.label_column),
         "goal_attained": plan_attains_goal(plan, after),
-        "before": reports.analysis_record(before, labels=labels),
-        "after": reports.analysis_record(after, labels=labels),
+        "before": reports.analysis_record(before),
+        "after": reports.analysis_record(after),
     }
     if not paths:
         return payload
     plan_file = {**payload["plan"], "goal_attained": payload["goal_attained"]}
     for path, text in zip(paths, (
-            plan_file, reports.additions_tsv(plan, labels),
+            plan_file, reports.additions_tsv(plan, net.label_column),
             payload["before"], payload["after"])):
         _emit(text, path)
     return None
@@ -284,14 +283,16 @@ def _cmd_exchange(args):
                 f"node {args.node} has no in-edge and is in every input set")
         via = int(candidates[0])
     result = exchange(net, m, node, via)
-    labels = net.labels
+    labels = net.label_column
     return {
         "node": labels[node],
         "via": labels[via],
         "replaced": labels[result.replaced],
-        "mis_before": [labels[v] for v in input_nodes(m).tolist()],
-        "mis_after": [labels[v]
-                      for v in input_nodes(result.matching).tolist()],
+        "mis_before": reports.Records(
+            [("member", labels, input_nodes(m))], form="values"),
+        "mis_after": reports.Records(
+            [("member", labels, input_nodes(result.matching))],
+            form="values"),
         "matching_size": result.matching.size,
     }
 
@@ -303,7 +304,7 @@ def _cmd_oracle_check(args):
     truth = exhaustive_classes(net, enum)
     analysis = analyze(net, args.seed)
     diffs = [
-        {"node": net.labels[v], "oracle": NODE_CLASSES[truth[v]].value,
+        {"node": net.label_column[v], "oracle": NODE_CLASSES[truth[v]].value,
          "pipeline": NODE_CLASSES[analysis.classes[v]].value}
         for v in np.flatnonzero(truth != analysis.classes).tolist()
     ]

@@ -214,7 +214,7 @@ def exchange(net: DirectedNetwork, m: Matching, node: NodeId,
     ``via`` to ``node``, so ``b`` replaces ``node`` in the input set. The new
     matching has the same size and is again maximum; ``m`` is left as is.
     """
-    labels = net.labels
+    labels = net.label_column
     if m.match_in[node] >= 0:
         raise ExchangeError(f"node {labels[node]} is not an input node")
     if not net.has_edge(via, node):

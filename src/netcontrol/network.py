@@ -3,8 +3,9 @@
 Networks are simple digraphs over dense integer node ids ``0..N-1``. Ids are
 assigned in first-appearance order when parsing (under a ``# nodes: N``
 header each label is its id), so a given edge list always produces the same
-id assignment. The original string labels are kept for output. Duplicate
-edges are collapsed (and counted); self-loops are stored and counted by
+id assignment. A network's labels are its :class:`LabelColumn`, which every
+writer and every label lookup reads. Duplicate edges are collapsed (and
+counted); self-loops are stored and counted by
 :meth:`DirectedNetwork.self_loop_count`.
 
 The edge set is stored once, as sorted compressed sparse rows (int32 ids,
@@ -12,12 +13,11 @@ int64 offsets) in both directions, which every stage of the analysis reads.
 The file is read in raw character chunks cut at line ends. Integer labels
 are read by a numpy tokenizer over the chunk's bytes; other labels are split
 and interned as strings. A network whose labels are its ids (``# nodes:``
-files, generated networks) builds no label strings unless they are read.
+files, generated networks) builds no label strings unless they are read:
+its column writes the ids' digits and parses a label to look it up.
 On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.1 s with
 its ``# nodes:`` header, 0.3 s without it and 0.7-0.8 s with string labels;
-the constructor is 0.025-0.03 s of each. Writing it back takes about
-0.03 s: an id-labelled network writes its ids from a table of their
-digits and builds no label strings.
+the constructor is 0.025-0.03 s of each, and writing it back about 0.03 s.
 
 The constructor sorts one int64 key per edge in place, once per
 direction, and beside its input holds at most that buffer and two int32
@@ -28,6 +28,7 @@ builds. On that network it peaks 10.5 MB above its int32 input for a
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 import warnings
@@ -36,7 +37,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import EdgeListParseError
-from .textrows import byte_table, digit_table, render
+from .textrows import Table, byte_table, digit_table, render
 
 NodeId = int
 
@@ -47,6 +48,12 @@ NodeId = int
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*0*(\d+)\s*$")
 MAX_DECLARED_NODES = 10 ** 7  # bounds the nodes a header makes before any edge
 _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
+
+
+def _is_id(tok: str, n: int) -> bool:
+    """Whether ``tok`` is an id below ``n`` in ASCII digits, no leading 0."""
+    return (tok.isascii() and tok.isdigit() and (tok[0] != "0" or tok == "0")
+            and len(tok) <= len(str(n)) and int(tok) < n)
 
 
 def _remainder(keys: np.ndarray, n: int) -> np.ndarray:
@@ -103,30 +110,88 @@ def reach(ptr: np.ndarray, idx: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return seen
 
 
+class LabelColumn:
+    """A network's node labels, as every writer and lookup reads them.
+
+    Item ``i`` is the label of node ``i``. ``given`` is the label tuple, or
+    None while the labels are the ids (``# nodes:`` files, generated
+    networks): the tables then hold the ids' digits, :meth:`id_of` parses a
+    label, and no label string is built until :attr:`labels` is read. The
+    JSON-escaped and plain tables, the string order and the index are each
+    built once, on first use; ``with_edges`` hands the column on, so every
+    record of a command shares them.
+    """
+
+    def __init__(self, n: int, given: tuple[str, ...] | None = None):
+        self.n = n
+        self.given = given
+        self._tables: dict[bool, Table] = {}
+
+    def __getitem__(self, i: int) -> str:
+        return str(i) if self.given is None else self.given[i]
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every label, by id."""
+        return self.given or tuple(map(str, range(self.n)))
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:  # empty while the labels are ids
+        return dict(zip(self.given or (), range(self.n)))
+
+    def id_of(self, label: str) -> int:
+        """Id of ``label``; KeyError when no node has it."""
+        if self.given is None and _is_id(label, self.n):
+            return int(label)
+        return self._index[label]
+
+    def table(self, escape: bool) -> Table:
+        """The labels' table; with ``escape`` as ``json.dumps`` writes them."""
+        if escape not in self._tables:
+            self._tables[escape] = (
+                digit_table(np.arange(self.n), escape) if self.given is None
+                else byte_table(self.given, escape))
+        return self._tables[escape]
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """The node ids by the string order of their labels, the key order
+        of ``json.dumps(sort_keys=True)``."""
+        if self.given is not None:
+            return np.array(sorted(range(self.n), key=self.given.__getitem__),
+                            dtype=np.intp)
+        # the digits left-aligned to the longest id; the stable sort puts a
+        # shorter id first on ties, its prefix ("1" < "10" < "2")
+        scale = np.full(self.n, 10 ** (len(str(self.n - 1)) - 1))
+        for power in range(1, len(str(self.n - 1))):
+            scale[10 ** power:] //= 10
+        return np.argsort(np.arange(self.n) * scale, kind="stable")
+
+
 class DirectedNetwork:
-    """Immutable simple directed graph with a label table.
+    """Immutable simple directed graph with a label column.
 
     Attributes
     ----------
     n : int
         Number of nodes.
-    labels : tuple[str]
-        Original label of each node, indexed by id.
+    label_column : LabelColumn
+        The node labels, by id, and their tables and index.
     out_ptr, out_idx, in_ptr, in_idx : numpy.ndarray
         Sorted, duplicate-free adjacency as CSR arrays in both directions.
     duplicates_collapsed : int
         Repeated input edges dropped here, the one place that deduplicates.
     """
 
-    __slots__ = ("n", "_labels", "out_ptr", "out_idx", "in_ptr", "in_idx",
-                 "duplicates_collapsed", "_label_to_id")
+    __slots__ = ("n", "label_column", "out_ptr", "out_idx", "in_ptr",
+                 "in_idx", "duplicates_collapsed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                  labels: Iterable[str] | None = None):
         """Build from ``edges``, a sequence of pairs or an ``(L, 2)`` array.
 
-        Without ``labels`` each node's label is its id in decimal; that
-        table is built on the first read of :attr:`labels`.
+        Without ``labels`` each node's label is its id in decimal; the
+        label strings are built on the first read of :attr:`labels`.
         """
         self.n = n
         pairs = np.asarray(edges if hasattr(edges, "__len__") else list(edges))
@@ -162,14 +227,13 @@ class DirectedNetwork:
         keys.sort()
         self.in_ptr = keys.searchsorted(row_starts)
         self.in_idx = _remainder(keys, n)
-        self._labels = None
         if labels is not None:
-            self._labels = tuple(map(str, labels))
-            if len(self._labels) != n:
+            labels = tuple(map(str, labels))
+            if len(labels) != n:
                 raise ValueError("label table size does not match node count")
-            if len(set(self._labels)) != n:
+            if len(set(labels)) != n:
                 raise ValueError("duplicate labels in label table")
-        self._label_to_id = None  # built by id_of
+        self.label_column = LabelColumn(n, labels)
 
     @classmethod
     def disjoint_union(cls, nets: list["DirectedNetwork"]) -> "DirectedNetwork":
@@ -195,15 +259,13 @@ class DirectedNetwork:
         union.in_ptr, union.in_idx = joined([g.in_ptr for g in nets],
                                             [g.in_idx for g in nets])
         union.duplicates_collapsed = sum(g.duplicates_collapsed for g in nets)
-        union._labels = union._label_to_id = None
+        union.label_column = LabelColumn(union.n)
         return union
 
     @property
     def labels(self) -> tuple[str, ...]:
         """Label of each node, by id; the decimal ids if none were given."""
-        if self._labels is None:
-            self._labels = tuple(map(str, range(self.n)))
-        return self._labels
+        return self.label_column.labels
 
     def edge_sources(self) -> np.ndarray:
         """Source id of each edge, aligned with ``out_idx``."""
@@ -237,13 +299,11 @@ class DirectedNetwork:
         return int(np.count_nonzero(self.edge_sources() == self.out_idx))
 
     def id_of(self, label: str) -> NodeId:
-        """Id of ``label``; the label table is indexed on the first call."""
-        if self._label_to_id is None:
-            self._label_to_id = dict(zip(self.labels, range(self.n)))
-        return self._label_to_id[label]
+        """Id of ``label``; given labels are indexed on the first call."""
+        return self.label_column.id_of(label)
 
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
-        """Return a new network with the given edges added."""
+        """This network plus ``additions``, sharing its label column."""
         extra = np.asarray(list(additions), dtype=np.int64).reshape(-1, 2)
         # out-of-range pairs are left for the constructor to report
         inside = ((extra >= 0) & (extra < self.n)).all(axis=1)
@@ -252,8 +312,9 @@ class DirectedNetwork:
             u, v = extra[present[0]].tolist()
             raise ValueError(f"edge ({u}, {v}) already present")
         pairs = np.column_stack((self.edge_sources(), self.out_idx))
-        return DirectedNetwork(self.n, np.concatenate((pairs, extra)),
-                               self._labels)
+        grown = DirectedNetwork(self.n, np.concatenate((pairs, extra)))
+        grown.label_column = self.label_column
+        return grown
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedNetwork):
@@ -264,7 +325,7 @@ class DirectedNetwork:
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self.edge_count, self.labels))
+        return hash((self.n, self.edge_count))
 
     def __repr__(self) -> str:
         return f"DirectedNetwork(n={self.n}, edges={self.edge_count})"
@@ -419,11 +480,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
             if declared_n is None:
                 ids += [intern(tok, len(label_to_id)) for tok in tokens]
                 continue
-            for tok in tokens:  # a canonical decimal in [0, declared_n)
-                if not (tok.isascii() and tok.isdigit()
-                        and (tok[0] != "0" or tok == "0")
-                        and len(tok) <= len(str(declared_n))
-                        and int(tok) < declared_n):
+            for tok in tokens:
+                if not _is_id(tok, declared_n):
                     raise EdgeListParseError(
                         f"label {tok!r} outside declared node range "
                         f"0..{declared_n - 1}", lineno)
@@ -501,12 +559,9 @@ def write_edge_list(net: DirectedNetwork) -> str:
     nodes; pair the output with a ``# nodes: N`` directive to preserve
     isolated nodes as well.
 
-    The lines are written by :func:`~netcontrol.textrows.render` from one
-    label table: the ids in decimal while the labels are the ids, so no
-    label string is built, and the labels' bytes once they were given or
-    read.
+    The lines are written by :func:`~netcontrol.textrows.render` from the
+    plain table of the network's :class:`LabelColumn`.
     """
-    table = (digit_table(np.arange(net.n)) if net._labels is None
-             else byte_table(net.labels))
+    table = net.label_column.table(False)
     return "".join(render([(table, net.edge_sources()), "\t",
                            (table, net.out_idx), "\n"], net.edge_count))

@@ -7,17 +7,15 @@ JSON is dumped with sorted keys so equal inputs give byte-equal output.
 Every list that grows with the network (the components of a record, with
 or without members, the input set, the node classes, the adjacency edges
 and a plan's additions) is :class:`Records`: one array per field, written
-by :mod:`~netcontrol.textrows` with no Python object per row. Node labels
-come from a network's :class:`LabelColumn`, whose tables are built once
-and shared by every record of a command. Given a ``write`` function,
-:func:`to_json`, :func:`components_tsv` and :func:`input_graph_tsv` pass
-it their text in chunks as it is made, which is how the command line
-writes them.
+by :mod:`~netcontrol.textrows` with no Python object per row, its labels
+read through the network's :class:`~netcontrol.network.LabelColumn`.
+Given a ``write`` function, :func:`to_json`, :func:`components_tsv` and
+:func:`input_graph_tsv` pass it their text in chunks as it is made, which
+is how the command line writes them.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
@@ -28,8 +26,9 @@ import numpy as np
 from .alteration import AlterationPlan
 from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
+from .network import LabelColumn
 from .pipeline import NetworkAnalysis
-from .textrows import Table, byte_table, digit_table, render, text_table
+from .textrows import byte_table, digit_table, render, text_table
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
 
@@ -194,23 +193,21 @@ class Records(Sequence):
         each record.
         """
         count, first, last = self._rows()
-        columns, tables = [], {}
+        columns = []
         at = first
         for (_, strings, values, *bounds), lead in zip(fields, leads):
             if bounds:  # an item per row
                 opening, between, end = list_texts
                 columns += [(text_table(lead + opening),
                              _spread(0, first, count)),
-                            _column(strings, values, None, count, tables,
-                                    escape),
+                            _column(strings, values, None, count, escape),
                             (text_table(between, end),
                              _spread(1, last, count, fill=0))]
                 at = last
             else:
                 if lead:
                     columns.append((text_table(lead), _spread(0, at, count)))
-                columns.append(_column(strings, values, at, count, tables,
-                                       escape))
+                columns.append(_column(strings, values, at, count, escape))
         columns.append((text_table(close), _spread(0, last, count)))
         return render(columns, count)
 
@@ -225,61 +222,16 @@ def _spread(values, at, count: int, fill: int = -1):
     return rows
 
 
-def _column(strings, values, at, count: int, tables: dict, escape: bool):
+def _column(strings, values, at, count: int, escape: bool):
     """The cells of a field with ``values`` on the rows ``at``: digits, or
-    rows of its strings' byte table, built once per ``tables`` (a
-    :class:`LabelColumn` keeps its own)."""
+    rows of its strings' byte table (a :class:`LabelColumn` keeps its
+    own)."""
     if strings is None:
         ids = np.arange(values.size, dtype=np.int32)
         return digit_table(values), _spread(ids, at, count)
-    if isinstance(strings, LabelColumn):
-        return strings.table(escape), _spread(values, at, count)
-    if id(strings) not in tables:
-        tables[id(strings)] = byte_table(strings, escape)
-    return tables[id(strings)], _spread(values, at, count)
-
-
-class LabelColumn:
-    """A network's node labels as the list writers read them.
-
-    Item ``i`` is the label of node ``i``. The JSON-escaped table, the
-    plain one and the labels' string order are each built on first use and
-    kept, so one column serves every record of a command: ``alter`` passes
-    the column of its network to the records of the altered network too,
-    which keeps its labels. While the labels are the ids (``# nodes:``
-    files, generated networks) the tables hold the ids' digits and no label
-    string is built.
-    """
-
-    def __init__(self, net):
-        self.n = net.n
-        self.given = net._labels  # None: the labels are the ids
-        self._tables: dict[bool, Table] = {}
-
-    def __getitem__(self, i: int) -> str:
-        return str(i) if self.given is None else self.given[i]
-
-    def table(self, escape: bool) -> Table:
-        """The labels' table; with ``escape`` as ``json.dumps`` writes them."""
-        if escape not in self._tables:
-            self._tables[escape] = (
-                digit_table(np.arange(self.n), escape) if self.given is None
-                else byte_table(self.given, escape))
-        return self._tables[escape]
-
-    @functools.cached_property
-    def order(self) -> np.ndarray:
-        """The node ids by the string order of their labels, the key order
-        of ``json.dumps(sort_keys=True)``."""
-        if self.given is not None:
-            return np.array(sorted(range(self.n), key=self.given.__getitem__),
-                            dtype=np.intp)
-        # the digits left-aligned to the longest id; the stable sort puts a
-        # shorter id first on ties, its prefix ("1" < "10" < "2")
-        scale = np.full(self.n, 10 ** (len(str(self.n - 1)) - 1))
-        for power in range(1, len(str(self.n - 1))):
-            scale[10 ** power:] //= 10
-        return np.argsort(np.arange(self.n) * scale, kind="stable")
+    table = (strings.table(escape) if isinstance(strings, LabelColumn)
+             else byte_table(strings, escape))
+    return table, _spread(values, at, count)
 
 
 def _lists_members(net, include_members: bool | None) -> bool:
@@ -288,14 +240,14 @@ def _lists_members(net, include_members: bool | None) -> bool:
             else include_members)
 
 
-def _component_records(analysis: NetworkAnalysis, include_members: bool,
-                       labels: LabelColumn) -> Records:
+def _component_records(analysis: NetworkAnalysis,
+                       include_members: bool | None) -> Records:
     """``{"id", "size", "kind"[, "members"]}`` per component, by id; the
     members are labels by ascending id."""
     report = analysis.report
     nested = None
-    if include_members:
-        nested = ("members", labels,
+    if _lists_members(analysis.network, include_members):
+        nested = ("members", analysis.network.label_column,
                   np.argsort(report.comp_of, kind="stable"),
                   np.concatenate(([0], np.cumsum(report.sizes))))
     names = tuple(kind.value for kind in COMPONENT_KINDS)
@@ -305,8 +257,7 @@ def _component_records(analysis: NetworkAnalysis, include_members: bool,
 
 
 def component_report_dict(analysis: NetworkAnalysis,
-                          include_members: bool | None = None,
-                          labels: LabelColumn | None = None) -> dict:
+                          include_members: bool | None = None) -> dict:
     net, report = analysis.network, analysis.report
     mis_size = analysis.input_set.size
     cc_max = report.cc_max
@@ -319,9 +270,7 @@ def component_report_dict(analysis: NetworkAnalysis,
         "perfectly_matched": mis_size == 0,
         "component_count": report.component_count,
         "kind_counts": report.kind_counts(),
-        "components": _component_records(
-            analysis, _lists_members(net, include_members),
-            labels or LabelColumn(net)),
+        "components": _component_records(analysis, include_members),
         "cc_max": {
             "id": cc_max,
             "size": int(report.sizes[cc_max]),
@@ -332,14 +281,11 @@ def component_report_dict(analysis: NetworkAnalysis,
 
 
 def analysis_record(analysis: NetworkAnalysis,
-                    include_members: bool | None = None,
-                    labels: LabelColumn | None = None) -> dict:
-    """The record ``analyze`` prints; ``labels`` is the network's
-    :class:`LabelColumn`, made here when not given."""
+                    include_members: bool | None = None) -> dict:
+    """The record ``analyze`` prints."""
     net = analysis.network
     include_members = _lists_members(net, include_members)
-    labels = labels or LabelColumn(net)
-    census = component_report_dict(analysis, include_members, labels)
+    census = component_report_dict(analysis, include_members)
     record = {
         "n": net.n,
         "l": net.edge_count,
@@ -359,15 +305,14 @@ def analysis_record(analysis: NetworkAnalysis,
     }
     if include_members:
         record["mis"]["members"] = Records(
-            [("member", labels, analysis.input_set)], form="values")
-        record["node_classes"] = node_class_records(analysis, labels)
+            [("member", net.label_column, analysis.input_set)], form="values")
+        record["node_classes"] = node_class_records(analysis)
     return record
 
 
-def node_class_records(analysis: NetworkAnalysis,
-                       labels: LabelColumn | None = None) -> Records:
+def node_class_records(analysis: NetworkAnalysis) -> Records:
     """The JSON object node label -> class name, by label."""
-    labels = labels or LabelColumn(analysis.network)
+    labels = analysis.network.label_column
     names = tuple(c.value for c in NODE_CLASSES)
     return Records([("node", labels, labels.order),
                     ("class", names, analysis.classes[labels.order])],
@@ -376,11 +321,12 @@ def node_class_records(analysis: NetworkAnalysis,
 
 def _addition_records(plan: AlterationPlan, labels) -> Records:
     """``{"src", "dst", "reason"}`` per addition, in plan order. The label
-    table holds the plan's endpoints only, not every node's label;
+    column holds the plan's endpoints only, not every node's label;
     ``labels`` is the network's :class:`LabelColumn` or label tuple."""
     ends, index = np.unique(plan.additions, return_inverse=True)
     index = index.reshape(-1, 2)
-    strings = list(map(labels.__getitem__, ends.tolist()))
+    strings = LabelColumn(ends.size, tuple(map(labels.__getitem__,
+                                               ends.tolist())))
     return Records([("src", strings, index[:, 0]),
                     ("dst", strings, index[:, 1]),
                     ("reason", (plan.reason,),
@@ -424,7 +370,7 @@ def _input_graph_order(ig: InputGraph) -> np.ndarray:
 def input_graph_tsv(ig: InputGraph, write=None) -> str | None:
     """The adjacency edges as TSV lines; ``write`` as in :func:`to_json`."""
     order = _input_graph_order(ig)
-    labels = ig.network.labels
+    labels = ig.network.label_column
     phase = np.arange(ig.edge_count) >= ig.possible_edge_count
     rows = Records([("src", labels, ig.src[order]),
                     ("dst", labels, ig.dst[order]),
@@ -437,9 +383,8 @@ def input_graph_tsv(ig: InputGraph, write=None) -> str | None:
 def input_graph_dict(ig: InputGraph) -> dict[str, Records]:
     """``{"Di": [...], "Dr": [...]}`` of ``{"src", "dst", "witness"}``."""
     order = _input_graph_order(ig)
-    labels = ig.network.labels
     split = ig.possible_edge_count
-    return {phase: Records([(key, labels, column[part])
+    return {phase: Records([(key, ig.network.label_column, column[part])
                             for key, column in (("src", ig.src),
                                                 ("dst", ig.dst),
                                                 ("witness", ig.witness))])
@@ -453,8 +398,7 @@ def components_tsv(analysis: NetworkAnalysis,
     as in :func:`to_json`."""
     include_members = _lists_members(analysis.network, include_members)
     header = "# id\tsize\tkind" + ("\tmembers" if include_members else "")
-    rows = _component_records(analysis, include_members,
-                              LabelColumn(analysis.network))
+    rows = _component_records(analysis, include_members)
     return _deliver(chain([header + "\n"], rows.tsv_chunks()), write)
 
 
@@ -462,7 +406,7 @@ def classes_tsv(analysis: NetworkAnalysis) -> str:
     cells = tuple(f"{c.value}\t{'yes' if c.possible_input else 'no'}"
                   for c in NODE_CLASSES)
     net = analysis.network
-    rows = Records([("node", LabelColumn(net), np.arange(net.n)),
+    rows = Records([("node", net.label_column, np.arange(net.n)),
                     ("class", cells, analysis.classes)])
     return "# node\tclass\tpossible_input\n" + "".join(rows.tsv_chunks())
 

@@ -423,6 +423,37 @@ def test_analyze_tsv_builds_no_member_lists(dilation_file, capsys,
     assert run_cli(capsys, *argv) == (0, expected)
 
 
+def test_id_labelled_outputs_build_no_label_string(tmp_path, capsys,
+                                                   monkeypatch):
+    # on a # nodes: file the writers take the ids' digits from the label
+    # column, and --node and --via are parsed: no label string is built
+    from netcontrol.network import LabelColumn
+
+    path = tmp_path / "ids.txt"
+    path.write_text("# nodes: 12\n0 1\n0 2\n1 3\n2 10\n10 11\n",
+                    encoding="utf-8")
+    argvs = [("inputgraph", path), ("inputgraph", path, "--format", "json"),
+             ("exchange", path, "--node", "2", "--via", "0"),
+             ("exchange", path, "--node", "4"),
+             ("exchange", path, "--node", "1"),
+             ("exchange", path, "--node", "02")]
+
+    def outcomes():
+        for argv in argvs:
+            code = main(list(map(str, argv)))
+            out, err = capsys.readouterr()
+            yield code, out, err.splitlines()[0] if code else ""
+
+    expected = list(outcomes())
+    assert [code for code, *_ in expected] == [0, 0, 0, 3, 3, 2]
+
+    def must_not_build(self):
+        raise AssertionError("built the label strings")
+
+    monkeypatch.setattr(LabelColumn, "labels", property(must_not_build))
+    assert list(outcomes()) == expected
+
+
 def test_internal_error_exits_5(dilation_file, capsys, monkeypatch):
     from netcontrol import InternalInvariantError
 

@@ -116,7 +116,8 @@ def test_record_with_member_lists_peaks_within_six_times_its_text():
                                         seed=7)))
     peak, text = traced(lambda a: to_json(analysis_record(a, True)), analysis)
     assert peak <= 6 * len(text)
-    assert analysis.network._labels is None
+    column = analysis.network.label_column
+    assert column.given is None and "labels" not in vars(column)
 
 
 def test_input_graph_tsv_peaks_within_two_and_a_quarter_the_csr_and_text(er):

@@ -457,8 +457,9 @@ def test_constructor_names_the_first_pair_out_of_range(dtype):
 
 def test_label_index_is_built_on_first_lookup():
     net = load_edge_list("b c\na b\n")
-    assert net._label_to_id is None
+    assert "_index" not in vars(net.label_column)
     assert [net.id_of(lab) for lab in ("b", "c", "a")] == [0, 1, 2]
+    assert net.label_column._index == {"b": 0, "c": 1, "a": 2}
     with pytest.raises(KeyError):
         net.id_of("d")
     with pytest.raises(ValueError, match="duplicate labels"):
@@ -651,16 +652,23 @@ def test_id_labels_are_built_on_first_read(tmp_path, monkeypatch, capsys):
     declared = load_edge_list("# nodes: 5\n0 1\n3 2\n")
     generated = generate(GenSpec(model="er", n=30, avg_degree=3, seed=1))
     for net in (declared, generated):
-        assert net._labels is None
+        column = net.label_column
+        assert column.given is None
         ids = tuple(map(str, range(net.n)))
         explicit = DirectedNetwork(net.n, edge_pairs(net), ids)
         grown = net.with_edges([(4, 0)])
-        assert grown._labels is None and grown.has_edge(4, 0)
-        assert net.id_of("4") == 4 and net._labels == ids
-        assert net == explicit and hash(net) == hash(explicit)
-        assert net.labels == ids and net.id_of("0") == 0
+        assert grown.label_column is column and grown.has_edge(4, 0)
+        # an id label is parsed, with the loader's rule, not looked up
+        assert net.id_of("4") == 4 and net.id_of("0") == 0
+        for label in ("04", "-1", "+1", "\u0664", str(net.n)):
+            with pytest.raises(KeyError):
+                net.id_of(label)
+        assert hash(net) == hash(explicit)
+        assert "labels" not in vars(column)
+        assert net == explicit and net.labels == ids
+        assert vars(column)["labels"] == ids
         again = net.with_edges([(4, 0)])
-        assert again._labels == ids and again == grown
+        assert again.label_column is column and again == grown
         assert hash(again) == hash(grown)
     # the records write the ids' digits: analyze --members and both steps
     # of the alter benchmark, on a # nodes: file, build no label string
@@ -683,4 +691,4 @@ def test_id_labels_are_built_on_first_read(tmp_path, monkeypatch, capsys):
     assert step["goal_attained"] and step["plan"]["additions"]
     assert "node_classes" in step["after"]
     assert len(analysed) == 5
-    assert all(net._labels is None for net in analysed)
+    assert all("labels" not in vars(net.label_column) for net in analysed)

@@ -95,3 +95,14 @@ def test_every_exit_code_is_documented():
         for name, value in codes.items():  # "2 unreadable", "`2` unreadable"
             assert re.search(rf"(?<![\w^]){value}`? [a-z]", listed), name
         assert "not enough memory" in listed
+
+
+def test_only_the_network_module_reads_the_label_state():
+    # A network's labels live in its label column; every other module reads
+    # them through it, so no second copy of the labels drifts back in.
+    src = Path(__file__).resolve().parents[1] / "src" / "netcontrol"
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if path.name != "network.py" and re.search(
+                         r"\.(labels|_labels|_label_to_id)\b",
+                         path.read_text(encoding="utf-8")))
+    assert readers == []
