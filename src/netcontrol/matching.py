@@ -9,8 +9,8 @@ unmatched copy; the input and unsaturated nodes are their -1 entries.
 
 :func:`maximum_matching` works on CSR arrays in phases of one breadth-first
 search from all free out-copies at once. Each BFS level is one round of
-numpy calls over the level's edges, so a phase costs O(L) array work plus a
-fixed Python overhead per level.
+numpy calls over the level's edges, or a Python loop over them when they
+are few, so a phase costs O(L) and a thin level no fixed numpy overhead.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ class Matching:
         return f"Matching(size={self.size})"
 
 
+# Below these sizes a search level (edges gathered) or a flip round (paths
+# still flipping) costs less as a Python loop than as a round of numpy calls.
+_THIN_LEVEL = 96
+_THIN_FLIP = 12
+
+
 @dataclass(frozen=True)
 class ExchangeResult:
     matching: Matching
@@ -72,7 +78,7 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     """Maximum matching of the bipartite split by multi-source BFS phases.
 
     Each phase grows one breadth-first alternating forest from every free
-    out-copy at once, one numpy round per level. An in-copy joins the tree
+    out-copy at once, one level at a time. An in-copy joins the tree
     of the first out-copy to claim it, so trees are disjoint; a tree that
     reaches a free in-copy stops growing and contributes one augmenting
     path. All paths of a phase are flipped together. A phase that reaches
@@ -88,16 +94,23 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     gathered by index, which here is about three times cheaper per element
     than a boolean mask.
 
-    Cost: each phase gathers each reached out-copy's edges once, O(L), in
-    one round of numpy calls per BFS level, written with ndarray methods
-    (``take``, ``repeat``, ``nonzero``), whose call overhead on the small
-    arrays of deep levels is below that of the module functions and of
-    fancy indexing. On ER N=10^5, k=10 (generator seed 3) that is 133
-    levels, about 0.08-0.10 s in-process on a 2.0 GHz Xeon. Graphs whose
-    augmenting paths are long pay the per-level overhead (about 50 us)
-    per step instead: the reversed double chain ``u -> N-1-u``,
-    ``u -> N-2-u`` at N=10^5, whose last augmenting path runs through the
-    whole graph, takes about 5 s. No benchmark workload has such paths.
+    Cost: each phase gathers each reached out-copy's edges once, O(L). A
+    level whose frontier rows hold more than 96 edges is one round of numpy
+    calls, written with ndarray methods (``take``, ``repeat``,
+    ``nonzero``), whose call overhead is below that of the module functions
+    and of fancy indexing; a round costs some tens of microseconds however
+    few edges it holds. A thinner level is walked in Python over
+    memoryviews instead, at under a microsecond per edge: claims go in the
+    same frontier, then adjacency, order, all at the level's first rank,
+    which no later level undercuts, and each tree's first free claim ends
+    it. Flips go the same way: one numpy round per path step while more
+    than 12 paths are left, then the rest one at a time in Python. On ER
+    N=10^5, k=10 (generator seed 3) that is 106 numpy levels and 27 thin
+    ones, about 0.06-0.08 s in-process on a 2.0 GHz Xeon; on SF N=6000,
+    k=10 (seed 1) 129 and 54, about 7-8 ms. The reversed double chain
+    ``u -> N-1-u``, ``u -> N-2-u`` at N=10^5, whose last augmenting path
+    runs through the whole graph one or two edges per level, takes about
+    0.12 s; with a numpy round per level it took 2.1-5 s.
 
     The first phase, whose one level reaches every edge, is taken in
     closed form from the in-rows in O(N): each in-copy is claimed by its
@@ -141,6 +154,10 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
     # below L; L itself marks an in-copy not yet claimed.
     unclaimed = indices.size
     owner = np.empty(n, dtype=np.int32 if unclaimed < 2 ** 31 else np.intp)
+    # The scalar walks read and write the same arrays through memoryviews.
+    ptr_, idx_, match_out_, match_in_, parent_, root_of_, owner_ = map(
+        memoryview, (indptr, indices, match_out, match_in, parent, root_of,
+                     owner))
 
     # The first phase in closed form, see above.
     v = np.flatnonzero(np.diff(net.in_ptr)).astype(np.int32)
@@ -155,10 +172,40 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
         root_of[frontier] = frontier
         owner.fill(unclaimed)            # in-copy -> rank of its first claim
         alive = np.ones(n, dtype=bool)   # roots whose tree found no free end
+        alive_ = memoryview(alive)
         ends = []
         base = 0
         while frontier.size:
             pos, counts = edge_positions(indptr, frontier)
+            if frontier.size <= _THIN_LEVEL and pos.size <= _THIN_LEVEL:
+                # Thin levels are walked in Python, claims in the same order
+                # and ranks below those of any later level, until one is
+                # wide again.
+                level, size, free = frontier.tolist(), pos.size, []
+                while level and size <= _THIN_LEVEL:
+                    claims = []
+                    for u in level:
+                        tree = root_of_[u]
+                        for v in idx_[ptr_[u]:ptr_[u + 1]]:
+                            if owner_[v] == unclaimed:
+                                owner_[v] = base
+                                parent_[v] = u
+                                claims.append((match_in_[v], v, tree))
+                    base += size
+                    for mate, v, tree in claims:  # a tree's first free end
+                        if mate < 0 and alive_[tree]:
+                            alive_[tree] = False
+                            free.append(v)
+                    level = []
+                    for mate, v, tree in claims:
+                        if mate >= 0 and alive_[tree]:
+                            root_of_[mate] = tree
+                            level.append(mate)
+                    size = sum([ptr_[u + 1] - ptr_[u] for u in level])
+                if free:
+                    ends.append(np.array(free, dtype=np.int32))
+                frontier = np.array(level, dtype=np.int32)
+                continue
             dst = indices.take(pos)
             del pos
             rank = np.arange(base, base + dst.size, dtype=owner.dtype)
@@ -172,26 +219,36 @@ def maximum_matching(net: DirectedNetwork, order_seed: int = 0) -> Matching:
             parent[dst] = src
             mate = match_in.take(dst)
             tree = root_of.take(src)
-            free = (mate < 0).nonzero()[0]
-            if free.size:
+            if mate.size and mate.min() < 0:
+                free = (mate < 0).nonzero()[0]
                 found = tree.take(free)
                 one = first_of_each(found, scratch).nonzero()[0]
                 alive[found.take(one)] = False
                 ends.append(dst.take(free.take(one)))
-            grow = alive.take(tree).nonzero()[0]
-            frontier = mate.take(grow)
-            root_of[frontier] = tree.take(grow)
+                grow = alive.take(tree).nonzero()[0]
+                mate, tree = mate.take(grow), tree.take(grow)
+            # Without a free end every tree is still alive, as it was at the
+            # start of the level, so every claim grows.
+            frontier = mate
+            root_of[frontier] = tree
         if not ends:
             break
         # Flip every path from its free end back to its root at once; the
         # paths are vertex-disjoint because each in-copy has one parent.
         v = np.concatenate(ends)
-        while v.size:
+        while v.size > _THIN_FLIP:
             u = parent[v]
             prev = match_out[u]
             match_out[u] = v
             match_in[v] = u
             v = prev[prev >= 0]
+        for v in v.tolist():  # the last few paths, one at a time
+            while v >= 0:
+                u = parent_[v]
+                prev = match_out_[u]
+                match_out_[u] = v
+                match_in_[v] = u
+                v = prev
 
     return Matching(match_out)
 

@@ -48,6 +48,9 @@ NodeId = int
 _NODES_DIRECTIVE = re.compile(r"^#\s*nodes:\s*0*(\d+)\s*$")
 MAX_DECLARED_NODES = 10 ** 7  # bounds the nodes a header makes before any edge
 _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
+# reach walks a frontier below this many nodes in Python, until the walk's
+# stack holds this many: measured break-even points against numpy levels.
+_THIN_FRONTIER, _WIDE_STACK = 64, 256
 
 
 def _is_id(tok: str, n: int) -> bool:
@@ -93,10 +96,28 @@ def first_of_each(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def reach(ptr: np.ndarray, idx: np.ndarray, seen: np.ndarray) -> np.ndarray:
     """Mark in the bool mask ``seen``, in place, and return it: every node
     reachable from a marked one along the CSR rows ``ptr``/``idx``, an entry
-    below 0 being no edge. Breadth-first levels read each row once."""
+    below 0 being no edge.
+
+    Breadth-first levels read each row once, one round of numpy calls per
+    level. A frontier of fewer than 64 nodes is finished by a depth-first
+    walk in Python instead, which pays per edge rather than per level, so a
+    long thin closure such as a chain costs O(L) and not its depth in numpy
+    rounds; once the walk's stack holds 256 nodes they are the next level.
+    """
     frontier = seen.nonzero()[0]
     stamp = np.empty(seen.size, dtype=np.intp)
+    ptr_, idx_, seen_ = memoryview(ptr), memoryview(idx), memoryview(seen)
     while frontier.size:
+        if frontier.size < _THIN_FRONTIER:
+            stack = frontier.tolist()
+            while stack and len(stack) < _WIDE_STACK:
+                u = stack.pop()
+                for v in idx_[ptr_[u]:ptr_[u + 1]]:
+                    if v >= 0 and not seen_[v]:
+                        seen_[v] = True
+                        stack.append(v)
+            frontier = np.array(stack, dtype=np.intp)
+            continue
         reached = idx.take(edge_positions(ptr, frontier)[0])
         fresh = ~seen.take(reached)  # seen[-1] for an entry < 0, masked next
         fresh &= reached >= 0
@@ -108,6 +129,25 @@ def reach(ptr: np.ndarray, idx: np.ndarray, seen: np.ndarray) -> np.ndarray:
         frontier = reached.take((stamp.take(reached) == order).nonzero()[0])
         seen[frontier] = True
     return seen
+
+
+def _inserted(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, n: int):
+    """The CSR rows ``ptr``/``idx`` with the entries of ``keys`` added.
+
+    ``keys`` are sorted, distinct and absent keys ``row * n + col``. Only
+    the rows they touch are read, to find where each entry goes in its
+    sorted row, and one ``np.insert`` writes them all.
+    """
+    rows = keys // n
+    hit = np.unique(rows)
+    pos, counts = edge_positions(ptr, hit)
+    old = hit.repeat(counts) * n + idx.take(pos)  # the touched rows' keys
+    # an entry's place in its row: the old keys below it, less those of
+    # the rows before it
+    at = old.searchsorted(keys) - old.searchsorted(rows * n) + ptr.take(rows)
+    added = np.zeros(ptr.size, dtype=ptr.dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=added[1:])
+    return ptr + added, np.insert(idx, at, keys % n)
 
 
 class LabelColumn:
@@ -303,17 +343,31 @@ class DirectedNetwork:
         return self.label_column.id_of(label)
 
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
-        """This network plus ``additions``, sharing its label column."""
-        extra = np.asarray(list(additions), dtype=np.int64).reshape(-1, 2)
-        # out-of-range pairs are left for the constructor to report
+        """This network plus ``additions``, sharing its label column.
+
+        The additions are merged into the sorted rows (:func:`_inserted`):
+        only they are sorted, and only the rows they touch are read.
+        """
+        extra = np.asarray(additions if isinstance(additions, np.ndarray)
+                           else list(additions), dtype=np.int64).reshape(-1, 2)
         inside = ((extra >= 0) & (extra < self.n)).all(axis=1)
         present = np.flatnonzero(inside)[self.has_edges(*extra[inside].T)]
         if present.size:
             u, v = extra[present[0]].tolist()
             raise ValueError(f"edge ({u}, {v}) already present")
-        pairs = np.column_stack((self.edge_sources(), self.out_idx))
-        grown = DirectedNetwork(self.n, np.concatenate((pairs, extra)))
-        grown.label_column = self.label_column
+        if not inside.all():
+            DirectedNetwork(self.n, extra)  # raises, naming the first such pair
+        n = self.n
+        keys = np.unique(extra[:, 0] * n + extra[:, 1])
+        grown = DirectedNetwork.__new__(DirectedNetwork)
+        grown.n, grown.label_column = n, self.label_column
+        grown.duplicates_collapsed = len(extra) - keys.size
+        grown.out_ptr, grown.out_idx = _inserted(self.out_ptr, self.out_idx,
+                                                 keys, n)
+        keys = (keys % n) * n + keys // n  # the same edges, keyed by target
+        keys.sort()
+        grown.in_ptr, grown.in_idx = _inserted(self.in_ptr, self.in_idx,
+                                               keys, n)
         return grown
 
     def __eq__(self, other) -> bool:
@@ -322,7 +376,9 @@ class DirectedNetwork:
         return (self.n == other.n
                 and np.array_equal(self.out_ptr, other.out_ptr)
                 and np.array_equal(self.out_idx, other.out_idx)
-                and self.labels == other.labels)
+                # two id-labelled networks build no label tuple to compare
+                and (self.label_column.given is other.label_column.given
+                     is None or self.labels == other.labels))
 
     def __hash__(self):
         return hash((self.n, self.edge_count))

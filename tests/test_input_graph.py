@@ -155,6 +155,23 @@ def test_reachability_is_linear_on_a_long_chain():
     assert np.array_equal(reached, x)
 
 
+def test_a_deep_closure_pays_per_edge_not_per_level():
+    # The zigzag c_i -> x_i, c_i -> x_(i+1) leaves one x free, and the
+    # possible inputs grow from it one x per BFS level, through the whole
+    # chain. At 2*10^5 edges a round of numpy calls per level took 1.4-3.3 s
+    # (2.0 GHz Xeon); the thin levels, walked in Python, about 0.05 s.
+    steps = 100_000
+    c, x = np.arange(steps), np.arange(steps, 2 * steps + 1)
+    net = DirectedNetwork(2 * steps + 1, np.concatenate((
+        np.column_stack((c, x[:-1])), np.column_stack((c, x[1:])))))
+    m = maximum_matching(net)
+    assert m.size == steps
+    started = time.perf_counter()
+    ig = build_input_graph(net, m)
+    assert time.perf_counter() - started < 0.5
+    assert ig.possible_inputs.all()  # the c have no in-edge
+
+
 def test_class_separation_and_edge_bound_random():
     for seed in range(25):
         net = random_digraph(12, 0.25, seed)

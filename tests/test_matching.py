@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import networkx as nx
 import numpy as np
@@ -139,6 +140,23 @@ def test_reverse_chain_needs_one_long_augmenting_path():
     m = maximum_matching(net, 0)
     assert m.size == n
     assert is_valid_matching(net, m.pairs())
+    assert is_maximum(net, m)
+
+
+def test_reverse_chain_at_scale_pays_per_edge_not_per_level():
+    # At N=10^5 the one augmenting path left after the first phases runs
+    # through about 2N copies, one or two edges per BFS level. A round of
+    # numpy calls per level took 2.1-5 s (2.0 GHz Xeon); the levels, walked
+    # in Python, take about 0.12 s.
+    n = 100_000
+    u = np.arange(n)
+    net = DirectedNetwork(n, np.concatenate((
+        np.column_stack((u, n - 1 - u)),
+        np.column_stack((u[:-1], n - 2 - u[:-1])))))
+    started = time.perf_counter()
+    m = maximum_matching(net, 0)
+    assert time.perf_counter() - started < 1
+    assert m.size == n
     assert is_maximum(net, m)
 
 

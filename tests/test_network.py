@@ -141,6 +141,30 @@ def test_with_edges_returns_new_network(dilation_net):
         dilation_net.with_edges([(0, 1)])
 
 
+def test_with_edges_equals_the_constructor_on_random_networks():
+    # with_edges merges into the sorted rows; the constructor sorts every
+    # edge again. Both must give the same arrays and duplicate count.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        net = DirectedNetwork(n, rng.integers(0, n, size=(
+            int(rng.integers(0, 3 * n)), 2)))
+        absent = np.argwhere(~np.isin(np.arange(n * n), net.edge_sources()
+                                      * n + net.out_idx).reshape(n, n))
+        extra = absent[rng.integers(0, len(absent), size=min(
+            len(absent), int(rng.integers(0, 8))))]  # repeats, or none
+        grown = net.with_edges(extra.tolist())
+        built = DirectedNetwork(n, np.concatenate((np.column_stack((
+            net.edge_sources(), net.out_idx)), extra)))
+        for name in ("out_ptr", "out_idx", "in_ptr", "in_idx"):
+            got, expected = getattr(grown, name), getattr(built, name)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert grown.duplicates_collapsed == built.duplicates_collapsed
+        assert grown.label_column is net.label_column
+    assert DirectedNetwork(0, []).with_edges([]) == DirectedNetwork(0, [])
+
+
 def test_with_edges_names_the_first_present_or_out_of_range_pair():
     net = DirectedNetwork(4, [(0, 1), (2, 3), (3, 3)])
     # the first present pair is named, even behind an out-of-range one
@@ -644,6 +668,14 @@ def test_lines_end_at_newline_only(tmp_path):
         assert _outcome(lambda: load_edge_list(fh)) == expected
     with open(path, encoding="utf-8") as fh:  # newline=None translates
         assert load_edge_list(fh).edge_count == 2
+
+
+def test_equal_id_labelled_networks_build_no_label_tuple():
+    from netcontrol.generators import GenSpec, generate
+    spec = GenSpec(model="er", n=2000, avg_degree=4, seed=1)
+    nets = generate(spec), generate(spec)
+    assert nets[0] is not nets[1] and nets[0] == nets[1]
+    assert not any("labels" in vars(net.label_column) for net in nets)
 
 
 def test_id_labels_are_built_on_first_read(tmp_path, monkeypatch, capsys):

@@ -218,6 +218,39 @@ def test_seed0_matching_matches_reference(net):
         _matching_reference(net)
 
 
+@st.composite
+def wide_blobs_with_thin_chains(draw):
+    """A dense random blob beside a reversed double chain, a few edges each
+    way between them, ids shuffled or not.
+
+    The blob's BFS levels gather more edges than the matcher walks in
+    Python and the chain's fewer, so most phases switch level kinds, and
+    in about a third of the draws one switches both ways.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w, m = draw(st.integers(30, 60)), draw(st.integers(50, 300))
+    blob = np.argwhere(rng.random((w, w)) < draw(st.floats(0.1, 0.3)))
+    c = np.arange(m)
+    chain = w + np.concatenate((np.column_stack((c, m - 1 - c)),
+                                np.column_stack((c[:-1], m - 2 - c[:-1]))))
+    k = draw(st.integers(1, 5))
+    into, out_of = rng.integers(0, w, (2, k)), rng.integers(w, w + m, (2, k))
+    edges = np.concatenate((blob, chain, np.column_stack((into[0], out_of[0])),
+                            np.column_stack((out_of[1], into[1]))))
+    if draw(st.booleans()):
+        edges = rng.permutation(w + m)[edges]
+    return DirectedNetwork(w + m, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_blobs_with_thin_chains())
+def test_matching_and_closure_match_references_across_level_kinds(net):
+    m = maximum_matching(net, 0)
+    assert m.match_out.tolist() == _matching_reference(net)
+    possible = build_input_graph(net, m).possible_inputs
+    assert node_set(possible) == _closure_reference(net, m)[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs_with_loops())
 def test_seeded_matching_is_the_reference_on_its_relabelling(net):

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -106,3 +107,19 @@ def test_only_the_network_module_reads_the_label_state():
                          r"\.(labels|_labels|_label_to_id)\b",
                          path.read_text(encoding="utf-8")))
     assert readers == []
+
+
+def test_thin_level_thresholds_are_constants_not_keywords():
+    # The matcher and reach switch to scalar walks of thin levels at sizes
+    # fixed in their modules; neither signature grows a knob for them.
+    from netcontrol.matching import maximum_matching
+    from netcontrol.network import reach
+
+    def parameters(function):
+        return [(p.name, p.default) for p in
+                inspect.signature(function).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert parameters(maximum_matching) == [("net", empty), ("order_seed", 0)]
+    assert parameters(reach) == [("ptr", empty), ("idx", empty),
+                                 ("seen", empty)]
