@@ -15,15 +15,17 @@ are read by a numpy tokenizer over the chunk's bytes; other labels are split
 and interned as strings. A network whose labels are its ids (``# nodes:``
 files, generated networks) builds no label strings unless they are read:
 its column writes the ids' digits and parses a label to look it up.
-On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.1 s with
-its ``# nodes:`` header, 0.3 s without it and 0.7-0.8 s with string labels;
-the constructor is 0.025-0.03 s of each, and writing it back about 0.03 s.
+On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.06 s with
+its ``# nodes:`` header, 0.2 s without it and 0.6-0.7 s with string labels;
+the constructor is 0.017 s of each on edges listed in order and 0.022 s
+on shuffled ones, and writing it back about 0.035 s.
 
 The constructor sorts one int64 key per edge in place, once per
-direction, and beside its input holds at most that buffer and two int32
-arrays the size of the edge set: about twice the bytes of the CSR it
-builds. On that network it peaks 10.5 MB above its int32 input for a
-5.6 MB CSR, and loading the file peaks at 15.7 MB (tracemalloc).
+direction (the first sort is skipped when the keys come in order), and
+beside its input holds at most that buffer and two int32 arrays the size
+of the edge set: about twice the bytes of the CSR it builds. On that
+network it peaks 10.9 MB above its int32 input for a 5.6 MB CSR, and
+loading the file peaks at 14.9 MB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
 # reach walks a frontier below this many nodes in Python, until the walk's
 # stack holds this many: measured break-even points against numpy levels.
 _THIN_FRONTIER, _WIDE_STACK = 64, 256
+_BLOCK = 1 << 16  # edges compared per step when counting self-loops
+# a tokenizer's token starts, token ends and count of "\n"
+_Tokens = tuple[np.ndarray, np.ndarray, int]
 
 
 def _is_id(tok: str, n: int) -> bool:
@@ -59,11 +64,17 @@ def _is_id(tok: str, n: int) -> bool:
             and len(tok) <= len(str(n)) and int(tok) < n)
 
 
-def _remainder(keys: np.ndarray, n: int) -> np.ndarray:
-    """``keys % n`` as int32, written without an int64 temporary."""
-    rest = np.empty(keys.size, dtype=np.int32)
-    np.remainder(keys, n, out=rest, casting="unsafe")
-    return rest
+def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of the sorted row ids ``rows``: where each of rows 0..n
+    starts, from the places where the id changes."""
+    ptr = np.full(n + 1, rows.size, dtype=np.int64)
+    at = np.flatnonzero(rows[1:] != rows[:-1])
+    at += 1
+    ptr[rows.take(at)] = at
+    ptr[rows[:1]] = 0
+    # an empty row starts where the next row with edges does
+    np.minimum.accumulate(ptr[::-1], out=ptr[::-1])
+    return ptr
 
 
 def edge_positions(ptr: np.ndarray, nodes: np.ndarray):
@@ -224,7 +235,7 @@ class DirectedNetwork:
     """
 
     __slots__ = ("n", "label_column", "out_ptr", "out_idx", "in_ptr",
-                 "in_idx", "duplicates_collapsed")
+                 "in_idx", "duplicates_collapsed", "_self_loops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                  labels: Iterable[str] | None = None):
@@ -232,6 +243,10 @@ class DirectedNetwork:
 
         Without ``labels`` each node's label is its id in decimal; the
         label strings are built on the first read of :attr:`labels`.
+        Pairs given in strictly increasing (source, target) order, as
+        ``generate`` and :func:`write_edge_list` list them, are neither
+        sorted nor scanned for duplicates. Self-loops are counted here, in
+        blocks of 2^16 edges, for :meth:`self_loop_count`.
         """
         self.n = n
         pairs = np.asarray(edges if hasattr(edges, "__len__") else list(edges))
@@ -243,30 +258,38 @@ class DirectedNetwork:
             u, v = pairs[bad.argmax()].tolist()
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         # One in-place sort of the keys u*n+v orders the out-rows and puts
-        # duplicates side by side; the same buffer, re-keyed v*n+u and
-        # sorted again, orders the in-rows. Each row starts at key i*n.
+        # duplicates side by side, unless they are strictly increasing
+        # already, as a file written in (source, target) order gives them.
+        # The same buffer, re-keyed v*n+u and sorted again, orders the
+        # in-rows. Each side splits its keys into row ids, whose changes
+        # give the row offsets, and column ids.
         keys = pairs[:, 0].astype(np.int64)
         keys *= n
         keys += pairs[:, 1]
-        keys.sort()
-        keep = np.empty(keys.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        if not keep.all():
-            keys = keys[keep]
-        del keep
+        if not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            keep = np.empty(keys.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            if not keep.all():
+                keys = keys[keep]
+            del keep
         self.duplicates_collapsed = len(pairs) - keys.size
-        row_starts = np.arange(n + 1, dtype=np.int64) * n
-        self.out_ptr = keys.searchsorted(row_starts)
-        self.out_idx = _remainder(keys, n)
-        src = np.empty(keys.size, dtype=np.int32)
-        np.floor_divide(keys, n, out=src, casting="unsafe")
-        np.multiply(self.out_idx, n, out=keys, dtype=np.int64)
-        keys += src
-        del src
+        rows = np.empty(keys.size, dtype=np.int32)
+        cols = self.out_idx = np.empty(keys.size, dtype=np.int32)
+        np.divmod(keys, n, out=(rows, cols), casting="unsafe")
+        self.out_ptr = _row_offsets(rows, n)
+        self._self_loops = 0
+        for i in range(0, rows.size, _BLOCK):  # with no edge-sized mask
+            self._self_loops += int(np.count_nonzero(
+                rows[i:i + _BLOCK] == cols[i:i + _BLOCK]))
+        np.multiply(cols, n, out=keys, dtype=np.int64)
+        keys += rows
         keys.sort()
-        self.in_ptr = keys.searchsorted(row_starts)
-        self.in_idx = _remainder(keys, n)
+        np.floor_divide(keys, n, out=rows, casting="unsafe")
+        self.in_ptr = _row_offsets(rows, n)
+        np.remainder(keys, n, out=rows, casting="unsafe")
+        self.in_idx = rows  # the row ids' buffer, holding the column ids
         if labels is not None:
             labels = tuple(map(str, labels))
             if len(labels) != n:
@@ -299,6 +322,7 @@ class DirectedNetwork:
         union.in_ptr, union.in_idx = joined([g.in_ptr for g in nets],
                                             [g.in_idx for g in nets])
         union.duplicates_collapsed = sum(g.duplicates_collapsed for g in nets)
+        union._self_loops = sum(g._self_loops for g in nets)
         union.label_column = LabelColumn(union.n)
         return union
 
@@ -336,7 +360,8 @@ class DirectedNetwork:
         return 0 <= u < self.n and bool(self.has_edges([u], [v])[0])
 
     def self_loop_count(self) -> int:
-        return int(np.count_nonzero(self.edge_sources() == self.out_idx))
+        """Edges ``(u, u)``, counted when the network was built."""
+        return self._self_loops
 
     def id_of(self, label: str) -> NodeId:
         """Id of ``label``; given labels are indexed on the first call."""
@@ -362,6 +387,8 @@ class DirectedNetwork:
         grown = DirectedNetwork.__new__(DirectedNetwork)
         grown.n, grown.label_column = n, self.label_column
         grown.duplicates_collapsed = len(extra) - keys.size
+        grown._self_loops = self._self_loops + int(
+            np.count_nonzero(keys // n == keys % n))
         grown.out_ptr, grown.out_idx = _inserted(self.out_ptr, self.out_idx,
                                                  keys, n)
         keys = (keys % n) * n + keys // n  # the same edges, keyed by target
@@ -387,14 +414,20 @@ class DirectedNetwork:
         return f"DirectedNetwork(n={self.n}, edges={self.edge_count})"
 
 
-def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
-    """The labels of ``text`` as integer values, when the bytes decide them.
+def _integers(text: str, limit: int | None = None
+              ) -> tuple[np.ndarray, int] | None:
+    r"""The labels of ``text`` as integer values, when the bytes decide them.
 
     That is when ``text`` holds only lines of zero or two canonical decimal
     labels (at most 18 digits, no leading zero, below ``limit`` if given),
-    split by spaces, tabs and carriage returns. Returns None otherwise, and
-    the line parser takes the text. The values are int32 when every label
-    has at most 9 digits, else int64.
+    split by spaces, tabs and carriage returns. Returns the values and the
+    count of "\n" in ``text``, or None, and the line parser takes the text.
+    The values are int32 when every label has at most 9 digits, else int64.
+
+    Text that is all ``label blank label "\n"`` lines, as ``generate`` and
+    :func:`write_edge_list` write it, is cut into tokens by one scan for its
+    blanks (:func:`_pair_tokens`); other text by the general tokenizer
+    (:func:`_tokens`).
     """
     if not text.isascii():
         return None
@@ -402,18 +435,15 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
     if raw.translate(None, b"0123456789 \t\r\n"):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    kind = np.zeros(buf.size + 2, dtype=np.int8)  # a blank on each side
-    np.greater(buf, 47, out=kind[1:-1])  # 1 for digits: the bytes above blanks
-    bounds = np.flatnonzero(kind[1:] != kind[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
+    found = _pair_tokens(buf) or _tokens(buf)
+    if found is None:
+        return None
+    starts, ends, lines = found
     if not starts.size:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), lines
     lengths = ends - starts
     width = int(lengths.max())
     if width > 18 or ((buf[starts] == 48) & (lengths > 1)).any():
-        return None
-    kind[1:-1] -= buf == 10
-    if not _two_per_line(kind):
         return None
     dtype = np.int32 if width <= 9 else np.int64
     values = np.zeros(starts.size, dtype=dtype)
@@ -425,7 +455,45 @@ def _integers(text: str, limit: int | None = None) -> np.ndarray | None:
             digits *= lengths > j
         values += np.multiply(digits, 10 ** j, dtype=dtype)
         place -= 1
-    return values if limit is None or values.max() < limit else None
+    if limit is not None and values.max() >= limit:
+        return None
+    return values, lines
+
+
+def _pair_tokens(buf: np.ndarray) -> _Tokens | None:
+    r"""Token starts and ends, and the line count, of the bytes ``buf`` of
+    digits and blanks when every line is a token, one blank other than
+    "\n", a token and "\n"; else None.
+
+    The bytes below "0" are then the blanks, "\n" every second one, no two
+    side by side, none first and one last.
+    """
+    blanks = np.flatnonzero(buf < 48)
+    if (blanks.size % 2 or not blanks.size or blanks[0] == 0
+            or blanks[-1] != buf.size - 1):
+        return None
+    newline = buf[blanks] == 10
+    if (not newline[1::2].all() or newline[0::2].any()
+            or not (blanks[1:] - blanks[:-1] > 1).all()):
+        return None
+    starts = np.empty_like(blanks)
+    starts[0] = 0
+    np.add(blanks[:-1], 1, out=starts[1:])
+    return starts, blanks, blanks.size // 2
+
+
+def _tokens(buf: np.ndarray) -> _Tokens | None:
+    r"""Token starts and ends, and the count of "\n", of the bytes ``buf``
+    of digits and blanks when each line holds two tokens or none; else
+    None."""
+    kind = np.zeros(buf.size + 2, dtype=np.int8)  # a blank on each side
+    np.greater(buf, 47, out=kind[1:-1])  # 1 for digits: the bytes above blanks
+    bounds = np.flatnonzero(kind[1:] != kind[:-1])
+    newline = buf == 10
+    kind[1:-1] -= newline
+    if not _two_per_line(kind):
+        return None
+    return bounds[0::2], bounds[1::2], int(np.count_nonzero(newline))
 
 
 def _two_per_line(kind: np.ndarray) -> bool:
@@ -486,15 +554,18 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     its last "\n" (the rest starts the next chunk), so no Python string is
     made per line. A chunk's lines up to its last ``#`` are split and
     parsed line by line. The rest is tokenized as bytes when it holds only
-    integer labels and blanks (:func:`_integers`, a few numpy passes plus
-    one per digit position), else split at once as strings; when that does
-    not give two labels per line, the line-by-line parser reports the
-    error. Under ``# nodes:`` the labels are the ids, and the network's
-    label table is built only when read. Otherwise ids follow first
-    appearance: a chunk's distinct integers that no earlier chunk interned
-    go through ``label_to_id``, the one interning table, in the order they
-    first occur; a sorted array of the integers interned so far gives the
-    others their ids.
+    integer labels and blanks (:func:`_integers`: one scan for the blanks
+    when every line is ``label blank label``, as ``generate`` writes them,
+    a few more numpy passes otherwise, then one per digit position), else
+    split at once as strings; when that does not give two labels per line,
+    the line-by-line parser reports the error. The tokenizer and the split
+    count the chunk's lines, for the line numbers of later errors. Under
+    ``# nodes:`` the labels are the ids, and the network's label table is
+    built only when read. Otherwise ids follow first appearance: a chunk's
+    distinct integers that no earlier chunk interned go through
+    ``label_to_id``, the one interning table, in the order they first
+    occur; a sorted array of the integers interned so far gives the others
+    their ids.
     """
     fh = source if hasattr(source, "read") else io.StringIO(source)
     label_to_id: dict[str, int] = {}
@@ -567,8 +638,8 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     def at_once(text: str) -> np.ndarray:
         """Ids of the lines of ``text``, which hold no "#"."""
         nonlocal blank, lineno
-        values = _integers(text, declared_n)
-        if values is None:
+        found = _integers(text, declared_n)
+        if found is None:
             lines = _lines(text)
             if (declared_n is not None or
                     not set(map(len, map(str.split, lines))) <= {0, 2}):
@@ -576,12 +647,13 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
             tokens = text.split()
             ids = np.array([intern(tok, len(label_to_id)) for tok in tokens],
                            dtype=np.int32)
-        elif declared_n is None:
-            ids = first_appearance_ids(values)
+            newlines = len(lines) - (not text.endswith("\n"))
         else:
-            ids = values
+            values, newlines = found
+            ids = (first_appearance_ids(values) if declared_n is None
+                   else values)
         blank = blank and not ids.size
-        lineno += text.count("\n")  # no line follows an unended last line
+        lineno += newlines  # no line follows an unended last line
         return ids.astype(np.int32, copy=False)
 
     parts: list[np.ndarray] = []

@@ -57,6 +57,18 @@ def test_loading_peaks_within_four_times_the_csr(er):
         assert traced_peak(load_edge_list, fh) <= 4 * csr
 
 
+def test_constructor_peaks_no_higher_on_sorted_pairs(er):
+    # sorted keys skip the sort and the duplicate scan, and hold nothing
+    # the shuffled ones do not
+    net = er[0]
+    pairs = np.column_stack((net.edge_sources(), net.out_idx))
+    shuffled = pairs[np.random.default_rng(30).permutation(len(pairs))]
+    sorted_peak, built = traced(DirectedNetwork, net.n, pairs)
+    shuffled_peak, rebuilt = traced(DirectedNetwork, net.n, shuffled)
+    assert built == rebuilt == net
+    assert sorted_peak <= shuffled_peak
+
+
 def test_matching_peaks_within_three_times_the_csr(er):
     net, _, csr, _ = er
     assert traced_peak(maximum_matching, net, 0) <= 3 * csr

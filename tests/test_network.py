@@ -2,6 +2,7 @@ import io
 import json
 import re
 import warnings
+from collections import Counter
 from itertools import accumulate
 from unittest import mock
 
@@ -163,6 +164,40 @@ def test_with_edges_equals_the_constructor_on_random_networks():
         assert grown.duplicates_collapsed == built.duplicates_collapsed
         assert grown.label_column is net.label_column
     assert DirectedNetwork(0, []).with_edges([]) == DirectedNetwork(0, [])
+
+
+def test_self_loops_are_counted_by_every_constructor():
+    # The constructor counts loops while it builds the rows, whether its
+    # keys came sorted or not; with_edges and disjoint_union carry counts.
+    rng = np.random.default_rng(30)
+    nets = []
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        # up to three copies of one loop, then random pairs
+        pairs[:int(rng.integers(0, 4))] = rng.integers(0, n, size=(1, 1))
+        if rng.random() < 0.5:  # sorted, with duplicates side by side
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        net = DirectedNetwork(n, pairs)
+        distinct = set(map(tuple, pairs.tolist()))
+        assert net.self_loop_count() == sum(u == v for u, v in distinct)
+        rows = Counter(u for u, _ in distinct)  # empty ones too
+        assert net.out_ptr.tolist() == [0, *accumulate(map(rows.__getitem__,
+                                                           range(n)))]
+        loop = int(rng.integers(0, n))
+        extra = [(loop, loop)] if (loop, loop) not in distinct else []
+        absent = [(u, v) for u in range(n) for v in range(n)
+                  if (u, v) not in distinct and u != v]
+        extra += [absent[i] for i in rng.integers(0, len(absent), min(
+            len(absent), 3))] if absent else []
+        grown = net.with_edges(extra)
+        assert grown.self_loop_count() == sum(
+            u == v for u, v in distinct | set(extra))
+        nets.append(grown)
+    union = DirectedNetwork.disjoint_union(nets)
+    assert union.self_loop_count() == sum(g.self_loop_count() for g in nets)
+    assert union.self_loop_count() == int(np.count_nonzero(
+        union.edge_sources() == union.out_idx))
 
 
 def test_with_edges_names_the_first_present_or_out_of_range_pair():
@@ -501,12 +536,17 @@ def test_integer_tokenizer_hands_back_what_it_cannot_decide(text):
 
 
 def test_integer_tokenizer_reads_blanks_and_bounds():
+    def read(text, limit=None):  # the values and the count of "\n"
+        values, lines = network._integers(text, limit)
+        return values.tolist(), lines
+
     text = "\n 1\t20\r\n\n" + "9" * 18 + " 0\n" + " 3 4"
-    assert network._integers(text).tolist() == [1, 20, 10 ** 18 - 1,
-                                                0, 3, 4]
-    assert network._integers("0 4\n", 5).tolist() == [0, 4]
+    assert read(text) == ([1, 20, 10 ** 18 - 1, 0, 3, 4], 4)
+    assert read("0 4\n", 5) == ([0, 4], 1)
     assert network._integers("0 5\n", 5) is None
-    assert network._integers(" \r\n\t", 5).tolist() == []
+    assert read(" \r\n\t", 5) == ([], 1)
+    assert read("") == ([], 0)
+    assert read("7 0\n10\t3\n5\r6\n") == ([7, 0, 10, 3, 5, 6], 3)
 
 
 def _reference_parse(text: str):
@@ -592,9 +632,10 @@ def _edge_lists(draw):
     return head + "".join(lines) + tail
 
 
-@settings(max_examples=400, deadline=None)
-@given(_edge_lists(), st.integers(1, 40))
-def test_batched_parse_equals_naive_reference(text, chunk):
+def _loads_as_reference(text: str, chunk: int):
+    """Load ``text`` in chunks of ``chunk`` characters and compare it with
+    :func:`_reference_parse`: labels, edges and duplicates, or the error's
+    message and line."""
     expected = _reference_parse(text)
     with mock.patch.object(network, "_CHUNK_CHARS", chunk), \
             warnings.catch_warnings():
@@ -609,6 +650,74 @@ def test_batched_parse_equals_naive_reference(text, chunk):
     assert net.labels == labels
     assert net == DirectedNetwork(len(labels), pairs, labels)
     assert net.duplicates_collapsed == len(pairs) - len(set(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_lists(), st.integers(1, 40))
+def test_batched_parse_equals_naive_reference(text, chunk):
+    _loads_as_reference(text, chunk)
+
+
+_PERTURBATIONS = [None, "blank line", "two blanks", "carriage return",
+                  "leading zero", "one label", "three labels",
+                  "split line", "label of N", "no final newline"]
+
+
+@st.composite
+def _pair_lists(draw):
+    r"""``u\tv\n`` and ``u v\n`` lines of ids below N, as ``generate`` and
+    ``write_edge_list`` write them, maybe under ``# nodes: N``, with one
+    perturbation at one line; returns the header, the body and whether it
+    is still all pair lines."""
+    n = draw(st.integers(1, 1200))
+    ids = st.integers(0, n - 1)
+    lines = [[str(u), sep, str(v), "\n"] for u, sep, v in draw(st.lists(
+        st.tuples(ids, st.sampled_from(["\t", " "]), ids),
+        min_size=1, max_size=40))]
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    line = lines[draw(st.integers(0, len(lines) - 1))]
+    side = draw(st.sampled_from([0, 2]))  # which label to change
+    if kind == "blank line":
+        line[0] = draw(st.sampled_from(["", " ", "\t", "\r"])) + "\n" + line[0]
+    elif kind == "two blanks":
+        line[draw(st.sampled_from([0, 1, 3]))] += draw(st.sampled_from(
+            [" ", "\t", "\r"]))
+    elif kind == "carriage return":  # a blank, or a line end split
+        at = draw(st.sampled_from([1, 3]))
+        line[at] = "\r" if at == 1 else draw(st.sampled_from(["\r", "\r\n"]))
+        kind = None if at == 1 else kind
+    elif kind == "leading zero":
+        line[side] = "0" + line[side]
+    elif kind == "one label":
+        line[1:3] = []
+    elif kind == "three labels":
+        line[2] += " " + line[0]
+    elif kind == "split line":  # two lines of one label each
+        line[1] = "\n"
+    elif kind == "label of N":
+        line[side] = str(n + draw(st.integers(0, 2)))
+    elif kind == "no final newline":
+        lines[-1][-1] = ""
+    header = draw(st.sampled_from(["", f"# nodes: {n}\n"]))
+    paired = kind in (None, "leading zero", "label of N")
+    return header, "".join(map("".join, lines)), paired
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_lists(), st.one_of(st.integers(1, 40), st.just(1 << 20)))
+def test_pair_lines_parse_as_the_naive_reference(drawn, chunk):
+    header, body, paired = drawn
+    _loads_as_reference(header + body, chunk)
+    # The one scan for blanks cuts a body of pair lines into tokens as the
+    # general tokenizer does, and declines every other body.
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    pairs = network._pair_tokens(buf)
+    assert (pairs is not None) == paired
+    if paired:
+        general = network._tokens(buf)
+        assert [a.tolist() for a in pairs[:2]] == \
+            [a.tolist() for a in general[:2]]
+        assert pairs[2] == general[2] == body.count("\n")
 
 
 def _outcome(load):

@@ -1,6 +1,8 @@
 """Hypothesis-driven invariants on small random digraphs."""
 
 from collections import deque
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from netcontrol import (Matching, NotMaximumMatchingError, build_input_graph,
                         classify_exhaustive, classify_nodes, exchange,
                         find_components, input_nodes, is_maximum,
                         maximum_matching, unsaturated_nodes)
+from netcontrol import matching, network
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
 
@@ -211,11 +214,35 @@ def digraphs_with_loops(draw, max_nodes=24):
     return DirectedNetwork(n, draw(st.lists(pairs, max_size=3 * n)))
 
 
+@contextmanager
+def numpy_levels():
+    """Every BFS level and flip round in numpy: the sizes below which the
+    matcher and ``network.reach`` walk in Python set to 0.
+
+    The digraphs here have at most 72 edges, so with the shipped sizes no
+    level of theirs is wide enough for the numpy code.
+    """
+    with mock.patch.multiple(matching, _THIN_LEVEL=0, _THIN_FLIP=0), \
+            mock.patch.object(network, "_THIN_FRONTIER", 0):
+        yield
+
+
+def _seed0_matches_reference(net):
+    assert maximum_matching(net, 0).match_out.tolist() == \
+        _matching_reference(net)
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs_with_loops())
 def test_seed0_matching_matches_reference(net):
-    assert maximum_matching(net, 0).match_out.tolist() == \
-        _matching_reference(net)
+    _seed0_matches_reference(net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_loops())
+def test_seed0_matching_matches_reference_in_numpy_levels(net):
+    with numpy_levels():
+        _seed0_matches_reference(net)
 
 
 @st.composite
@@ -270,6 +297,18 @@ def test_seeded_matching_is_the_reference_on_its_relabelling(net):
 @settings(max_examples=300, deadline=None)
 @given(digraphs_with_loops(), st.integers(min_value=0, max_value=5))
 def test_array_closure_and_components_match_references(net, seed):
+    _closure_and_components_match_references(net, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_loops(), st.integers(min_value=0, max_value=5))
+def test_array_closure_and_components_match_references_in_numpy_levels(
+        net, seed):
+    with numpy_levels():
+        _closure_and_components_match_references(net, seed)
+
+
+def _closure_and_components_match_references(net, seed):
     m = maximum_matching(net, seed)
     ig = build_input_graph(net, m)
     possible, possible_edges, redundant_edges = _closure_reference(net, m)
