@@ -15,7 +15,7 @@ from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, InternalInvariantError,
                      NetcontrolError, NotMaximumMatchingError,
                      OracleInfeasibleError)
-from .generators import GenSpec, er_directed, generate, scale_free_directed
+from .generators import GenSpec, generate
 from .input_graph import (NODE_CLASSES, InputGraph, NodeClass,
                           build_input_graph, classify_nodes,
                           control_reachable_from, is_maximum)

@@ -29,7 +29,7 @@ from .alteration import (alteration_report, apply_plan, ic_to_smc,
 from .components import COMPONENT_KINDS, ComponentKind, largest_component
 from .errors import (AlterationError, EdgeListParseError, ExchangeError,
                      GenerationError, NetcontrolError, OracleInfeasibleError)
-from .generators import GenSpec, generate
+from .generators import GenSpec, edges, generate
 from .input_graph import NODE_CLASSES
 from .matching import exchange, input_nodes, maximum_matching
 from .network import DirectedNetwork, load_edge_list, write_edge_list
@@ -354,10 +354,12 @@ def _cmd_sweep(args):
 def _sweep_rows(specs: list[GenSpec]) -> list[str]:
     """Rows of the networks ``specs`` make, analysed as one union."""
     n = specs[0].n
-    # the networks are freed once joined, the union on return
-    analysis = analyze(DirectedNetwork.disjoint_union(
-        [generate(spec) for spec in specs]), seed=0)
     bounds = list(range(0, (len(specs) + 1) * n, n))
+    # each drawn array is freed once its shifted copy exists; int32 pairs
+    # hold half the bytes while the constructor runs
+    analysis = analyze(DirectedNetwork(bounds[-1], np.concatenate(
+        [edges(spec) + lo for spec, lo in zip(specs, bounds)],
+        dtype=np.int32)), seed=0)
     return [reports.sweep_row(spec.model, n, spec.avg_degree, spec.seed,
                               possible, report)
             for spec, (possible, report)

@@ -1,16 +1,19 @@
 """Synthetic directed networks: uniform random and scale-free.
 
-Both generators draw exactly ``L = round(k * N / 2)`` distinct directed
-edges (no self-loops), so the realized total-degree average ``2L/N`` matches
-the request up to rounding. A single seeded RNG stream makes every output
-reproducible. The scale-free sampler follows the static weighting scheme:
-node ``i`` gets weight ``(i + 1 + tau) ** -alpha`` with
-``alpha = 1 / (gamma - 1)`` independently for the out (source) and in
-(target) side, which pins both the edge count and the tail exponents. The
-small smoothing constant ``tau`` spreads weight away from the first few
-ranks; without it the top-rank nodes condense enough degree at desk scales
-to blur the dense-network bifurcation, while the tail exponent is
-unaffected (the shift is invisible for ranks well above ``tau``).
+A :class:`GenSpec` names the model; :func:`edges` draws its edges and
+:func:`generate` builds the network from them (``sweep`` joins several
+specs' edges into one network). Both models draw exactly
+``L = round(k * N / 2)`` distinct directed edges (no self-loops), so the
+realized total-degree average ``2L/N`` matches the request up to rounding.
+A single seeded RNG stream makes every output reproducible. The scale-free
+sampler follows the static weighting scheme: node ``i`` gets weight
+``(i + 1 + tau) ** -alpha`` with ``alpha = 1 / (gamma - 1)``
+independently for the out (source) and in (target) side, which pins both
+the edge count and the tail exponents. The small smoothing constant ``tau``
+spreads weight away from the first few ranks; without it the top-rank
+nodes condense enough degree at desk scales to blur the dense-network
+bifurcation, while the tail exponent is unaffected (the shift is invisible
+for ranks well above ``tau``).
 
 Edges are drawn in batches and filtered with one sort per batch. A
 scale-free endpoint is looked up in a guide table built once per node
@@ -76,32 +79,29 @@ class GenSpec:
         return int(math.floor(self.avg_degree * self.n / 2 + 0.5))
 
 
-def er_directed(spec: GenSpec) -> DirectedNetwork:
-    """Uniform digraph: ``edge_target`` distinct edges without replacement."""
-    if spec.model != "er":
-        raise GenerationError("spec.model must be 'er'")
+def edges(spec: GenSpec) -> np.ndarray:
+    """The ``(L, 2)`` edges of ``spec``, in the order they were drawn.
+
+    An ER edge is a uniform pair; a scale-free one draws each end from the
+    static weights of its side. Distinct non-loop pairs are kept until
+    ``edge_target`` are found.
+    """
     target = spec.edge_target
     rng = np.random.default_rng(spec.seed)
-    capacity = spec.n * (spec.n - 1)
-    edges = _rejection_sample(spec.n, target, capacity * max(spec.n, 10),
-                              lambda size: (rng.integers(0, spec.n, size),
-                                            rng.integers(0, spec.n, size)))
-    return DirectedNetwork(spec.n, edges)
-
-
-def scale_free_directed(spec: GenSpec) -> DirectedNetwork:
-    """Scale-free digraph via static per-node weights on both edge ends."""
-    if spec.model != "sf":
-        raise GenerationError("spec.model must be 'sf'")
-    target = spec.edge_target
-    rng = np.random.default_rng(spec.seed)
+    if spec.model == "er":
+        return _rejection_sample(
+            spec.n, target, spec.n * (spec.n - 1) * max(spec.n, 10),
+            lambda size: (rng.integers(0, spec.n, size),
+                          rng.integers(0, spec.n, size)))
     draw_out, draw_in = (_draw_table(spec.n, gamma)
                          for gamma in (spec.gamma_out, spec.gamma_in))
-    stall_budget = max(spec.n * max(target, 1), 10_000)
-    edges = _rejection_sample(
-        spec.n, target, stall_budget,
+    return _rejection_sample(
+        spec.n, target, max(spec.n * max(target, 1), 10_000),
         lambda size: (draw_out(rng, size), draw_in(rng, size)))
-    return DirectedNetwork(spec.n, edges)
+
+
+def generate(spec: GenSpec) -> DirectedNetwork:
+    return DirectedNetwork(spec.n, edges(spec))
 
 
 @lru_cache(maxsize=2)
@@ -155,10 +155,6 @@ def _weighted_draw(p: np.ndarray):
             short = short[cdf[idx[short]] <= u[short]]
         return idx
     return draw
-
-
-def generate(spec: GenSpec) -> DirectedNetwork:
-    return er_directed(spec) if spec.model == "er" else scale_free_directed(spec)
 
 
 def _rejection_sample(n, target, stall_budget, draw) -> np.ndarray:

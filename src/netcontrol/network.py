@@ -298,34 +298,6 @@ class DirectedNetwork:
                 raise ValueError("duplicate labels in label table")
         self.label_column = LabelColumn(n, labels)
 
-    @classmethod
-    def disjoint_union(cls, nets: list["DirectedNetwork"]) -> "DirectedNetwork":
-        """The networks side by side, labelled by id; one is returned as is.
-
-        Part ``i``'s ids follow those of the parts before it, so its nodes
-        are one contiguous range and no edge crosses parts. Each CSR array
-        is the parts' arrays joined and shifted; nothing is sorted again.
-        """
-        if len(nets) == 1:
-            return nets[0]
-        union = cls.__new__(cls)
-        union.n = sum(g.n for g in nets)
-        bases = np.cumsum([0] + [g.n for g in nets[:-1]]).tolist()
-
-        def joined(ptrs, idxs):
-            ptr = np.zeros(union.n + 1, dtype=np.int64)
-            np.cumsum(np.concatenate([np.diff(p) for p in ptrs]), out=ptr[1:])
-            return ptr, np.concatenate([i + b for i, b in zip(idxs, bases)])
-
-        union.out_ptr, union.out_idx = joined([g.out_ptr for g in nets],
-                                              [g.out_idx for g in nets])
-        union.in_ptr, union.in_idx = joined([g.in_ptr for g in nets],
-                                            [g.in_idx for g in nets])
-        union.duplicates_collapsed = sum(g.duplicates_collapsed for g in nets)
-        union._self_loops = sum(g._self_loops for g in nets)
-        union.label_column = LabelColumn(union.n)
-        return union
-
     @property
     def labels(self) -> tuple[str, ...]:
         """Label of each node, by id; the decimal ids if none were given."""

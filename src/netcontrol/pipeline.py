@@ -75,9 +75,9 @@ def part_reports(analysis: NetworkAnalysis, bounds: list[int]
                  ) -> Iterator[tuple[np.ndarray, ComponentReport]]:
     """Each part's possible-input mask and component census, from a union.
 
-    ``analysis`` is the seed-0 analysis of a
-    :meth:`DirectedNetwork.disjoint_union` whose part ``i`` holds the
-    nodes from ``bounds[i]`` up to ``bounds[i + 1]``, at least one. Both
+    ``analysis`` is the seed-0 analysis of a disjoint union of networks:
+    one network whose part ``i`` holds the nodes from ``bounds[i]`` up to
+    ``bounds[i + 1]``, at least one, and no edge between parts. Both
     equal those of analysing the part alone. The seed-0 matcher is
     separable over parts (:func:`maximum_matching`), and the closure and
     the components are fixpoints within each part. Component ids follow

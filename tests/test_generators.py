@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from netcontrol import GenSpec, GenerationError, er_directed, scale_free_directed
+from netcontrol import GenSpec, GenerationError, generate
 from netcontrol.generators import (_rejection_sample, _static_weights,
                                    _weighted_draw)
 from netcontrol.network import write_edge_list
 
 
 def test_er_zero_degree():
-    net = er_directed(GenSpec(model="er", n=4, avg_degree=0, seed=1))
+    net = generate(GenSpec(model="er", n=4, avg_degree=0, seed=1))
     assert net.edge_count == 0
 
 
 def test_er_exact_edge_count_and_realized_degree():
-    net = er_directed(GenSpec(model="er", n=1000, avg_degree=6, seed=42))
+    net = generate(GenSpec(model="er", n=1000, avg_degree=6, seed=42))
     assert net.edge_count == 3000
     assert 2 * net.edge_count / net.n == pytest.approx(6.0)
     assert net.self_loop_count() == 0
@@ -21,36 +21,36 @@ def test_er_exact_edge_count_and_realized_degree():
 
 def test_er_deterministic():
     spec = GenSpec(model="er", n=200, avg_degree=4, seed=9)
-    assert write_edge_list(er_directed(spec)) == write_edge_list(er_directed(spec))
+    assert write_edge_list(generate(spec)) == write_edge_list(generate(spec))
 
 
 def test_er_different_seeds_differ():
-    a = er_directed(GenSpec(model="er", n=200, avg_degree=4, seed=1))
-    b = er_directed(GenSpec(model="er", n=200, avg_degree=4, seed=2))
+    a = generate(GenSpec(model="er", n=200, avg_degree=4, seed=1))
+    b = generate(GenSpec(model="er", n=200, avg_degree=4, seed=2))
     assert a != b
 
 
 def test_er_rejects_impossible_density():
     with pytest.raises(GenerationError):
-        er_directed(GenSpec(model="er", n=3, avg_degree=10, seed=0))
+        generate(GenSpec(model="er", n=3, avg_degree=10, seed=0))
 
 
 def test_er_degrees_look_binomial():
-    net = er_directed(GenSpec(model="er", n=2000, avg_degree=8, seed=3))
+    net = generate(GenSpec(model="er", n=2000, avg_degree=8, seed=3))
     out_deg = np.diff(net.out_ptr)
     assert out_deg.mean() == pytest.approx(4.0, abs=0.01)
     assert out_deg.var() == pytest.approx(4.0, rel=0.15)  # Poisson limit
 
 
 def test_sf_exact_edge_count():
-    net = scale_free_directed(GenSpec(model="sf", n=1000, avg_degree=6, seed=5))
+    net = generate(GenSpec(model="sf", n=1000, avg_degree=6, seed=5))
     assert net.edge_count == 3000
     assert net.self_loop_count() == 0
 
 
 def test_sf_deterministic():
     spec = GenSpec(model="sf", n=300, avg_degree=6, seed=11)
-    assert scale_free_directed(spec) == scale_free_directed(spec)
+    assert generate(spec) == generate(spec)
 
 
 def test_sf_requires_tail_exponent_above_two():
@@ -100,8 +100,7 @@ def hill_exponent(degrees, d_min):
 @pytest.mark.slow
 def test_sf_tail_exponents_near_three():
     """Maximum-likelihood tail fit on a large sample, both directions."""
-    net = scale_free_directed(GenSpec(model="sf", n=10_000, avg_degree=10,
-                                      seed=0))
+    net = generate(GenSpec(model="sf", n=10_000, avg_degree=10, seed=0))
     in_deg = np.diff(net.in_ptr)
     out_deg = np.diff(net.out_ptr)
     assert hill_exponent(in_deg, 10) == pytest.approx(3.0, abs=0.3)
@@ -111,7 +110,7 @@ def test_sf_tail_exponents_near_three():
 def test_realized_degree_within_rounding():
     for spec in (GenSpec(model="er", n=501, avg_degree=3.0, seed=2),
                  GenSpec(model="sf", n=501, avg_degree=3.0, seed=2)):
-        net = (er_directed if spec.model == "er" else scale_free_directed)(spec)
+        net = generate(spec)
         assert abs(2 * net.edge_count / net.n - spec.avg_degree) <= 2 / net.n
 
 

@@ -22,22 +22,18 @@ def _parts():
     ]
 
 
-def test_union_is_the_parts_side_by_side():
-    nets = _parts()
-    union = DirectedNetwork.disjoint_union(nets)
+def _union(nets):
+    """The networks side by side: part i's ids follow those before it."""
     bounds = np.cumsum([0] + [g.n for g in nets])
-    assert union.n == bounds[-1]
-    assert union.edge_count == sum(g.edge_count for g in nets)
-    joined = np.concatenate([np.column_stack((g.edge_sources(), g.out_idx)) + lo
-                             for g, lo in zip(nets, bounds)])
-    assert union == DirectedNetwork(union.n, joined)
-    assert DirectedNetwork.disjoint_union(nets[:1]) is nets[0]
+    return DirectedNetwork(int(bounds[-1]), np.concatenate(
+        [np.column_stack((g.edge_sources(), g.out_idx)) + lo
+         for g, lo in zip(nets, bounds)]))
 
 
 def test_union_analysis_equals_each_part_alone():
     nets = _parts()
     bounds = np.cumsum([0] + [g.n for g in nets]).tolist()
-    whole = analyze(DirectedNetwork.disjoint_union(nets))
+    whole = analyze(_union(nets))
     match_out = whole.matching.match_out
     comp_of = whole.report.comp_of
     rows = list(part_reports(whole, bounds))
@@ -76,17 +72,21 @@ def _analyses(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("model", ["er", "sf"])
+# k=2 costs n, k=4 costs 2n: under a cap of 5n the first union holds the
+# three k=2 networks and one k=4 network, the second the other two k=4
+# ones; under a cap below any one network's cost each is analysed alone.
+@pytest.mark.parametrize("model, cap, unions", [
+    pytest.param(model, cap, unions, id=model + suffix)
+    for model in ("er", "sf")
+    for cap, unions, suffix in ((5, [4, 2], ""), (0.5, [1] * 6, "-alone"))])
 def test_sweep_split_across_unions_equals_per_network_rows(
-        model, monkeypatch, capsys):
+        model, cap, unions, monkeypatch, capsys):
     n, seeds = 200, range(3)
-    # k=2 costs n, k=4 costs 2n: the first union holds the three k=2
-    # networks and one k=4 network, the second the other two k=4 ones
-    monkeypatch.setattr("netcontrol.cli._UNION_SIZE", 5 * n)
+    monkeypatch.setattr("netcontrol.cli._UNION_SIZE", int(cap * n))
     calls = _analyses(monkeypatch)
     assert main(["sweep", "--model", model, "-n", str(n), "--k-list", "2,4",
                  "--replicates", "3"]) == 0
-    assert [nodes for nodes, _ in calls] == [4 * n, 2 * n]
+    assert [nodes for nodes, _ in calls] == [parts * n for parts in unions]
     want = [reports.SWEEP_HEADER]
     for k in (2, 4):
         for seed in seeds:
@@ -110,7 +110,7 @@ def test_sweep_packs_the_benchmark_grid_into_four_unions(monkeypatch):
 def test_part_reports_refuse_a_shuffled_matching():
     nets = _parts()[:2]
     bounds = [0, nets[0].n, nets[0].n + nets[1].n]
-    whole = analyze(DirectedNetwork.disjoint_union(nets), seed=3)
+    whole = analyze(_union(nets), seed=3)
     with pytest.raises(ValueError, match="not separable"):
         list(part_reports(whole, bounds))
 

@@ -123,3 +123,26 @@ def test_thin_level_thresholds_are_constants_not_keywords():
     assert parameters(maximum_matching) == [("net", empty), ("order_seed", 0)]
     assert parameters(reach) == [("ptr", empty), ("idx", empty),
                                  ("seen", empty)]
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # On a failure hypothesis imports libcst, which warns of a deprecation;
+    # under the repo's warning filters that must not stop the run before
+    # the example is printed and the tests after it have run.
+    (tmp_path / "test_throwaway.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_one():\n"
+        "    pass\n\n\n"
+        "def test_two():\n"
+        "    pass\n", encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "test_throwaway.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example: test_fails(" in proc.stdout
+    assert "1 failed, 2 passed" in proc.stdout
