@@ -11,10 +11,11 @@ counted); self-loops are stored and counted by
 The edge set is stored once, as sorted compressed sparse rows (int32 ids,
 int64 offsets) in both directions, which every stage of the analysis reads.
 The file is read in raw character chunks cut at line ends. Integer labels
-are read by a numpy tokenizer over the chunk's bytes; other labels are split
-and interned as strings. A network whose labels are its ids (``# nodes:``
-files, generated networks) builds no label strings unless they are read:
-its column writes the ids' digits and parses a label to look it up.
+are read from the chunk's bytes by numpy, which cuts them into tokens from
+one scan of its blanks; other labels are split and interned as strings. A
+network whose labels are its ids (``# nodes:`` files, generated networks)
+builds no label strings unless they are read: its column writes the ids'
+digits and parses a label to look it up.
 On ER N=10^5, k=10 (2.0 GHz Xeon) loading the file takes about 0.06 s with
 its ``# nodes:`` header, 0.2 s without it and 0.6-0.7 s with string labels;
 the constructor is 0.017 s of each on edges listed in order and 0.022 s
@@ -54,7 +55,7 @@ _CHUNK_CHARS = 1 << 20  # characters of lines parsed per batch
 # stack holds this many: measured break-even points against numpy levels.
 _THIN_FRONTIER, _WIDE_STACK = 64, 256
 _BLOCK = 1 << 16  # edges compared per step when counting self-loops
-# a tokenizer's token starts, token ends and count of "\n"
+# the token starts, token ends and count of "\n" of a chunk (_tokens)
 _Tokens = tuple[np.ndarray, np.ndarray, int]
 
 
@@ -396,10 +397,8 @@ def _integers(text: str, limit: int | None = None
     count of "\n" in ``text``, or None, and the line parser takes the text.
     The values are int32 when every label has at most 9 digits, else int64.
 
-    Text that is all ``label blank label "\n"`` lines, as ``generate`` and
-    :func:`write_edge_list` write it, is cut into tokens by one scan for its
-    blanks (:func:`_pair_tokens`); other text by the general tokenizer
-    (:func:`_tokens`).
+    One scan for the blanks cuts the text into tokens in any layout
+    (:func:`_tokens`); then one pass per digit position reads the values.
     """
     if not text.isascii():
         return None
@@ -407,7 +406,7 @@ def _integers(text: str, limit: int | None = None
     if raw.translate(None, b"0123456789 \t\r\n"):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    found = _pair_tokens(buf) or _tokens(buf)
+    found = _tokens(buf)
     if found is None:
         return None
     starts, ends, lines = found
@@ -432,54 +431,36 @@ def _integers(text: str, limit: int | None = None
     return values, lines
 
 
-def _pair_tokens(buf: np.ndarray) -> _Tokens | None:
-    r"""Token starts and ends, and the line count, of the bytes ``buf`` of
-    digits and blanks when every line is a token, one blank other than
-    "\n", a token and "\n"; else None.
-
-    The bytes below "0" are then the blanks, "\n" every second one, no two
-    side by side, none first and one last.
-    """
-    blanks = np.flatnonzero(buf < 48)
-    if (blanks.size % 2 or not blanks.size or blanks[0] == 0
-            or blanks[-1] != buf.size - 1):
-        return None
-    newline = buf[blanks] == 10
-    if (not newline[1::2].all() or newline[0::2].any()
-            or not (blanks[1:] - blanks[:-1] > 1).all()):
-        return None
-    starts = np.empty_like(blanks)
-    starts[0] = 0
-    np.add(blanks[:-1], 1, out=starts[1:])
-    return starts, blanks, blanks.size // 2
-
-
 def _tokens(buf: np.ndarray) -> _Tokens | None:
     r"""Token starts and ends, and the count of "\n", of the bytes ``buf``
     of digits and blanks when each line holds two tokens or none; else
-    None."""
-    kind = np.zeros(buf.size + 2, dtype=np.int8)  # a blank on each side
-    np.greater(buf, 47, out=kind[1:-1])  # 1 for digits: the bytes above blanks
-    bounds = np.flatnonzero(kind[1:] != kind[:-1])
-    newline = buf == 10
-    kind[1:-1] -= newline
-    if not _two_per_line(kind):
-        return None
-    return bounds[0::2], bounds[1::2], int(np.count_nonzero(newline))
+    None.
 
-
-def _two_per_line(kind: np.ndarray) -> bool:
-    r"""Whether each line holds two tokens or none.
-
-    ``kind`` gives each byte's class, 1 for a digit, -1 for "\n" and 0 for
-    another blank, with a blank on each side. Among the runs of one class,
-    in order, each token must then have exactly one other token beside it
-    with only a run of other blanks between them.
+    The blanks are the bytes below "0". When "\n" is every second one, no
+    two are side by side, none is first and one is last, they are the
+    token ends. Otherwise the tokens lie between the cuts (-1, the blanks,
+    ``buf.size``) that are not side by side, with no "\n" between the two
+    of a pair and one or more between pairs.
     """
-    runs = np.pad(kind[1:][kind[1:] != kind[:-1]], 2, constant_values=-1)
-    token = runs == 1
-    paired = token[:-2] & (runs[1:-1] == 0) & token[2:]  # with the 2nd next
-    return not (token[2:-2] & (paired[:-2] == paired[2:])).any()
+    blanks = np.flatnonzero(buf < 48)
+    newline = buf[blanks] == 10
+    if (blanks.size and not blanks.size % 2 and blanks[0]
+            and blanks[-1] == buf.size - 1 and newline[1::2].all()
+            and not newline[0::2].any()
+            and (blanks[1:] - blanks[:-1] > 1).all()):
+        starts = np.empty_like(blanks)
+        starts[0] = 0
+        np.add(blanks[:-1], 1, out=starts[1:])
+        return starts, blanks, blanks.size // 2
+    cuts = np.concatenate(([-1], blanks, [buf.size]))
+    after = np.flatnonzero(cuts[1:] - cuts[:-1] > 1)  # each token's cut
+    if after.size % 2:
+        return None
+    if after.size:  # the blanks from each token to the next hold a "\n"?
+        crossed = np.logical_or.reduceat(newline[:after[-1]], after[:-1])
+        if crossed[0::2].any() or not crossed[1::2].all():
+            return None
+    return cuts[after] + 1, cuts[after + 1], int(np.count_nonzero(newline))
 
 
 def _lines(text: str) -> list[str]:
@@ -526,9 +507,9 @@ def load_edge_list(source: str | TextIO) -> DirectedNetwork:
     its last "\n" (the rest starts the next chunk), so no Python string is
     made per line. A chunk's lines up to its last ``#`` are split and
     parsed line by line. The rest is tokenized as bytes when it holds only
-    integer labels and blanks (:func:`_integers`: one scan for the blanks
-    when every line is ``label blank label``, as ``generate`` writes them,
-    a few more numpy passes otherwise, then one per digit position), else
+    integer labels and blanks (:func:`_integers`: one scan for the blanks,
+    which are the token ends when every line is ``label blank label`` as
+    ``generate`` writes them, then a pass per digit position), else
     split at once as strings; when that does not give two labels per line,
     the line-by-line parser reports the error. The tokenizer and the split
     count the chunk's lines, for the line numbers of later errors. Under

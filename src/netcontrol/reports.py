@@ -28,9 +28,19 @@ from .components import COMPONENT_KINDS, ComponentReport
 from .input_graph import NODE_CLASSES, InputGraph
 from .network import LabelColumn
 from .pipeline import NetworkAnalysis
-from .textrows import byte_table, digit_table, render, text_table
+from .textrows import digit_table, render, text_table
 
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
+
+
+# the fixed names that records write, each column's tables built once
+_KIND_NAMES = LabelColumn(len(COMPONENT_KINDS),
+                          tuple(kind.value for kind in COMPONENT_KINDS))
+_CLASS_NAMES = LabelColumn(len(NODE_CLASSES),
+                           tuple(c.value for c in NODE_CLASSES))
+_CLASS_CELLS = LabelColumn(len(NODE_CLASSES), tuple(
+    f"{c.value}\t{'yes' if c.possible_input else 'no'}" for c in NODE_CLASSES))
+_PHASES = LabelColumn(2, ("Di", "Dr"))
 
 
 def round_percent(fraction: float) -> float:
@@ -107,8 +117,8 @@ class Records(Sequence):
 
     ``fields`` holds ``(key, strings, values)`` in TSV column order: record
     ``i`` maps ``key`` to ``strings[values[i]]``, or to ``int(values[i])``
-    when ``strings`` is None. ``strings`` is a tuple or list, or a
-    :class:`LabelColumn`. ``nested``, if given, is a last field
+    when ``strings`` is None. ``strings`` is a :class:`LabelColumn`, which
+    keeps its tables. ``nested``, if given, is a last field
     ``(key, strings, items, bounds)`` whose value in record ``i`` is the
     list of ``strings[j]`` for ``j`` in ``items[bounds[i]:bounds[i + 1]]``,
     never empty. Indexing builds a record's dict; :func:`to_json` and
@@ -224,14 +234,11 @@ def _spread(values, at, count: int, fill: int = -1):
 
 def _column(strings, values, at, count: int, escape: bool):
     """The cells of a field with ``values`` on the rows ``at``: digits, or
-    rows of its strings' byte table (a :class:`LabelColumn` keeps its
-    own)."""
+    rows of its strings' table."""
     if strings is None:
         ids = np.arange(values.size, dtype=np.int32)
         return digit_table(values), _spread(ids, at, count)
-    table = (strings.table(escape) if isinstance(strings, LabelColumn)
-             else byte_table(strings, escape))
-    return table, _spread(values, at, count)
+    return strings.table(escape), _spread(values, at, count)
 
 
 def _lists_members(net, include_members: bool | None) -> bool:
@@ -250,10 +257,9 @@ def _component_records(analysis: NetworkAnalysis,
         nested = ("members", analysis.network.label_column,
                   np.argsort(report.comp_of, kind="stable"),
                   np.concatenate(([0], np.cumsum(report.sizes))))
-    names = tuple(kind.value for kind in COMPONENT_KINDS)
     return Records([("id", None, np.arange(report.component_count)),
                     ("size", None, report.sizes),
-                    ("kind", names, report.kinds)], nested)
+                    ("kind", _KIND_NAMES, report.kinds)], nested)
 
 
 def component_report_dict(analysis: NetworkAnalysis,
@@ -313,9 +319,8 @@ def analysis_record(analysis: NetworkAnalysis,
 def node_class_records(analysis: NetworkAnalysis) -> Records:
     """The JSON object node label -> class name, by label."""
     labels = analysis.network.label_column
-    names = tuple(c.value for c in NODE_CLASSES)
     return Records([("node", labels, labels.order),
-                    ("class", names, analysis.classes[labels.order])],
+                    ("class", _CLASS_NAMES, analysis.classes[labels.order])],
                    form="object")
 
 
@@ -329,7 +334,7 @@ def _addition_records(plan: AlterationPlan, labels) -> Records:
                                                ends.tolist())))
     return Records([("src", strings, index[:, 0]),
                     ("dst", strings, index[:, 1]),
-                    ("reason", (plan.reason,),
+                    ("reason", LabelColumn(1, (plan.reason,)),
                      np.zeros(len(index), dtype=np.int8))])
 
 
@@ -375,7 +380,7 @@ def input_graph_tsv(ig: InputGraph, write=None) -> str | None:
     rows = Records([("src", labels, ig.src[order]),
                     ("dst", labels, ig.dst[order]),
                     ("witness", labels, ig.witness[order]),
-                    ("phase", ("Di", "Dr"), phase.view(np.int8))])
+                    ("phase", _PHASES, phase.view(np.int8))])
     return _deliver(chain(["# from\tto\twitness\tphase\n"],
                           rows.tsv_chunks()), write)
 
@@ -403,11 +408,9 @@ def components_tsv(analysis: NetworkAnalysis,
 
 
 def classes_tsv(analysis: NetworkAnalysis) -> str:
-    cells = tuple(f"{c.value}\t{'yes' if c.possible_input else 'no'}"
-                  for c in NODE_CLASSES)
     net = analysis.network
     rows = Records([("node", net.label_column, np.arange(net.n)),
-                    ("class", cells, analysis.classes)])
+                    ("class", _CLASS_CELLS, analysis.classes)])
     return "# node\tclass\tpossible_input\n" + "".join(rows.tsv_chunks())
 
 

@@ -661,8 +661,7 @@ _PERTURBATIONS = [None, "blank line", "two blanks", "carriage return",
 def _pair_lists(draw):
     r"""``u\tv\n`` and ``u v\n`` lines of ids below N, as ``generate`` and
     ``write_edge_list`` write them, maybe under ``# nodes: N``, with one
-    perturbation at one line; returns the header, the body and whether it
-    is still all pair lines."""
+    perturbation at one line; returns the header and the body."""
     n = draw(st.integers(1, 1200))
     ids = st.integers(0, n - 1)
     lines = [[str(u), sep, str(v), "\n"] for u, sep, v in draw(st.lists(
@@ -693,25 +692,36 @@ def _pair_lists(draw):
     elif kind == "no final newline":
         lines[-1][-1] = ""
     header = draw(st.sampled_from(["", f"# nodes: {n}\n"]))
-    paired = kind in (None, "leading zero", "label of N")
-    return header, "".join(map("".join, lines)), paired
+    return header, "".join(map("".join, lines))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_pair_lists(), st.one_of(st.integers(1, 40), st.just(1 << 20)))
 def test_pair_lines_parse_as_the_naive_reference(drawn, chunk):
-    header, body, paired = drawn
+    header, body = drawn
     _loads_as_reference(header + body, chunk)
-    # The one scan for blanks cuts a body of pair lines into tokens as the
-    # general tokenizer does, and declines every other body.
-    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    pairs = network._pair_tokens(buf)
-    assert (pairs is not None) == paired
-    if paired:
-        general = network._tokens(buf)
-        assert [a.tolist() for a in pairs[:2]] == \
-            [a.tolist() for a in general[:2]]
-        assert pairs[2] == general[2] == body.count("\n")
+    _tokenizes_as_reference(body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("0123 \t\r\n", max_size=40))
+def test_tokens_of_any_layout_match_the_regex_reference(body):
+    _tokenizes_as_reference(body)
+
+
+def _tokenizes_as_reference(body):
+    r"""``network._tokens`` gives the digit runs of ``body`` and its count
+    of "\n" when each line holds two runs or none, and None otherwise."""
+    found = network._tokens(np.frombuffer(body.encode("ascii"),
+                                          dtype=np.uint8))
+    spans = [m.span() for m in re.finditer("[0-9]+", body)]
+    expected = None
+    if all(len(re.findall("[0-9]+", line)) in (0, 2)
+           for line in body.split("\n")):
+        expected = ([a for a, _ in spans], [b for _, b in spans],
+                    body.count("\n"))
+    assert (found and (found[0].tolist(), found[1].tolist(), found[2])
+            ) == expected
 
 
 def _outcome(load):

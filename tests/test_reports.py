@@ -217,3 +217,28 @@ def test_plan_outputs_match_the_per_row_references():
                     reasons.add(plan.reason)
     assert reasons == {"saturate_input", "saturate_unsaturated",
                        "adjacency_link"}
+
+
+def test_a_second_render_builds_no_string_table(monkeypatch):
+    # Every string column is a LabelColumn, which keeps its tables: a
+    # second record of the same analysis lays out no label, kind or class
+    # name again.
+    from netcontrol import network, textrows
+    from netcontrol.generators import GenSpec, generate
+
+    analysis = analyze(generate(GenSpec(model="sf", n=2000, avg_degree=10,
+                                        seed=1)))
+    first = to_json(analysis_record(analysis, include_members=True))
+    built = []
+
+    def counted(build):
+        def counting(*args):
+            built.append(build.__name__)
+            return build(*args)
+        return counting
+
+    monkeypatch.setattr(textrows, "_table", counted(textrows._table))
+    monkeypatch.setattr(network, "digit_table",
+                        counted(network.digit_table))
+    assert to_json(analysis_record(analysis, include_members=True)) == first
+    assert built == []

@@ -109,6 +109,16 @@ def test_only_the_network_module_reads_the_label_state():
     assert readers == []
 
 
+def test_only_the_network_and_row_modules_name_byte_table():
+    # Strings become a table through a LabelColumn, which keeps it; no
+    # other module builds one per render.
+    src = Path(__file__).resolve().parents[1] / "src" / "netcontrol"
+    builders = sorted(path.name for path in src.glob("*.py")
+                      if re.search(r"\bbyte_table\b",
+                                   path.read_text(encoding="utf-8")))
+    assert builders == ["network.py", "textrows.py"]
+
+
 def test_thin_level_thresholds_are_constants_not_keywords():
     # The matcher and reach switch to scalar walks of thin levels at sizes
     # fixed in their modules; neither signature grows a knob for them.
