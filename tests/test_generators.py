@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netcontrol import GenSpec, GenerationError, generate
-from netcontrol.generators import (_rejection_sample, _static_weights,
-                                   _weighted_draw)
+from netcontrol import generators
+from netcontrol.generators import (_first_occurrences, _rejection_sample,
+                                   _static_weights, _weighted_draw, edges)
 from netcontrol.network import write_edge_list
 
 
@@ -138,10 +141,11 @@ def _rejection_sample_loop(rng, target, stall_budget, draw):
     return edges
 
 
-def _sampled(sampler, first, n, target, budget, draws):
+def _sampled(sampler, first, n, target, budget, draws, *decode):
     rng = np.random.default_rng(7)
     try:
-        return sampler(first, target, budget, lambda size: draws(rng, size))
+        return sampler(first, target, budget, lambda size: draws(rng, size),
+                       *decode)
     except GenerationError as exc:
         return str(exc)
 
@@ -150,6 +154,8 @@ def _sampled(sampler, first, n, target, budget, draws):
     (5, 20, 10_000, "uniform"),     # every possible edge: many repeats
     (40, 700, 5_000, "uniform"),
     (300, 900, 10_000, "skewed"),   # hubs draw the same pairs often
+    (300, 900, 10_000, "decoded"),  # the same, looked up as it is read
+    (40, 1000, 10_000, "decoded"),  # prefixes fall short: rest read too
     (3, 5, 50, "uniform"),          # only 6 edges exist; 5 found
     (2, 3, 50, "uniform"),          # only 2 edges exist: stalls
     (2, 3, 2_000, "uniform"),       # stalls after batches of rejections
@@ -160,11 +166,14 @@ def _sampled(sampler, first, n, target, budget, draws):
 def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
     weights = np.arange(1, n + 1, dtype=float) ** -2.0
     weights /= weights.sum()
+    lookup = _weighted_draw(weights)
 
     def draws(rng, size):
         if model == "skewed":
             return (rng.choice(n, size=size, p=weights),
                     rng.choice(n, size=size, p=weights))
+        if model == "decoded":
+            return lookup(rng.random(size)), lookup(rng.random(size))
         srcs, dsts = rng.integers(0, n, size), rng.integers(0, n, size)
         if model == "hub":
             hub = rng.random(size) < 0.5
@@ -173,7 +182,13 @@ def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
 
     reference = _sampled(_rejection_sample_loop, None, n, target, budget,
                          draws)
-    batched = _sampled(_rejection_sample, n, n, target, budget, draws)
+    if model == "decoded":  # uniforms drawn, looked up only where read
+        batched = _sampled(_rejection_sample, n, n, target, budget,
+                           lambda rng, size: (rng.random(size),
+                                              rng.random(size)),
+                           lambda u, v: (lookup(u), lookup(v)))
+    else:
+        batched = _sampled(_rejection_sample, n, n, target, budget, draws)
     if isinstance(reference, str):
         assert batched == reference
         assert reference.startswith(f"no new edge after {budget + 1}")
@@ -181,30 +196,80 @@ def test_batched_sampler_matches_the_per_draw_loop(n, target, budget, model):
         assert batched.tolist() == [list(e) for e in reference]
 
 
+def test_sampler_reads_only_the_prefix_a_sparse_batch_needs(monkeypatch):
+    """ER N=10^4, k=10 is done within its first batch's prefix: only that
+    many of the 10^5 draws are decoded and keyed."""
+    spec = GenSpec(model="er", n=10_000, avg_degree=10, seed=3)
+    target = spec.edge_target
+    keyed, decoded = [], []
+
+    def counting(keys, bits):
+        keyed.append(keys.size)
+        return _first_occurrences(keys, bits)
+
+    def identity(srcs, dsts):
+        decoded.append(srcs.size)
+        return srcs, dsts
+
+    monkeypatch.setattr(generators, "_first_occurrences", counting)
+    rng = np.random.default_rng(spec.seed)
+    got = _rejection_sample(
+        spec.n, target, 10 ** 9,
+        lambda size: (rng.integers(0, spec.n, size),
+                      rng.integers(0, spec.n, size)), identity)
+    assert len(keyed) == 1 and keyed == decoded
+    assert target < keyed[0] < 1.02 * target  # of a batch of 2 * target
+    np.testing.assert_array_equal(got, edges(spec))
+
+
+@st.composite
+def _keys(draw):
+    bits = draw(st.sampled_from([0, 1, 5, 40, 58, 63]))
+    pool = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1,
+                         max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool) | st.integers(
+        0, (1 << bits) - 1), max_size=120))
+    return np.array(picks, dtype=np.int64), bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_keys())
+def test_first_occurrences_match_unique(case):
+    keys, bits = case
+    want = np.zeros(keys.size, dtype=bool)
+    want[np.unique(keys, return_index=True)[1]] = True
+    np.testing.assert_array_equal(_first_occurrences(keys, bits), want)
+
+
+@pytest.mark.parametrize("bits, size, packed", [
+    (40, 1 << 20, True), (45, 1 << 20, False), (63, 3, False), (0, 7, True)])
+def test_first_occurrences_take_both_widths(bits, size, packed, monkeypatch):
+    """Keys and positions that fit one word are sorted packed; wider ones
+    are argsorted."""
+    keys = np.random.default_rng(1).integers(0, 1 << bits, size) >> 1
+    keys[size // 2:] = keys[:size - size // 2]  # every key twice
+    want = np.zeros(size, dtype=bool)
+    want[np.unique(keys, return_index=True)[1]] = True
+    argsorts = []
+    monkeypatch.setattr(np, "argsort", lambda a: argsorts.append(a.size)
+                        or a.argsort())
+    np.testing.assert_array_equal(_first_occurrences(keys, bits), want)
+    assert argsorts == ([] if packed else [size])
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 300, 2000])
 @pytest.mark.parametrize("gamma", [2.05, 3.0, 7.0])
 def test_weighted_draw_equals_generator_choice(n, gamma):
     p = _static_weights(n, gamma)
-    draw = _weighted_draw(p)
+    lookup = _weighted_draw(p)
     for seed in range(4):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for size in (1, 1024, 5000):
-            got = draw(ours, size)
+            got = lookup(ours.random(size))
             want = theirs.choice(n, size=size, p=p)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert ours.random() == theirs.random()  # same stream consumed
-
-
-class _FixedUniforms:
-    """Stands in for a Generator whose uniforms are given."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        assert size == self.u.size
-        return self.u
 
 
 @pytest.mark.parametrize("p", [
@@ -218,5 +283,5 @@ def test_weighted_draw_on_the_cdf_steps(p):
     # uniforms on and just below every step, where ``<`` and ``<=`` differ
     u = np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0),
                         [0.0, np.nextafter(1.0, 0)]))
-    np.testing.assert_array_equal(_weighted_draw(p)(_FixedUniforms(u), u.size),
+    np.testing.assert_array_equal(_weighted_draw(p)(u),
                                   cdf.searchsorted(u, side="right"))

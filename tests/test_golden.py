@@ -176,3 +176,16 @@ DIGESTS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_digest(case, files):
     assert _digest(*_run(CASES[case](files))) == DIGESTS[case]
+
+
+# sha256 prefixes of ``generate`` stdout at N=10^5, a size the digests above
+# do not reach. Recorded before the sampler read its batches in parts;
+# never re-recorded.
+AT_SCALE = {"er": "7ac447528d239c78", "sf": "796e3fc32f11478a"}
+
+
+@pytest.mark.parametrize("model", sorted(AT_SCALE))
+def test_generate_at_scale_digest(model):
+    code, digest = _digest(*_run(["generate", "--model", model, "-n",
+                                  "100000", "-k", "10", "--seed", "7"]))
+    assert (code, digest[:16]) == (0, AT_SCALE[model])
