@@ -6,9 +6,10 @@ JSON is dumped with sorted keys so equal inputs give byte-equal output.
 
 Every list that grows with the network (the components of a record, with
 or without members, the input set, the node classes, the adjacency edges
-and a plan's additions) is :class:`Records`: one array per field, written
-by :mod:`~netcontrol.textrows` with no Python object per row, its labels
-read through the network's :class:`~netcontrol.network.LabelColumn`.
+and a plan's additions) is :class:`Records`: one array per field, its
+labels read through the network's :class:`~netcontrol.network.LabelColumn`,
+written by :mod:`~netcontrol.textrows` as one sequence of cells in output
+order, with no Python object per row.
 Given a ``write`` function, :func:`to_json`, :func:`components_tsv` and
 :func:`input_graph_tsv` pass it their text in chunks as it is made, which
 is how the command line writes them.
@@ -33,14 +34,11 @@ from .textrows import digit_table, render, text_table
 MEMBER_LIST_LIMIT = 10_000  # suppress per-node listings above this size
 
 
-# the fixed names that records write, each column's tables built once
-_KIND_NAMES = LabelColumn(len(COMPONENT_KINDS),
-                          tuple(kind.value for kind in COMPONENT_KINDS))
-_CLASS_NAMES = LabelColumn(len(NODE_CLASSES),
-                           tuple(c.value for c in NODE_CLASSES))
-_CLASS_CELLS = LabelColumn(len(NODE_CLASSES), tuple(
-    f"{c.value}\t{'yes' if c.possible_input else 'no'}" for c in NODE_CLASSES))
-_PHASES = LabelColumn(2, ("Di", "Dr"))
+# the fixed names that records write, by code
+_KIND_NAMES = tuple(kind.value for kind in COMPONENT_KINDS)
+_CLASS_NAMES = tuple(c.value for c in NODE_CLASSES)
+_CLASS_CELLS = tuple(f"{c.value}\t{'yes' if c.possible_input else 'no'}"
+                     for c in NODE_CLASSES)
 
 
 def round_percent(fraction: float) -> float:
@@ -71,7 +69,7 @@ def to_json(payload: dict, write=None) -> str | None:
 def _deliver(chunks: Iterator[str], write, end: str = "") -> str | None:
     """``chunks`` and then ``end``, joined, or each passed to ``write``."""
     if write is None:
-        return "".join(chunks) + end
+        return "".join(chain(chunks, [end]))
     for chunk in chunks:
         write(chunk)
     write(end)
@@ -118,12 +116,13 @@ class Records(Sequence):
     ``fields`` holds ``(key, strings, values)`` in TSV column order: record
     ``i`` maps ``key`` to ``strings[values[i]]``, or to ``int(values[i])``
     when ``strings`` is None. ``strings`` is a :class:`LabelColumn`, which
-    keeps its tables. ``nested``, if given, is a last field
-    ``(key, strings, items, bounds)`` whose value in record ``i`` is the
-    list of ``strings[j]`` for ``j`` in ``items[bounds[i]:bounds[i + 1]]``,
-    never empty. Indexing builds a record's dict; :func:`to_json` and
-    :meth:`tsv_chunks` write the whole list from the arrays
-    (:mod:`~netcontrol.textrows`), a row per record or per nested item.
+    keeps its tables, or a tuple of a few fixed names. ``nested``, if
+    given, is a last field ``(key, strings, items, bounds)`` whose value in
+    record ``i`` is the list of ``strings[j]`` for ``j`` in
+    ``items[bounds[i]:bounds[i + 1]]``, never empty. Indexing builds a
+    record's dict; :func:`to_json` and :meth:`tsv_chunks` write the whole
+    list from the arrays (:func:`~netcontrol.textrows.render`), a row per
+    record or per nested item.
 
     ``form`` "values" makes the one field's values a flat JSON list, and
     "object" makes the two fields one JSON object that maps each record's
@@ -153,92 +152,83 @@ class Records(Sequence):
                                    items[bounds[i]:bounds[i + 1]].tolist()))
         return record
 
-    def _rows(self):
-        """The row count and the first and last row of each record; None
-        for both when every row is a whole record."""
-        if not self.nested:
-            return len(self), None, None
-        bounds = self.nested[3]
-        return int(bounds[-1]), bounds[:-1], bounds[1:] - 1
-
     def json_chunks(self, newline: str) -> Iterator[str]:
         """The list as ``indent=2`` JSON that starts after ``newline``."""
         opener, closer = "{}" if self.form == "object" else "[]"
         if not len(self):
             yield opener + closer
             return
-        inner = newline + "  "
-        sep = "," + inner
+        inner, deep, item = (newline + " " * k for k in (2, 4, 6))
         if self.form == "dicts":
-            deep = inner + "  "
-            fields = [*self.fields, self.nested] if self.nested else self.fields
-            fields = sorted(fields, key=lambda field: field[0])
-            leads = [("," if i else "{") + deep + json.dumps(key) + ": "
-                     for i, (key, *_) in enumerate(fields)]
-            item = deep + "  "
-            parts = self._render(fields, leads,
-                                 ("[" + item, "," + item, deep + "]"),
-                                 inner + "}" + sep, True)
+            fields = sorted([*self.fields, self.nested] if self.nested
+                            else self.fields, key=lambda field: field[0])
+            leads = [("," if i else "{") + deep + json.dumps(field[0]) + ": "
+                     + ("[" + item if len(field) == 4 else "")
+                     for i, field in enumerate(fields)]
+            close = inner + "}"
         else:  # a value, or a key and its value, per row
-            parts = self._render(self.fields, ("", ": "), None, sep, True)
-        yield opener + inner
+            fields, leads, close = self.fields, ["", ": "], ""
+        end = "," + inner + leads[0]  # between two records, after the close
+        parts = self._render(fields, [*leads[1:len(fields)], close + end],
+                             ("," + item, deep + "]"), True)
+        yield opener + inner + leads[0]
         part = next(parts)
         for following in parts:
             yield part
             part = following
-        yield part[:-len(sep)] + newline + closer
+        yield part[:-len(end)]
+        yield newline + closer
 
     def tsv_chunks(self) -> Iterator[str]:
         """The list as TSV lines, nested items joined by commas."""
         fields = [*self.fields, self.nested] if self.nested else self.fields
-        leads = ["\t" if i else "" for i in range(len(fields))]
-        return self._render(fields, leads, ("", ",", ""), "\n", False)
+        return self._render(fields, ["\t"] * (len(fields) - 1) + ["\n"],
+                            (",", ""), False)
 
-    def _render(self, fields, leads, list_texts, close, escape):
-        """Rows of ``fields``, each value after its lead text.
+    def _render(self, fields, texts, between, escape):
+        """The records' text, with ``texts[i]`` after field ``i``.
 
-        A record's values before the nested list go on its first row and
-        those after it on its last. ``list_texts`` are the nested list's
-        opening, the text between two items and its end; ``close`` ends
-        each record.
+        ``between`` are the texts between two items of the nested list and
+        after its last. A fixed text joins the strings of a tuple field
+        beside it, so it costs no cell of its own. A record's cells before
+        the nested list are on the row of its first item, those after it on
+        the row of its last.
         """
-        count, first, last = self._rows()
-        columns = []
-        at = first
-        for (_, strings, values, *bounds), lead in zip(fields, leads):
-            if bounds:  # an item per row
-                opening, between, end = list_texts
-                columns += [(text_table(lead + opening),
-                             _spread(0, first, count)),
-                            _column(strings, values, None, count, escape),
-                            (text_table(between, end),
-                             _spread(1, last, count, fill=0))]
-                at = last
-            else:
-                if lead:
-                    columns.append((text_table(lead), _spread(0, at, count)))
-                columns.append(_column(strings, values, at, count, escape))
-        columns.append((text_table(close), _spread(0, last, count)))
-        return render(columns, count)
+        rows, at = len(self), None  # at: the rows of a record's own cells
+        if self.nested:
+            bounds = self.nested[3]
+            rows, at, last = int(bounds[-1]), bounds[:-1], bounds[1:] - 1
+        cells, text = [], ""  # text: not written yet
+        for (_, strings, values, *nested), after in zip(fields, texts):
+            if isinstance(strings, tuple):
+                cells.append((*_cell(strings, values, escape, text, after), at))
+                text = ""
+                continue
+            if text:
+                cells.append((text_table(text), 0, at))
+            text = after
+            if not nested:
+                cells.append((*_cell(strings, values, escape), at))
+                continue
+            ends = np.zeros(rows, dtype=np.int8)  # an item, then a separator
+            ends[last] = 1
+            cells += [_cell(strings, values, escape),
+                      (text_table(*between), ends)]
+            at = last
+        if text:
+            cells.append((text_table(text), 0, at))
+        return render(cells, rows)
 
 
-def _spread(values, at, count: int, fill: int = -1):
-    """``values`` on the rows ``at`` and ``fill`` on the others, or just
-    ``values`` when ``at`` is None: every row."""
-    if at is None:
-        return values
-    rows = np.full(count, fill, dtype=np.int32)
-    rows[at] = values
-    return rows
-
-
-def _column(strings, values, at, count: int, escape: bool):
-    """The cells of a field with ``values`` on the rows ``at``: digits, or
-    rows of its strings' table."""
+def _cell(strings, values, escape: bool, before: str = "", after: str = ""):
+    """The table and index of a field: the digits of ``values``, a label
+    column's strings, or a tuple's each between ``before`` and ``after``."""
     if strings is None:
-        ids = np.arange(values.size, dtype=np.int32)
-        return digit_table(values), _spread(ids, at, count)
-    return strings.table(escape), _spread(values, at, count)
+        return digit_table(values), np.arange(values.size, dtype=np.int32)
+    if isinstance(strings, tuple):
+        dump = json.dumps if escape else str
+        return text_table(*(before + dump(s) + after for s in strings)), values
+    return strings.table(escape), values
 
 
 def _lists_members(net, include_members: bool | None) -> bool:
@@ -334,7 +324,7 @@ def _addition_records(plan: AlterationPlan, labels) -> Records:
                                                ends.tolist())))
     return Records([("src", strings, index[:, 0]),
                     ("dst", strings, index[:, 1]),
-                    ("reason", LabelColumn(1, (plan.reason,)),
+                    ("reason", (plan.reason,),
                      np.zeros(len(index), dtype=np.int8))])
 
 
@@ -380,7 +370,7 @@ def input_graph_tsv(ig: InputGraph, write=None) -> str | None:
     rows = Records([("src", labels, ig.src[order]),
                     ("dst", labels, ig.dst[order]),
                     ("witness", labels, ig.witness[order]),
-                    ("phase", _PHASES, phase.view(np.int8))])
+                    ("phase", ("Di", "Dr"), phase.view(np.int8))])
     return _deliver(chain(["# from\tto\twitness\tphase\n"],
                           rows.tsv_chunks()), write)
 

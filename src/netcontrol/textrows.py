@@ -3,16 +3,16 @@
 This is the one module that lays labels out as bytes: it writes the
 edge list, the records and every other list output.
 
-A list output is a run of rows, each the concatenation of one cell per
-column. A column is a fixed string or ``(table, index)``: string
-``index[i]`` of a :class:`Table`, where index -1 is the empty string. A
-table holds each of its strings (or ints, in decimal) once, as UTF-8 cut
-into pieces of ``PIECE`` bytes, the last one padded with 0xFF (a byte
-UTF-8 never uses). A slice of rows gathers its cells' pieces in output
-order into one block, and one ``bytes.translate`` drops the padding. A
-long string costs its own pieces only, so the work is linear in the
-bytes written whatever the labels' lengths, and a slice holds about
-``SLICE_BYTES``.
+A list output is a run of rows, and a row is its cells in output order.
+A cell is string ``index`` of a :class:`Table`, written on every row or
+on some rows only (a nested list's first or last item), so no row pays
+for a cell it does not write. A table holds each of its strings (or
+ints, in decimal) once, as UTF-8 cut into pieces of ``PIECE`` bytes, the
+last one padded with 0xFF (a byte UTF-8 never uses). A slice of rows
+gathers its cells' pieces in output order into one block, and one
+``bytes.translate`` drops the padding. A long string costs its own pieces
+only, so the work is linear in the bytes written whatever the labels'
+lengths, and a slice holds about ``SLICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -30,24 +30,26 @@ SLICE_BYTES = 1 << 18
 
 
 class Table(NamedTuple):
-    """String ``i`` is pieces ``first[i]`` to ``first[i] + count[i] - 1``;
-    the last entry of ``first`` and ``count`` is the empty string."""
+    """String ``i`` is ``count[i]`` pieces from piece ``first[i]`` on, or,
+    when ``count`` is an int, ``count`` pieces from piece ``i * count``."""
 
     pieces: np.ndarray  # (pieces, PIECE) uint8
-    first: np.ndarray
-    count: np.ndarray
+    first: np.ndarray | None  # int32
+    count: np.ndarray | int  # int32
 
 
 def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
     """The table of the strings whose bytes, one after another, are
     ``data`` and whose byte counts are ``sizes``."""
-    count = np.maximum(-(-sizes // PIECE), 1)  # "" is one piece of padding
-    first = np.concatenate(([0], count.cumsum()))
-    valid = np.full(first[-1], PIECE, dtype=np.int8)  # bytes of each piece
-    valid[first[1:] - 1] = sizes - PIECE * (count - 1)
+    count = np.maximum(-(-sizes // PIECE), 1).astype(np.int32)  # "": padding
+    end = count.cumsum(dtype=np.int32)
+    valid = np.full(count.sum(), PIECE, dtype=np.int8)
+    valid[end - 1] = sizes - PIECE * (count - 1)  # bytes of each piece
     pieces = np.full((valid.size, PIECE), PAD, dtype=np.uint8)
     pieces[np.arange(PIECE, dtype=np.int8) < valid[:, None]] = data
-    return Table(pieces, first, np.append(count, 0))
+    if not count.size or count.min() == count.max():
+        return Table(pieces, None, int(count.max(initial=1)))
+    return Table(pieces, end - count, count)
 
 
 def byte_table(strings, escape: bool = False) -> Table:
@@ -78,8 +80,13 @@ def byte_table(strings, escape: bool = False) -> Table:
 
 @functools.lru_cache(maxsize=1024)
 def text_table(*texts: str) -> Table:
-    """The table of a few fixed strings, built once per process."""
-    return byte_table(texts)
+    """The table of a few fixed strings, built once per process, each
+    padded to as many pieces as the longest."""
+    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    count = max([1, *(-(-len(d) // PIECE) for d in data)])
+    pieces = b"".join(d.ljust(count * PIECE, _PAD) for d in data)
+    return Table(np.frombuffer(pieces, dtype=np.uint8).reshape(-1, PIECE),
+                 None, count)
 
 
 def digit_table(values: np.ndarray, quote: bool = False) -> Table:
@@ -106,49 +113,82 @@ def digit_table(values: np.ndarray, quote: bool = False) -> Table:
         first = (digits[:, :units + 1] != PAD).argmax(axis=1)
         digits[np.arange(values.size), first - 1] = ord('"')
         digits[:, -1] = ord('"')
-    count = np.full(values.size + 1, span // PIECE)
-    count[-1] = 0
-    return Table(digits.reshape(-1, PIECE), np.arange(values.size + 1)
-                 * (span // PIECE), count)
+    return Table(digits.reshape(-1, PIECE), None, span // PIECE)
 
 
-def render(columns, count: int) -> Iterator[str]:
-    """Rows ``0..count-1`` of ``columns``, a slice of whole rows at a time.
+def render(cells, rows: int) -> Iterator[str]:
+    """Rows ``0..rows-1`` of ``cells``, a slice of whole rows at a time.
 
-    A ``(table, index)`` column with an int ``index`` has that string in
-    every row. A slice of more than twice ``SLICE_BYTES`` is halved
-    before it is written, so a long string makes its own slices small.
+    ``cells`` are a row's cells in output order. A cell is a fixed string,
+    ``(table, index)``, on every row, or ``(table, index, at)``, on the
+    rows ``at`` only (ascending): string ``index[k]`` of the table on the
+    ``k``-th of its rows, or string ``index`` on all of them when it is an
+    int. A slice of more than twice ``SLICE_BYTES`` is halved before it is
+    written, so a long string makes its own slices small.
     """
-    columns = [(text_table(col), 0) if isinstance(col, str) else col
-               for col in columns]
-    tables = list({id(table): table for table, _ in columns}.values())
+    cells = [(text_table(cell), 0, None) if isinstance(cell, str)
+             else (*cell, None)[:3] for cell in cells]
+    tables = list({id(table): table for table, _, _ in cells}.values())
     pool = np.concatenate([t.pieces for t in tables])
     sizes = [len(t.pieces) for t in tables]  # each table's first piece:
     bases = dict(zip(map(id, tables), np.cumsum([0] + sizes).tolist()))
+    cells = [(*cell, bases[id(cell[0])]) for cell in cells]
     budget = SLICE_BYTES // PIECE
-    step = max(1, budget // len(columns))
-    pending = [(lo, min(lo + step, count))
-               for lo in range(0, count, step)][::-1]
+    step = max(1, budget // max(1, sum(at is None for *_, at, _ in cells)))
+    pending = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)][::-1]
     while pending:
         lo, hi = pending.pop()
-        first = np.empty((hi - lo, len(columns)), dtype=np.int32)
-        size = np.empty((hi - lo, len(columns)), dtype=np.int32)
-        for c, (table, index) in enumerate(columns):
-            if isinstance(index, np.ndarray):
-                index = index[lo:hi]
-            np.add(table.first.take(index), bases[id(table)],
-                   out=first[:, c])
-            size[:, c] = table.count.take(index)
-        first, size = first.ravel(), size.ravel()  # cells in row order
-        if size.min() == size.max() == 1:  # a piece per cell: no expansion
-            src = first
-        else:
-            start = size.cumsum()
-            if start[-1] > 2 * budget and hi - lo > 1:
-                mid = (lo + hi) // 2
-                pending += [(mid, hi), (lo, mid)]
-                continue
-            src = (first - start + size).repeat(size)
-            src += np.arange(src.size, dtype=np.int32)
+        src = _sources(cells, lo, hi, 2 * budget)
+        if src is None:
+            mid = (lo + hi) // 2
+            pending += [(mid, hi), (lo, mid)]
+            continue
         block = pool.take(src, axis=0).tobytes().translate(None, _PAD)
         yield block.decode("utf-8", "surrogatepass")
+
+
+def _sources(cells, lo: int, hi: int, limit: int) -> np.ndarray | None:
+    """The pool index of each piece of rows ``lo..hi-1``, in output order;
+    None when there are more than ``limit`` and more than one row."""
+    pieces = []  # (rows, first piece, piece count) of each cell
+    width = np.zeros(hi - lo, dtype=np.intp)  # pieces of each row
+    for table, index, at, base in cells:
+        a, b = (lo, hi) if at is None else np.searchsorted(at, (lo, hi))
+        rows = slice(None) if at is None else at[a:b] - lo
+        if isinstance(index, np.ndarray):
+            index = index[a:b]
+        count = table.count
+        if isinstance(count, int):
+            first = np.multiply(index, count, dtype=np.intp) + base
+        else:
+            first, count = table.first.take(index) + base, count.take(index)
+        width[rows] += count
+        pieces.append((rows, first, count))
+    total = int(width.sum())
+    if total > limit and hi - lo > 1:
+        return None
+    if all(isinstance(rows, slice) and isinstance(count, int)
+           for rows, _, count in pieces):  # a grid of equal rows
+        src = np.empty((hi - lo, total // (hi - lo)), dtype=np.intp)
+        col = 0
+        for _, first, count in pieces:
+            for piece in range(count):
+                src[:, col] = first + piece
+                col += 1
+        return src.ravel()
+    src = np.empty(total, dtype=np.intp)
+    offset = width.cumsum()
+    offset -= width  # each row's first piece
+    for rows, first, count in pieces:
+        at = offset[rows]
+        if isinstance(count, int):
+            src[at] = first
+            for piece in range(1, count):
+                src[at + piece] = first + piece
+        elif count.size:  # each cell's pieces, by their number in the cell
+            end = count.cumsum()
+            piece = np.arange(end[-1]) - (end - count).repeat(count)
+            src[at.repeat(count) + piece] = first.repeat(count) + piece
+        at += count
+        offset[rows] = at
+    return src

@@ -141,11 +141,21 @@ def _rejection_sample_loop(rng, target, stall_budget, draw):
     return edges
 
 
+MAX_DRAWS = 1000  # batches per sampling; the cases below take at most 176
+
+
 def _sampled(sampler, first, n, target, budget, draws, *decode):
     rng = np.random.default_rng(7)
+    calls = 0
+
+    def draw(size):  # a sampler that forgets its stall count fails, not hangs
+        nonlocal calls
+        calls += 1
+        assert calls <= MAX_DRAWS, f"{MAX_DRAWS} batches drawn: no end"
+        return draws(rng, size)
+
     try:
-        return sampler(first, target, budget, lambda size: draws(rng, size),
-                       *decode)
+        return sampler(first, target, budget, draw, *decode)
     except GenerationError as exc:
         return str(exc)
 

@@ -132,6 +132,21 @@ def test_record_with_member_lists_peaks_within_six_times_its_text():
     assert column.given is None and "labels" not in vars(column)
 
 
+@pytest.mark.parametrize("bound, path", [
+    (5.5, ("components", "components")),  # member rows: 4.72 (13.8 as a grid)
+    (6, ("node_classes",)),               # 4.91 (8.0 with a cell per text)
+])
+def test_each_nested_list_peaks_within_a_few_times_its_text(bound, path):
+    # the lists of the record above alone, their label table built inside;
+    # no row pays for a cell it does not write
+    record = analysis_record(analyze(generate(GenSpec(
+        model="er", n=10_000, avg_degree=10, seed=7))), True)
+    for key in path:
+        record = record[key]
+    peak, text = traced(to_json, record)
+    assert peak <= bound * len(text)
+
+
 def test_input_graph_tsv_peaks_within_two_and_a_quarter_the_csr_and_text(er):
     # the first call also builds the 10^5 label strings: 1.94 times the
     # CSR and the text with them, 1.48 without, 8.05 with a tuple per row

@@ -5,15 +5,18 @@ building a dict or a line per row writes."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netcontrol import (COMPONENT_KINDS, NODE_CLASSES, AlterationError,
                         ComponentKind, DirectedNetwork, analyze,
                         load_edge_list)
+from netcontrol import textrows
 from netcontrol.alteration import (ic_to_smc, smc_to_ic_full,
                                    smc_to_ic_single, umc_to_smc)
-from netcontrol.reports import (MEMBER_LIST_LIMIT, additions_tsv,
+from netcontrol.network import LabelColumn
+from netcontrol.reports import (MEMBER_LIST_LIMIT, Records, additions_tsv,
                                 analysis_record, component_report_dict,
                                 components_tsv, input_graph_dict,
                                 input_graph_tsv, node_class_records,
@@ -242,3 +245,91 @@ def test_a_second_render_builds_no_string_table(monkeypatch):
                         counted(network.digit_table))
     assert to_json(analysis_record(analysis, include_members=True)) == first
     assert built == []
+
+
+# Random Records of every form against the same lists as plain data, with
+# slices of a few pieces, so that cuts fall inside records and nested lists.
+
+NAMES = (st.sampled_from(HOSTILE) | st.text(min_size=9, max_size=40)
+         | st.builds(lambda k: '\\"long\n' * k, st.integers(2, 9)))
+
+
+@st.composite
+def _field(draw, kind, size, unique=False):
+    """``(strings, values)`` of a Records field with ``size`` records and
+    the values it writes: ints, labels of a LabelColumn or fixed names."""
+    if kind == "ints":
+        ints = draw(st.lists(st.integers(0, 10 ** 12), min_size=size,
+                             max_size=size))
+        return None, np.array(ints, dtype=np.int64), ints
+    names = draw(st.lists(NAMES, min_size=size if unique else 1,
+                          max_size=size if unique else 6, unique=unique))
+    index = (list(range(size)) if unique else draw(st.lists(
+        st.integers(0, len(names) - 1), min_size=size, max_size=size)))
+    if unique:  # an object's keys, in json.dumps' sorted order
+        names.sort()
+    strings = (tuple(names) if kind == "fixed"
+               else LabelColumn(len(names), tuple(names)))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64]))
+    return strings, np.array(index, dtype=dtype), [names[i] for i in index]
+
+
+KINDS = st.sampled_from(["ints", "labels", "fixed"])
+
+
+@st.composite
+def records_and_data(draw):
+    """A Records list, the same list as plain data and its TSV lines."""
+    form = draw(st.sampled_from(["dicts", "nested", "values", "object"]))
+    size = draw(st.integers(0, 12))
+    if form == "object":
+        key = draw(_field(draw(st.sampled_from(["labels", "fixed"])), size,
+                          unique=True))
+        fields = [key, draw(_field(draw(KINDS), size))]
+    else:
+        count = 1 if form == "values" else draw(st.integers(1, 3))
+        fields = [draw(_field(draw(KINDS), size)) for _ in range(count)]
+    keys = draw(st.lists(st.text(max_size=3), min_size=len(fields) + 1,
+                         max_size=len(fields) + 1, unique=True))
+    rows = [list(row) for row in zip(*(data for *_, data in fields))]
+    nested = None
+    if form == "nested":
+        names = draw(st.lists(NAMES, min_size=1, max_size=6))
+        lengths = draw(st.lists(st.integers(1, 5), min_size=size,
+                                max_size=size))
+        items = draw(st.lists(st.integers(0, len(names) - 1),
+                              min_size=sum(lengths), max_size=sum(lengths)))
+        bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        nested = (keys[-1], LabelColumn(len(names), tuple(names)),
+                  np.array(items, dtype=np.int64), bounds)
+        for row, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+            row.append([names[i] for i in items[lo:hi]])
+    records = Records([(key, strings, values) for key, (strings, values, _)
+                       in zip(keys, fields)], nested,
+                      "dicts" if form == "nested" else form)
+    if form == "values":
+        data = [row[0] for row in rows]
+    elif form == "object":
+        data = dict(map(tuple, rows))
+    else:
+        data = [dict(zip(keys, row)) for row in rows]
+    lines = ["\t".join(",".join(v) if isinstance(v, list) else str(v)
+                       for v in row) + "\n" for row in rows]
+    return records, data, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_and_data(), st.sampled_from([8, 16, 24, 40, 64, 1 << 18]),
+       st.lists(st.sampled_from(["dict", "list"]), max_size=2))
+def test_records_write_their_data_across_slice_cuts(case, slice_bytes,
+                                                    wrappers):
+    records, data, lines = case
+    payload, reference = records, data
+    for wrapper in wrappers:  # deeper indentation
+        payload, reference = (({"k": payload}, {"k": reference})
+                              if wrapper == "dict"
+                              else ([1, payload], [1, reference]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textrows, "SLICE_BYTES", slice_bytes)
+        assert to_json(payload) == _reference(reference)
+        assert "".join(records.tsv_chunks()) == "".join(lines)
