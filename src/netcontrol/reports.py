@@ -201,7 +201,8 @@ class Records(Sequence):
         cells, text = [], ""  # text: not written yet
         for (_, strings, values, *nested), after in zip(fields, texts):
             if isinstance(strings, tuple):
-                cells.append((*_cell(strings, values, escape, text, after), at))
+                cells.append((*_cell(strings, values, escape, text, after),
+                              at))
                 text = ""
                 continue
             if text:

@@ -9,10 +9,11 @@ on some rows only (a nested list's first or last item), so no row pays
 for a cell it does not write. A table holds each of its strings (or
 ints, in decimal) once, as UTF-8 cut into pieces of ``PIECE`` bytes, the
 last one padded with 0xFF (a byte UTF-8 never uses). A slice of rows
-gathers its cells' pieces in output order into one block, and one
-``bytes.translate`` drops the padding. A long string costs its own pieces
-only, so the work is linear in the bytes written whatever the labels'
-lengths, and a slice holds about ``SLICE_BYTES``.
+lays its cells out as one sequence (each cell's first piece and piece
+count), expands that into its pieces in output order, gathers them into
+one block, and one ``bytes.translate`` drops the padding. A long string
+costs its own pieces only, so the work is linear in the bytes written
+whatever the labels' lengths, and a slice holds about ``SLICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ SLICE_BYTES = 1 << 18
 
 
 class Table(NamedTuple):
-    """String ``i`` is ``count[i]`` pieces from piece ``first[i]`` on, or,
-    when ``count`` is an int, ``count`` pieces from piece ``i * count``."""
+    """String ``i`` is ``count[i]`` pieces from piece ``first[i]`` on."""
 
     pieces: np.ndarray  # (pieces, PIECE) uint8
-    first: np.ndarray | None  # int32
-    count: np.ndarray | int  # int32
+    first: np.ndarray  # int32
+    count: np.ndarray  # int32
 
 
 def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
@@ -47,8 +47,6 @@ def _table(data: np.ndarray, sizes: np.ndarray) -> Table:
     valid[end - 1] = sizes - PIECE * (count - 1)  # bytes of each piece
     pieces = np.full((valid.size, PIECE), PAD, dtype=np.uint8)
     pieces[np.arange(PIECE, dtype=np.int8) < valid[:, None]] = data
-    if not count.size or count.min() == count.max():
-        return Table(pieces, None, int(count.max(initial=1)))
     return Table(pieces, end - count, count)
 
 
@@ -80,13 +78,8 @@ def byte_table(strings, escape: bool = False) -> Table:
 
 @functools.lru_cache(maxsize=1024)
 def text_table(*texts: str) -> Table:
-    """The table of a few fixed strings, built once per process, each
-    padded to as many pieces as the longest."""
-    data = [text.encode("utf-8", "surrogatepass") for text in texts]
-    count = max([1, *(-(-len(d) // PIECE) for d in data)])
-    pieces = b"".join(d.ljust(count * PIECE, _PAD) for d in data)
-    return Table(np.frombuffer(pieces, dtype=np.uint8).reshape(-1, PIECE),
-                 None, count)
+    """The table of a few fixed strings, built once per process."""
+    return byte_table(texts)
 
 
 def digit_table(values: np.ndarray, quote: bool = False) -> Table:
@@ -113,7 +106,10 @@ def digit_table(values: np.ndarray, quote: bool = False) -> Table:
         first = (digits[:, :units + 1] != PAD).argmax(axis=1)
         digits[np.arange(values.size), first - 1] = ord('"')
         digits[:, -1] = ord('"')
-    return Table(digits.reshape(-1, PIECE), None, span // PIECE)
+    count = np.broadcast_to(np.int32(span // PIECE), values.shape)  # a view
+    return Table(digits.reshape(-1, PIECE),
+                 np.arange(values.size, dtype=np.int32) * (span // PIECE),
+                 count)
 
 
 def render(cells, rows: int) -> Iterator[str]:
@@ -150,45 +146,40 @@ def render(cells, rows: int) -> Iterator[str]:
 def _sources(cells, lo: int, hi: int, limit: int) -> np.ndarray | None:
     """The pool index of each piece of rows ``lo..hi-1``, in output order;
     None when there are more than ``limit`` and more than one row."""
-    pieces = []  # (rows, first piece, piece count) of each cell
-    width = np.zeros(hi - lo, dtype=np.intp)  # pieces of each row
-    for table, index, at, base in cells:
+    first, count = _cells(cells, lo, hi)
+    if count.min() == count.max() == 1:  # no expansion
+        return first
+    end = count.cumsum(dtype=np.int32)
+    if end[-1] > limit and hi - lo > 1:
+        return None
+    end -= count  # each cell's first piece in the block
+    first -= end
+    src = first.astype(np.intp).repeat(count)
+    src += np.arange(src.size)
+    return src
+
+
+def _cells(cells, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first pool piece and the piece count of each cell of rows
+    ``lo..hi-1``, in output order."""
+    picks = []  # the rows and strings of each cell
+    width = np.zeros(hi - lo, dtype=np.intp)  # cells of each row
+    for _, index, at, _ in cells:
         a, b = (lo, hi) if at is None else np.searchsorted(at, (lo, hi))
         rows = slice(None) if at is None else at[a:b] - lo
-        if isinstance(index, np.ndarray):
-            index = index[a:b]
-        count = table.count
-        if isinstance(count, int):
-            first = np.multiply(index, count, dtype=np.intp) + base
-        else:
-            first, count = table.first.take(index) + base, count.take(index)
-        width[rows] += count
-        pieces.append((rows, first, count))
-    total = int(width.sum())
-    if total > limit and hi - lo > 1:
-        return None
-    if all(isinstance(rows, slice) and isinstance(count, int)
-           for rows, _, count in pieces):  # a grid of equal rows
-        src = np.empty((hi - lo, total // (hi - lo)), dtype=np.intp)
-        col = 0
-        for _, first, count in pieces:
-            for piece in range(count):
-                src[:, col] = first + piece
-                col += 1
-        return src.ravel()
-    src = np.empty(total, dtype=np.intp)
-    offset = width.cumsum()
-    offset -= width  # each row's first piece
-    for rows, first, count in pieces:
-        at = offset[rows]
-        if isinstance(count, int):
-            src[at] = first
-            for piece in range(1, count):
-                src[at + piece] = first + piece
-        elif count.size:  # each cell's pieces, by their number in the cell
-            end = count.cumsum()
-            piece = np.arange(end[-1]) - (end - count).repeat(count)
-            src[at.repeat(count) + piece] = first.repeat(count) + piece
-        at += count
-        offset[rows] = at
-    return src
+        picks.append((rows, index[a:b] if isinstance(index, np.ndarray)
+                      else index))
+        width[rows] += 1
+    slot = width.cumsum()
+    slot -= width  # each row's first cell
+    first = np.empty(slot[-1] + width[-1], dtype=np.int32)
+    count = np.ones_like(first)
+    for (table, _, _, base), (rows, index) in zip(cells, picks):
+        at = slot[rows]
+        pick = table.first.take(index)
+        pick += base
+        first[at] = pick
+        if len(table.pieces) > len(table.count):  # not a piece each
+            count[at] = table.count.take(index)
+        slot[rows] += 1
+    return first, count
