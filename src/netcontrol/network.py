@@ -145,25 +145,6 @@ def reach(ptr: np.ndarray, idx: np.ndarray, seen: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _inserted(ptr: np.ndarray, idx: np.ndarray, keys: np.ndarray, n: int):
-    """The CSR rows ``ptr``/``idx`` with the entries of ``keys`` added.
-
-    ``keys`` are sorted, distinct and absent keys ``row * n + col``. Only
-    the rows they touch are read, to find where each entry goes in its
-    sorted row, and one ``np.insert`` writes them all.
-    """
-    rows = keys // n
-    hit = np.unique(rows)
-    pos, counts = edge_positions(ptr, hit)
-    old = hit.repeat(counts) * n + idx.take(pos)  # the touched rows' keys
-    # an entry's place in its row: the old keys below it, less those of
-    # the rows before it
-    at = old.searchsorted(keys) - old.searchsorted(rows * n) + ptr.take(rows)
-    added = np.zeros(ptr.size, dtype=ptr.dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=added[1:])
-    return ptr + added, np.insert(idx, at, keys % n)
-
-
 class LabelColumn:
     """A network's node labels, as every writer and lookup reads them.
 
@@ -241,11 +222,12 @@ class DirectedNetwork:
                  "in_idx", "duplicates_collapsed", "_self_loops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
-                 labels: Iterable[str] | None = None):
+                 labels: Iterable[str] | LabelColumn | None = None):
         """Build from ``edges``, a sequence of pairs or an ``(L, 2)`` array.
 
         Without ``labels`` each node's label is its id in decimal; the
-        label strings are built on the first read of :attr:`labels`.
+        label strings are built on the first read of :attr:`labels`; a
+        :class:`LabelColumn` is shared as it is, tables and all.
         Pairs given in strictly increasing (source, target) order, as
         ``generate`` and :func:`write_edge_list` list them, are neither
         sorted nor scanned for duplicates. Self-loops are counted here, in
@@ -294,13 +276,14 @@ class DirectedNetwork:
         self.in_ptr = _row_offsets(rows, n)
         np.bitwise_and(keys, _LOW, out=rows, casting="unsafe")
         self.in_idx = rows  # the row ids' buffer, holding the column ids
-        if labels is not None:
+        if labels is not None and not isinstance(labels, LabelColumn):
             labels = tuple(map(str, labels))
             if len(labels) != n:
                 raise ValueError("label table size does not match node count")
             if len(set(labels)) != n:
                 raise ValueError("duplicate labels in label table")
-        self.label_column = LabelColumn(n, labels)
+            labels = LabelColumn(n, labels)
+        self.label_column = LabelColumn(n) if labels is None else labels
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -346,8 +329,8 @@ class DirectedNetwork:
     def with_edges(self, additions: Iterable[tuple[int, int]]) -> "DirectedNetwork":
         """This network plus ``additions``, sharing its label column.
 
-        The additions are merged into the sorted rows (:func:`_inserted`):
-        only they are sorted, and only the rows they touch are read.
+        A ``ValueError`` names the first pair already present, else the
+        first out of range. The constructor builds the grown network.
         """
         extra = np.asarray(additions if isinstance(additions, np.ndarray)
                            else list(additions), dtype=np.int64).reshape(-1, 2)
@@ -358,20 +341,9 @@ class DirectedNetwork:
             raise ValueError(f"edge ({u}, {v}) already present")
         if not inside.all():
             DirectedNetwork(self.n, extra)  # raises, naming the first such pair
-        n = self.n
-        keys = np.unique(extra[:, 0] * n + extra[:, 1])
-        grown = DirectedNetwork.__new__(DirectedNetwork)
-        grown.n, grown.label_column = n, self.label_column
-        grown.duplicates_collapsed = len(extra) - keys.size
-        grown._self_loops = self._self_loops + int(
-            np.count_nonzero(keys // n == keys % n))
-        grown.out_ptr, grown.out_idx = _inserted(self.out_ptr, self.out_idx,
-                                                 keys, n)
-        keys = (keys % n) * n + keys // n  # the same edges, keyed by target
-        keys.sort()
-        grown.in_ptr, grown.in_idx = _inserted(self.in_ptr, self.in_idx,
-                                               keys, n)
-        return grown
+        pairs = np.vstack((np.column_stack((self.edge_sources(), self.out_idx)),
+                           extra.astype(np.int32)))
+        return DirectedNetwork(self.n, pairs, self.label_column)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedNetwork):

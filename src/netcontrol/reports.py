@@ -18,6 +18,7 @@ is how the command line writes them.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
@@ -52,62 +53,47 @@ def round_ratio(value: float) -> float:
     return float(f"{value:.6g}")
 
 
+# A NUL and a token drawn once per process: no input writes this string.
+_MARK = "\x00" + os.urandom(16).hex()
+
+
 def to_json(payload: dict, write=None) -> str | None:
     """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
 
     With ``write`` the text goes to it in chunks as it is made, and None
-    is returned. ``indent`` drops CPython to its pure-Python encoder. Here
-    the C encoder writes each container that holds no container in one
-    call whose item separator carries the newline and indentation: JSON
-    strings never hold a raw newline.
-    :class:`Records` write themselves from their arrays, a slice of rows
-    per chunk.
+    is returned. ``json.dumps`` writes each :class:`Records` as a mark that
+    no input holds; the text is cut there, and the list writes itself from
+    its arrays at the indentation of the mark's line, in slices of rows.
     """
-    return _deliver(_indented(payload, "\n"), write, "\n")
+    writers = []
+
+    def hold(obj) -> str:  # json.dumps' default: a Records becomes a mark
+        if not isinstance(obj, Records):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        writers.append(obj.json_chunks)
+        return _MARK
+
+    pieces = (json.dumps(payload, sort_keys=True, indent=2, default=hold)
+              + "\n").split(json.dumps(_MARK))
+    return _deliver(_spliced(pieces, writers), write)
 
 
-def _deliver(chunks: Iterator[str], write, end: str = "") -> str | None:
-    """``chunks`` and then ``end``, joined, or each passed to ``write``."""
+def _spliced(pieces: list[str], writers) -> Iterator[str]:
+    """The text ``pieces`` with each of ``writers``' text between two."""
+    yield pieces[0]
+    for before, json_chunks, piece in zip(pieces, writers, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from json_chunks("\n" + " " * (len(line) - len(line.lstrip())))
+        yield piece
+
+
+def _deliver(chunks: Iterator[str], write) -> str | None:
+    """``chunks`` joined, or each passed to ``write``."""
     if write is None:
-        return "".join(chain(chunks, [end]))
+        return "".join(chunks)
     for chunk in chunks:
         write(chunk)
-    write(end)
     return None
-
-
-def _indented(obj, newline: str) -> Iterator[str]:
-    """``obj`` as ``indent=2`` JSON that starts after ``newline``."""
-    if isinstance(obj, Records):
-        yield from obj.json_chunks(newline)
-        return
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        yield json.dumps(obj)
-        return
-    inner = newline + "  "
-    types = set(map(type, obj.values() if is_dict else obj))
-    if not _has_container(types):
-        flat = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-        yield flat[0] + inner + flat[1:-1] + newline + flat[-1]
-        return
-    opener, closer = "{}" if is_dict else "[]"
-    yield opener + inner
-    if is_dict:  # non-string keys are written as json writes them
-        for i, (k, v) in enumerate(sorted(obj.items())):
-            yield ("," + inner if i else "") + json.dumps(
-                k if isinstance(k, str) else json.dumps(k)) + ": "
-            yield from _indented(v, inner)
-    else:
-        for i, v in enumerate(obj):
-            if i:
-                yield "," + inner
-            yield from _indented(v, inner)
-    yield newline + closer
-
-
-def _has_container(types) -> bool:
-    return any(issubclass(t, (dict, list, tuple, Records)) for t in types)
 
 
 class Records(Sequence):
@@ -246,7 +232,9 @@ def _component_records(analysis: NetworkAnalysis,
     nested = None
     if _lists_members(analysis.network, include_members):
         nested = ("members", analysis.network.label_column,
-                  np.argsort(report.comp_of, kind="stable"),
+                  # by component, then by id: one sort of packed words
+                  np.sort(report.comp_of.astype(np.int64) << 32
+                          | np.arange(report.comp_of.size)) & 0xFFFFFFFF,
                   np.concatenate(([0], np.cumsum(report.sizes))))
     return Records([("id", None, np.arange(report.component_count)),
                     ("size", None, report.sizes),

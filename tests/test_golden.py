@@ -16,7 +16,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from netcontrol import analyze, load_edge_list
 from netcontrol.cli import main
+
+from checker import check_analysis
 
 GRAPHS = {
     "er": ["generate", "--model", "er", "-n", "1500", "-k", "6",
@@ -189,3 +192,30 @@ def test_generate_at_scale_digest(model):
     code, digest = _digest(*_run(["generate", "--model", model, "-n",
                                   "100000", "-k", "10", "--seed", "7"]))
     assert (code, digest[:16]) == (0, AT_SCALE[model])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_network_here_passes_the_independent_checker(files, seed):
+    for path in files.values():
+        with path.open(encoding="utf-8") as fh:
+            check_analysis(analyze(load_edge_list(fh), seed))
+
+
+def test_alter_sf_steps_digest(tmp_path):
+    # sha256 prefixes of the two ``alter`` steps perfbench's alter-sf
+    # workload runs, on SF N=6000, k=10, generator seed 1
+    base, sat = tmp_path / "base.txt", tmp_path / "sat.txt"
+    code, text = _run(["generate", "--model", "sf", "-n", "6000", "-k", "10",
+                       "--seed", "1"])
+    assert code == 0
+    base.write_text(text, encoding="utf-8")
+    steps = [_run(["alter", str(base), "--component", "largest", "--to",
+                   "smc"])]
+    added = "".join(f"{a['src']}\t{a['dst']}\n"
+                    for a in json.loads(steps[0][1])["plan"]["additions"])
+    sat.write_text(text + added, encoding="utf-8")
+    steps.append(_run(["alter", str(sat), "--component", "largest-smc",
+                       "--to", "ic", "--mode", "full"]))
+    assert [(code, digest[:16]) for code, digest in
+            (_digest(*step) for step in steps)] == [
+        (0, "f8c41d52a74b37a3"), (0, "e2caf535b5438e7b")]

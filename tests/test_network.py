@@ -143,8 +143,9 @@ def test_with_edges_returns_new_network(dilation_net):
 
 
 def test_with_edges_equals_the_constructor_on_random_networks():
-    # with_edges merges into the sorted rows; the constructor sorts every
-    # edge again. Both must give the same arrays and duplicate count.
+    # with_edges builds through the constructor from the network's own
+    # pairs and the additions; it must give what building from every pair
+    # at once gives, and hand on the label column.
     rng = np.random.default_rng(29)
     for _ in range(200):
         n = int(rng.integers(1, 30))

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netcontrol import (Matching, NotMaximumMatchingError, build_input_graph,
-                        classify_exhaustive, classify_nodes, exchange,
-                        find_components, input_nodes, is_maximum,
-                        maximum_matching, unsaturated_nodes)
+from netcontrol import (Matching, NotMaximumMatchingError, analyze,
+                        build_input_graph, classify_exhaustive,
+                        classify_nodes, exchange, find_components,
+                        input_nodes, is_maximum, maximum_matching,
+                        unsaturated_nodes)
 from netcontrol import matching, network
 from netcontrol.network import DirectedNetwork
 from netcontrol.oracle import enumerate_maximum_matchings
 
+from checker import check_analysis
 from conftest import (adjacency_edges, class_names, component_sets, node_set,
                       report_for)
 
@@ -332,3 +334,10 @@ def _closure_and_components_match_references(net, seed):
                 build_input_graph(net, smaller)
         else:
             build_input_graph(net, smaller)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs() | digraphs_with_loops() | wide_blobs_with_thin_chains(),
+       st.integers(min_value=0, max_value=5))
+def test_analysis_passes_the_independent_checker(net, seed):
+    check_analysis(analyze(net, seed))

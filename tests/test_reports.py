@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netcontrol import (COMPONENT_KINDS, NODE_CLASSES, AlterationError,
@@ -80,6 +80,48 @@ def long_records(draw):
 @given(json_values | long_records())
 def test_any_json_value_matches_json_dumps(payload):
     assert to_json(payload) == _reference(payload)
+
+
+# to_json has json.dumps write each Records as a mark string, and cuts the
+# text there. Strings that resemble a mark must stay strings.
+MARKISH = (st.sampled_from(["\x00", "\x00\x00", "\\u0000", '"\\u0000"',
+                            "\\\\u0000", "\\\x00", '"\x00"', ""])
+           | st.builds(lambda head, digits, tail: head + digits + tail,
+                       st.sampled_from(["\x00", "\\u0000", '"\\u0000',
+                                        '\\"\x00', "\x00\x00", ""]),
+                       st.text("0123456789abcdef", max_size=40),
+                       st.sampled_from(["", '"', '\\"', "\x00", ",\n"])))
+
+
+@st.composite
+def _marked_payloads(draw, depth=0):
+    """A payload of mark-like keys and strings with Records at depths 0-2,
+    and the same payload as plain data."""
+    shape = draw(st.sampled_from(["records", "string", "dict", "list"][
+        :4 if depth < 2 else 2]))
+    if shape == "records":
+        names = draw(st.lists(MARKISH, max_size=3))
+        return Records([("member", LabelColumn(len(names), tuple(names)),
+                         np.arange(len(names)))], form="values"), names
+    if shape == "string":
+        text = draw(MARKISH)
+        return text, text
+    children = draw(st.lists(_marked_payloads(depth + 1), max_size=3))
+    if shape == "list":
+        return [p for p, _ in children], [r for _, r in children]
+    keys = draw(st.lists(MARKISH, min_size=len(children),
+                         max_size=len(children), unique=True))
+    return ({k: p for k, (p, _) in zip(keys, children)},
+            {k: r for k, (_, r) in zip(keys, children)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marked_payloads())
+@example(({"\x00": "\x00", "a": Records([("id", None, np.arange(2))])},
+          {"\x00": "\x00", "a": [{"id": 0}, {"id": 1}]}))
+def test_no_payload_string_takes_a_lists_place(case):
+    payload, reference = case
+    assert to_json(payload) == _reference(reference)
 
 
 # The list outputs against the dict-per-row and line-join code they replace.

@@ -109,6 +109,16 @@ def test_only_the_network_module_reads_the_label_state():
     assert readers == []
 
 
+def test_no_module_makes_a_network_without_its_constructor():
+    # __init__ is the one place that sets a network's arrays, so no second
+    # build path drifts from it
+    src = Path(__file__).resolve().parents[1] / "src" / "netcontrol"
+    callers = sorted(path.name for path in src.glob("*.py")
+                     if re.search(r"\b__new__\b",
+                                  path.read_text(encoding="utf-8")))
+    assert callers == []
+
+
 def test_only_the_network_and_row_modules_name_byte_table():
     # Strings become a table through a LabelColumn, which keeps it; no
     # other module builds one per render.
