@@ -143,14 +143,12 @@ def strong_pieces(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     piece is the nodes of its colour that reach it. Ranks shuffle the ids:
     by id, 4 000 2-cycles in a chain of rising ids took a round each.
     """
-    h = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    h ^= h >> np.uint64(32)  # rank: the ids ordered by a mixing hash
-    rank = np.empty(n, dtype=np.int32)
-    rank[(h * np.uint64(0xC4CEB9FE1A85EC53)).argsort()] = np.arange(n)
+    # rank: the seeded shuffle of the ids that the matcher uses too
+    rank = np.random.default_rng(0).permutation(n).astype(np.int32)
     # sorted by target, a filter keeps the in-rows the backward search reads
     order = np.argsort(rank[dst])
     src, dst = rank[src[order]], rank[dst[order]]
-    del h, order
+    del order
     root = np.arange(n, dtype=np.int32)  # of each placed node's piece
     while src.size:
         # SF SMCs (k=10, N=6000-60 000): 2-8 trim passes a round cost the

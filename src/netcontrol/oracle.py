@@ -1,9 +1,11 @@
 """Exhaustive ground truth on small networks.
 
-Backtracks over every way to match the in-copies, keeping all matchings of
-maximum size. The number of maximum matchings grows exponentially, so hard
-guard limits protect callers; exceeding them raises instead of silently
-truncating, which would corrupt the ground truth.
+Backtracks over every way to match the in-copies. Of the matchings of
+maximum size it keeps only their number and the distinct sets of matched
+in-copies, one bitmask each: at most C(16, 8) = 12 870 of them, however many
+matchings there are. The number of maximum matchings grows exponentially, so
+hard guard limits bound the time spent; exceeding them raises instead of
+silently truncating, which would corrupt the ground truth.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class OracleGuard:
 @dataclass(frozen=True)
 class EnumerationResult:
     matching_count: int
-    matchings: tuple[tuple[tuple[NodeId, NodeId], ...], ...]
     input_sets: tuple[frozenset[NodeId], ...]  # deduplicated
     in_some_set: frozenset[NodeId]
     in_all_sets: frozenset[NodeId]
@@ -35,57 +36,51 @@ class EnumerationResult:
 def enumerate_maximum_matchings(net: DirectedNetwork,
                                 guard: OracleGuard = OracleGuard()
                                 ) -> EnumerationResult:
-    """All maximum matchings plus the distinct input sets they induce."""
+    """The number of maximum matchings and the distinct input sets they
+    induce, in ascending order of their sorted members.
+
+    No matching is stored: the guard raises on the ``max_count + 1``-th
+    maximum matching of the best size so far, so it bounds time, not memory.
+    """
     n = net.n
     if n > guard.max_nodes:
         raise OracleInfeasibleError(
             f"{n} nodes exceeds the oracle guard of {guard.max_nodes}")
 
-    best: list[tuple[tuple[int, int], ...]] = []
-    best_size = 0
-    used_out: set[int] = set()
-    chosen: list[tuple[int, int]] = []
+    preds = [net.predecessors(v).tolist() for v in range(n)]
+    count = best_size = 0
+    matched_sets: set[int] = set()  # bit v: in-copy v is matched
 
-    def backtrack(v: int):
-        nonlocal best_size
-        if len(chosen) + (n - v) < best_size:
+    def backtrack(v: int, used_out: int, matched: int, size: int):
+        nonlocal count, best_size
+        if size + (n - v) < best_size:
             return  # cannot reach the best size from here
         if v == n:
-            size = len(chosen)
             if size > best_size:
-                best_size = size
-                best.clear()
-            if size == best_size:
-                best.append(tuple(chosen))
-                if len(best) > guard.max_count:
-                    raise OracleInfeasibleError(
-                        f"more than {guard.max_count} maximum matchings")
+                best_size, count = size, 0
+                matched_sets.clear()
+            count += 1
+            if count > guard.max_count:
+                raise OracleInfeasibleError(
+                    f"more than {guard.max_count} maximum matchings")
+            matched_sets.add(matched)
             return
-        for u in net.predecessors(v).tolist():
-            if u in used_out:
-                continue
-            used_out.add(u)
-            chosen.append((u, v))
-            backtrack(v + 1)
-            chosen.pop()
-            used_out.remove(u)
-        backtrack(v + 1)  # leave in-copy v unmatched
+        for u in preds[v]:
+            if not used_out >> u & 1:
+                backtrack(v + 1, used_out | 1 << u, matched | 1 << v, size + 1)
+        backtrack(v + 1, used_out, matched, size)  # leave in-copy v unmatched
 
-    backtrack(0)
+    backtrack(0, 0, 0, 0)
 
-    matched_sets = [frozenset(v for _, v in pairs) for pairs in best]
     input_sets = sorted(
-        {frozenset(range(n)) - ms for ms in matched_sets},
-        key=sorted)
-    in_some = frozenset().union(*input_sets) if input_sets else frozenset()
-    in_all = (frozenset(input_sets[0]).intersection(*input_sets)
-              if input_sets else frozenset())
+        (frozenset(v for v in range(n) if not ms >> v & 1)
+         for ms in matched_sets),
+        key=sorted)  # never empty: every search reaches a leaf
     return EnumerationResult(
-        matching_count=len(best),
-        matchings=tuple(tuple(sorted(pairs)) for pairs in best),
+        matching_count=count,
         input_sets=tuple(input_sets),
-        in_some_set=in_some,
-        in_all_sets=in_all,
+        in_some_set=frozenset().union(*input_sets),
+        in_all_sets=frozenset.intersection(*input_sets),
     )
 
 

@@ -1,5 +1,5 @@
-"""The independent checker (``checker.py``) on networks of 10^5 nodes and on
-the networks that alterations grow with ``with_edges``."""
+"""The independent checker (``checker.py``) on networks of 10^5 and 10^6
+nodes and on the networks that alterations grow with ``with_edges``."""
 
 import pytest
 
@@ -16,6 +16,13 @@ def test_analyses_at_ten_to_the_fifth_pass_the_checker(model):
     net = generate(GenSpec(model=model, n=100_000, avg_degree=10, seed=7))
     for seed in (0, 3):
         check_analysis(analyze(net, seed))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model", ["er", "sf"])
+def test_analyses_at_ten_to_the_sixth_pass_the_checker(model):
+    net = generate(GenSpec(model=model, n=1_000_000, avg_degree=10, seed=7))
+    check_analysis(analyze(net, 0))
 
 
 def test_both_alter_sf_steps_pass_the_checker():

@@ -11,6 +11,7 @@ from netcontrol.network import DirectedNetwork
 
 from conftest import (brute_input_sets, brute_maximum_matchings, class_names,
                       random_digraph, worked_networks)
+from test_memory import traced
 
 
 def test_dilation_enumeration(dilation_net):
@@ -72,6 +73,17 @@ def test_count_guard_is_hard_error():
         enumerate_maximum_matchings(net, OracleGuard(max_count=2))
 
 
+def test_enumeration_keeps_no_matching():
+    # complete digraph on 8 nodes: 14 833 maximum matchings (the derangements
+    # of 8), each matching every in-copy; as pair tuples they take ~16 MB
+    net = DirectedNetwork(8, [(u, v) for u in range(8) for v in range(8)
+                              if u != v])
+    peak, result = traced(enumerate_maximum_matchings, net)
+    assert result.matching_count == 14833
+    assert result.input_sets == (frozenset(),)
+    assert peak < 1 << 20
+
+
 def test_classify_exhaustive_dilation(dilation_net):
     classes = class_names(classify_exhaustive(dilation_net))
     assert classes[dilation_net.id_of("c")] is NodeClass.CRITICAL
@@ -124,8 +136,7 @@ def test_symmetric_difference_structure():
     """Pairwise, maximum matchings differ by alternating paths/even cycles."""
     for seed in range(8):
         net = random_digraph(6, 0.35, seed)
-        result = enumerate_maximum_matchings(net)
-        sample = result.matchings[:6]
+        sample = brute_maximum_matchings(net)[:6]
         for i in range(len(sample)):
             for j in range(i + 1, len(sample)):
                 groups, diff = symmetric_difference_components(
